@@ -312,15 +312,6 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """Upper tail P(T > t) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_reg(0.5 * df, 0.5, x)
-    return tail if t >= 0 else 1.0 - tail
-
-
 def pearson_p_value(r: float, n: int) -> float:
     """Two-sided p-value for Pearson r under the null of zero correlation.
 

@@ -1,7 +1,8 @@
 """Command-line surface: simulate, audit, mincount, cmnist.
 
-Exit codes: 0 success, 2 input error (bad arguments, files, environments),
-3 numeric or degeneracy error (degenerate sweeps, non-PSD covariances).
+Exit codes: 0 success, 2 input error (bad arguments, files, configs,
+environments), 3 numeric or degeneracy error (degenerate sweeps, non-PSD
+covariances, fits that do not converge).
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def _format_shift(shift: ShiftSpec) -> dict[str, str]:
 
 
 def _parse_shift(section) -> ShiftSpec:
-    variant = section.get("variant", "identity").strip().lower()
+    variant = section["variant"].strip().lower()
     if variant == "identity":
         return IdentityShift()
     if variant == "linear":
@@ -147,66 +147,79 @@ def dumps_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
+    """Parse an INI config. [domain] is required; every section or key the
+    text omits takes its value from default_config()."""
+    try:
+        return _parse_config(text)
+    except configparser.Error as exc:
+        # configparser messages span lines; callers print one line
+        raise ValueError(" ".join(str(exc).split())) from exc
+
+
+def _new_parser() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp.read_string(text)
-    if "domain" not in cp:
+    return cp
+
+
+def _parse_config(text: str) -> RunConfig:
+    given = _new_parser()
+    given.read_string(text)
+    if "domain" not in given:
         raise ValueError("config must have a [domain] section")
+    cp = _new_parser()
+    cp.read_string(dumps_config(default_config()))
+    cp.read_dict(given)
+
     dom = cp["domain"]
-    k = dom.getint("k")
-    l = dom.getint("l")
-    shift = _parse_shift(cp["domain.shift"]) if "domain.shift" in cp else IdentityShift()
     spec = DomainSpec(
-        k=k, l=l,
+        k=dom.getint("k"),
+        l=dom.getint("l"),
         mu_c=parse_vector(dom["mu_c"]),
         sigma_c=parse_matrix(dom["sigma_c"]),
         mu_e=parse_vector(dom["mu_e"]),
         sigma_e=parse_matrix(dom["sigma_e"]),
-        label_prior=dom.getfloat("label_prior", 0.5),
-        shift=shift,
+        label_prior=dom.getfloat("label_prior"),
+        shift=_parse_shift(cp["domain.shift"]),
     )
 
-    bounds = BoundParams()
-    if "bounds" in cp:
-        sec = cp["bounds"]
-        bounds = BoundParams(**{name: sec.getfloat(name, getattr(BoundParams, name))
-                                for name in ("kappa", "l_phi", "delta",
-                                             "tsybakov_b", "lemma_c", "slope_a",
-                                             "clip_alpha", "eps1", "eps2",
-                                             "gamma")})
+    sec = cp["bounds"]
+    bounds = BoundParams(**{name: sec.getfloat(name)
+                            for name in ("kappa", "l_phi", "delta",
+                                         "tsybakov_b", "lemma_c", "slope_a",
+                                         "clip_alpha", "eps1", "eps2",
+                                         "gamma")})
 
-    optimizer = OptimizerConfig()
-    if "optimizer" in cp:
-        sec = cp["optimizer"]
-        optimizer = OptimizerConfig(
-            tol=sec.getfloat("tol", OptimizerConfig.tol),
-            max_iters=sec.getint("max_iters", OptimizerConfig.max_iters),
-            l2=sec.getfloat("l2", OptimizerConfig.l2),
-            mask=Mask(sec.get("mask", "full")),
-            bias=sec.getboolean("bias", False),
-        )
+    sec = cp["optimizer"]
+    optimizer = OptimizerConfig(
+        tol=sec.getfloat("tol"),
+        max_iters=sec.getint("max_iters"),
+        l2=sec.getfloat("l2"),
+        mask=Mask(sec["mask"]),
+        bias=sec.getboolean("bias"),
+    )
 
-    sweep = SweepConfig()
-    if "sweep" in cp:
-        sec = cp["sweep"]
-        base = ()
-        if "base_components" in sec:
-            base = tuple(parse_matrix(part) for part in sec["base_components"].split("|"))
-        sweep = SweepConfig(
-            n_shifts=sec.getint("n_shifts", SweepConfig.n_shifts),
-            shift_scale=sec.getfloat("shift_scale", SweepConfig.shift_scale),
-            n_per_domain=sec.getint("n_per_domain", SweepConfig.n_per_domain),
-            ood_mode=sec.get("ood_mode", SweepConfig.ood_mode),
-            base_components=base,
-            reliance_grid=tuple(parse_vector(sec["reliance_grid"]))
-            if "reliance_grid" in sec else SweepConfig.reliance_grid,
-            sweep_seeds=sec.getint("sweep_seeds", SweepConfig.sweep_seeds),
-            eps_grid=tuple(parse_vector(sec["eps_grid"]))
-            if "eps_grid" in sec else SweepConfig.eps_grid,
-            trials=sec.getint("trials", SweepConfig.trials),
-        )
+    sec = cp["sweep"]
+    base = ()
+    if "base_components" in sec:
+        base = tuple(parse_matrix(part) for part in sec["base_components"].split("|"))
+    sweep = SweepConfig(
+        n_shifts=sec.getint("n_shifts"),
+        shift_scale=sec.getfloat("shift_scale"),
+        n_per_domain=sec.getint("n_per_domain"),
+        ood_mode=sec["ood_mode"],
+        base_components=base,
+        reliance_grid=tuple(parse_vector(sec["reliance_grid"])),
+        sweep_seeds=sec.getint("sweep_seeds"),
+        eps_grid=tuple(parse_vector(sec["eps_grid"])),
+        trials=sec.getint("trials"),
+    )
     if sweep.ood_mode not in ("random", "interpolation"):
         raise ValueError("ood_mode must be 'random' or 'interpolation'")
+    if sweep.n_shifts < 1:
+        raise ValueError("n_shifts must be at least 1")
+    if sweep.n_per_domain < 1:
+        raise ValueError("n_per_domain must be at least 1")
     return RunConfig(domain=spec, bounds=bounds, optimizer=optimizer, sweep=sweep)
 
 

@@ -96,6 +96,47 @@ class TestSimulate:
         assert payload["ood_mode"] == "interpolation"
         assert payload["mean_abs_gap"] < 0.03
 
+    @pytest.mark.parametrize("text", [
+        "k = 2\n",
+        "[domain]\nk = 2\nk = 3\n",
+        dumps_config(default_config()).replace("n_shifts = 50", "n_shifts = 0"),
+        dumps_config(default_config()).replace("n_per_domain = 1000",
+                                               "n_per_domain = 0"),
+    ], ids=["no_section_header", "duplicate_key", "zero_shifts",
+            "zero_per_domain"])
+    def test_bad_config_is_one_line_input_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unconverged_fit_is_numeric_error(self, tmp_path, capsys):
+        text = dumps_config(default_config()).replace("max_iters = 10000",
+                                                      "max_iters = 1")
+        path = tmp_path / "iters.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: not converged") and err.count("\n") == 1
+
+    def test_documented_domain_defaults_match_no_config(self, tmp_path):
+        path = tmp_path / "domain.ini"
+        path.write_text("[domain]\nk = 2\nl = 2\nmu_c = 1.0, 1.0\n"
+                        "sigma_c = 1.0, 0.0; 0.0, 1.0\nmu_e = 1.0, 1.0\n"
+                        "sigma_e = 1.0, 0.0; 0.0, 1.0\nlabel_prior = 0.5\n",
+                        encoding="utf-8")
+        out_cfg, out_none = tmp_path / "cfg", tmp_path / "none"
+        assert main(["simulate", "--config", str(path), "--seed", "11",
+                     "--out", str(out_cfg)]) == 0
+        assert main(["simulate", "--seed", "11", "--out", str(out_none)]) == 0
+        for name in ("simulate.csv", "simulate_report.json", "simulate.svg"):
+            assert (out_cfg / name).read_bytes() == (out_none / name).read_bytes()
+
 
 class TestAudit:
     def test_identity_line_is_misspecified(self, identity_table, tmp_path):

@@ -103,3 +103,17 @@ def test_bad_ood_mode():
                                                   "ood_mode = sideways")
     with pytest.raises(ValueError, match="ood_mode"):
         parse_config(text)
+
+
+def test_omitted_sections_and_keys_take_default_config_values():
+    text = dumps_config(default_config())
+    cfg = default_config()
+    domain_only = parse_config(text[:text.index("[bounds]")])
+    assert spec_allclose(domain_only.domain, cfg.domain, tol=0.0)
+    assert (domain_only.bounds, domain_only.optimizer, domain_only.sweep) == \
+        (cfg.bounds, cfg.optimizer, cfg.sweep)
+    assert "delta = 0.5\n" in text and "l2 = 0.001\n" in text
+    partial = text.replace("delta = 0.5\n", "").replace("l2 = 0.001\n", "")
+    assert parse_config(partial).bounds == cfg.bounds
+    assert parse_config(partial).optimizer == cfg.optimizer
+

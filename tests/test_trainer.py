@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,68 @@ class TestFitLogistic:
                 lo, _ = _objective_and_grad(w - e, x, y, penalty)
                 fd = (hi - lo) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_exhausted_max_iters_raises(self):
+        data = sample_domain(default_spec(), 500, seed=1)
+        with pytest.raises(ValueError, match="not converged: gradient norm"):
+            fit_logistic(data, Mask.FULL, l2=1e-3,
+                         opts=OptimizerSettings(max_iters=1))
+
+
+def _scipy_check(data, mask, l2, opts, model):
+    """Max weight difference between model and a BFGS minimum of the same
+    objective, rebuilt here from fit_logistic's documented definition."""
+    from scipy.optimize import minimize
+    from shiftspec.trainer import _objective_and_grad
+    x = data.z_c if mask is Mask.DOMAIN_GENERAL else data.x
+    w = model.w_c if mask is Mask.DOMAIN_GENERAL else model.w
+    penalty = np.full(x.shape[1], l2)
+    if mask is Mask.FULL:
+        penalty[data.k:data.k + data.l] *= opts.spurious_l2_scale
+    if opts.bias:
+        x = np.hstack([x, np.ones((data.n, 1))])
+        w = np.append(w, model.bias)
+        penalty = np.append(penalty, 0.0)
+    res = minimize(_objective_and_grad, np.zeros(x.shape[1]),
+                   args=(x, data.y, penalty), jac=True, method="BFGS",
+                   options={"gtol": 1e-12, "maxiter": 10_000})
+    _, oracle_grad = _objective_and_grad(res.x, x, data.y, penalty)
+    assert float(np.linalg.norm(oracle_grad)) < 1e-9
+    return float(np.max(np.abs(res.x - w)))
+
+
+@pytest.mark.parametrize("mask, opts", [
+    (Mask.FULL, OptimizerSettings()),
+    (Mask.DOMAIN_GENERAL, OptimizerSettings()),
+    (Mask.FULL, OptimizerSettings(bias=True)),
+    (Mask.FULL, OptimizerSettings(spurious_l2_scale=1e3)),
+], ids=["full", "domain_general", "bias", "spurious_scale"])
+def test_matches_scipy_oracle(mask, opts):
+    # a skewed prior gives the intercept something to fit
+    data = sample_domain(replace(default_spec(), label_prior=0.3), 2000, seed=3)
+    model = fit_logistic(data, mask, 1e-3, opts)
+    assert _scipy_check(data, mask, 1e-3, opts, model) < 1e-6
+
+
+def test_matches_scipy_oracle_on_noisiest_cmnist_fits(monkeypatch):
+    import shiftspec.cmnist as cmnist
+    calls = []
+
+    def recording_fit(data, mask, l2, opts):
+        model = fit_logistic(data, mask, l2, opts)
+        calls.append((data, mask, l2, opts, model))
+        return model
+
+    monkeypatch.setattr(cmnist, "fit_logistic", recording_fit)
+    table = cmnist.cmnist_model_table(
+        cmnist.CmnistSpec(label_noise=0.25, p_e=(0.9,)), train_env=0,
+        test_grid=(0.8, 0.85, 0.9, 0.95, 0.99), n_train=4000,
+        noise_sigmas=cmnist.DEFAULT_NOISE_SIGMAS, seeds_per_sigma=2, seed=0)
+    noisiest = [call for call, row in zip(calls, table.rows)
+                if row.metadata["meta_sigma"] == "8"]
+    assert len(noisiest) == 2
+    for call in noisiest:
+        assert _scipy_check(*call) < 1e-6
 
 
 class TestEvaluateAccuracy:
