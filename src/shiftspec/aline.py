@@ -151,6 +151,8 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
         raise ValueError("need at least 100 bootstrap resamples")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    if start < 1 or step < 1:
+        raise ValueError("start and step must be at least 1")
     n = len(pairs)
     if n < start:
         raise ValueError(f"need at least start={start} pairs, got {n}")

@@ -243,8 +243,9 @@ def cmd_mincount(args) -> int:
                                   start=args.start, step=args.step,
                                   clip_alpha=args.clip_alpha, seed=args.seed)
     except ValueError as exc:
+        # min_model_count raises only for invalid arguments
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT if "need at least" in str(exc) else EXIT_NUMERIC
+        return EXIT_INPUT
 
     payload = {
         "ood_env": args.ood_env,

@@ -77,30 +77,29 @@ def digit_classifier_accuracy(spec: CmnistSpec) -> float:
 
 
 def linear_rule_accuracy(w_c: float, w_e: float, label_noise: float,
-                         p_e: float, noise_sigma: float = 0.0,
-                         bias: float = 0.0) -> float:
+                         p_e, noise_sigma: float = 0.0,
+                         bias: float = 0.0) -> float | np.ndarray:
     """Exact accuracy of sign(w_c z_c + w_e z_e + noise + bias) on an environment.
 
     The four (digit-agrees, color-agrees) outcomes have known probabilities;
     noise_sigma > 0 models a feature-extraction pipeline that jitters both
-    coordinates with N(0, sigma^2) before the linear rule.
+    coordinates with N(0, sigma^2) before the linear rule. An array p_e
+    gives one accuracy per environment.
     """
+    p = np.asarray(p_e, dtype=np.float64)
     p_digit = 1.0 - label_noise
-    outcomes = (
-        (p_digit * p_e, w_c + w_e),
-        (p_digit * (1.0 - p_e), w_c - w_e),
-        ((1.0 - p_digit) * p_e, -w_c + w_e),
-        ((1.0 - p_digit) * (1.0 - p_e), -w_c - w_e),
-    )
+    probs = (p_digit * p, p_digit * (1.0 - p),
+             (1.0 - p_digit) * p, (1.0 - p_digit) * (1.0 - p))
+    scores = np.array([w_c + w_e, w_c - w_e, -w_c + w_e, -w_c - w_e]) + bias
     scale = noise_sigma * math.hypot(w_c, w_e)
+    if scale > 0.0:
+        correct = normal_cdf(scores / scale)
+    else:
+        correct = np.where(scores > 0.0, 1.0, 0.0)
     total = 0.0
-    for prob, score in outcomes:
-        score += bias
-        if scale > 0.0:
-            total += prob * float(normal_cdf(score / scale))
-        else:
-            total += prob * (1.0 if score > 0.0 else 0.0)
-    return total
+    for prob, hit in zip(probs, correct):
+        total += prob * hit
+    return float(total) if p.ndim == 0 else total
 
 
 def cmnist_model_table(spec: CmnistSpec, train_env: int,
@@ -134,12 +133,10 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
                                  OptimizerSettings(tol=1e-8, max_iters=10_000))
             w_c = float(model.w_c[0])
             w_e = float(model.w_e[0])
-            accs = [linear_rule_accuracy(w_c, w_e, spec.label_noise, p_train, sigma)]
-            for p_test in test_grid:
-                accs.append(linear_rule_accuracy(w_c, w_e, spec.label_noise,
-                                                 p_test, sigma))
+            accs = linear_rule_accuracy(w_c, w_e, spec.label_noise,
+                                        np.array((p_train,) + test_grid), sigma)
             rows.append(TableRow(model_id=f"sigma{sigma:g}_rep{task:03d}",
-                                 accuracies=tuple(accs),
+                                 accuracies=tuple(accs.tolist()),
                                  metadata={"meta_sigma": f"{sigma:g}"}))
             task += 1
     return AccuracyTable(env_names=env_names, rows=tuple(rows))

@@ -20,7 +20,6 @@ from .core import (BoundParams, DomainSpec, LinearClassifier, LinearShift,
                    Mask, ShiftSpec)
 from .synthgen import random_shift, sample_domain
 from .trainer import OptimizerSettings, fit_logistic
-from .util import parallel_map
 
 
 @dataclass(frozen=True)
@@ -82,26 +81,8 @@ def theorem2_compare(w_c, mu_c, sigma_c, w_e, m_mu_e, sigma_phi) -> Theorem2Resu
 
 
 def lipschitz_of_linear(m) -> float:
-    """Operator 2-norm of a matrix by power iteration on M'M."""
-    m = np.asarray(m, dtype=np.float64)
-    if not np.any(m):
-        return 0.0
-    dim = m.shape[1]
-    v = np.ones(dim) + 1e-3 * np.arange(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(10_000):
-        u = m @ v
-        w = m.T @ u
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        sigma_new = math.sqrt(float(v @ w))
-        v = w / norm_w
-        if abs(sigma_new - sigma) <= 1e-10 * max(sigma_new, 1.0):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    """Operator 2-norm (largest singular value) of a matrix."""
+    return float(np.linalg.norm(np.asarray(m, dtype=np.float64), 2))
 
 
 def gaussian_kappa(sigma) -> float:
@@ -261,34 +242,38 @@ def reflection_alpha_threshold(w_e, mu_e, sigma_e, delta: float) -> float:
     return math.sqrt(2.0 * var * math.log(1.0 / delta)) / signal
 
 
-def accuracy_under_shift(classifier: LinearClassifier, spec: DomainSpec,
-                         shift: ShiftSpec | None = None) -> float:
-    """Exact accuracy of a linear rule on the spec with the given shift.
+def accuracy_under_shift(
+        classifier_or_classifiers: LinearClassifier | Sequence[LinearClassifier],
+        spec: DomainSpec, shift: ShiftSpec | None = None) -> float | np.ndarray:
+    """Exact accuracy of linear rules on the spec with the given shift.
 
-    Mixtures decompose into their Gaussian components, so the result is the
-    weight-averaged closed form per component.
+    Takes one classifier (returns a float) or a sequence of them (returns
+    an array, one accuracy per classifier). Mixtures decompose into their
+    Gaussian components, so the result is the weight-averaged closed form
+    per component.
     """
     shift = spec.shift if shift is None else shift
-    w_c = np.asarray(classifier.w_c)
-    w_e = np.asarray(classifier.w_e)
-    bias = classifier.bias
-    signal_c = float(w_c @ spec.mu_c)
-    var_c = float(w_c @ spec.sigma_c @ w_c)
-    total = 0.0
-    matrices = shift.matrices(spec.l)
-    weights = shift.weights()
-    for weight, m in zip(weights, matrices):
-        signal = signal_c + float(w_e @ (m @ spec.mu_e))
-        var = var_c + float(w_e @ (m @ spec.sigma_e @ m.T) @ w_e)
-        if var <= 0.0:
+    single = isinstance(classifier_or_classifiers, LinearClassifier)
+    models = ([classifier_or_classifiers] if single
+              else list(classifier_or_classifiers))
+    n = len(models)
+    w_c = np.array([mdl.w_c for mdl in models], dtype=np.float64).reshape(n, spec.k)
+    w_e = np.array([mdl.w_e for mdl in models], dtype=np.float64).reshape(n, spec.l)
+    bias = np.array([mdl.bias for mdl in models], dtype=np.float64)
+    signal_c = w_c @ spec.mu_c
+    var_c = np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
+    total = np.zeros(n)
+    for weight, m in zip(shift.weights(), shift.matrices(spec.l)):
+        signal = signal_c + w_e @ (m @ spec.mu_e)
+        var = var_c + np.einsum("ij,jk,ik->i", w_e, m @ spec.sigma_e @ m.T, w_e)
+        if np.any(var <= 0.0):
             raise ValueError("degenerate projection: zero score variance")
-        sd = math.sqrt(var)
+        sd = np.sqrt(var)
         # a bias breaks the ±mu symmetry: average the two class-conditional
         # correct-side probabilities
-        acc = 0.5 * (float(normal_cdf((signal + bias) / sd))
-                     + float(normal_cdf((signal - bias) / sd)))
-        total += float(weight) * acc
-    return total
+        cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
+        total += float(weight) * (0.5 * (cdf[0] + cdf[1]))
+    return float(total[0]) if single else total
 
 
 def classifier_sweep(spec: DomainSpec, n: int, seed: int,
@@ -320,13 +305,11 @@ def classifier_sweep(spec: DomainSpec, n: int, seed: int,
 def sweep_pairs(models: Sequence[LinearClassifier], spec: DomainSpec,
                 ood_shift: ShiftSpec) -> list[AccuracyPair]:
     """Analytic (ID, OOD) accuracy pairs for a classifier family."""
-    pairs = []
-    for i, model in enumerate(models):
-        acc_id = accuracy_under_shift(model, spec)
-        acc_ood = accuracy_under_shift(model, spec, ood_shift)
-        pairs.append(AccuracyPair(model_id=f"model_{i:04d}",
-                                  id_acc=acc_id, ood_acc=acc_ood))
-    return pairs
+    acc_id = accuracy_under_shift(models, spec)
+    acc_ood = accuracy_under_shift(models, spec, ood_shift)
+    return [AccuracyPair(model_id=f"model_{i:04d}", id_acc=float(a),
+                         ood_acc=float(b))
+            for i, (a, b) in enumerate(zip(acc_id, acc_ood))]
 
 
 DEFAULT_RELIANCE_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e3, 13))
@@ -375,7 +358,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
                              Mask.FULL, 1e-3)
     kappa = gaussian_kappa(spec.sigma_e)
 
-    acc_id = np.array([accuracy_under_shift(mdl, spec) for mdl in models])
+    acc_id = accuracy_under_shift(models, spec)
     if float(np.ptp(acc_id)) < 1e-12:
         raise ValueError("degenerate sweep: all accuracies equal")
     probit_id = normal_quantile(np.clip(acc_id, 1e-12, 1.0 - 1e-12))
@@ -384,20 +367,16 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     if sxx <= 0.0:
         raise ValueError("degenerate sweep: zero probit variance")
 
-    def run_trial(t: int) -> tuple[float, float]:
+    margins = np.empty(trials)
+    residuals = np.empty(trials)
+    for t in range(trials):
         m = random_shift(spec.l, shift_scale, seed * 7_919 + t)
-        margin = theorem1_margin(reference.w_e, m @ spec.mu_e,
-                                 lipschitz_of_linear(m), kappa, delta)
-        acc_ood = np.array([accuracy_under_shift(mdl, spec, LinearShift(m))
-                            for mdl in models])
+        margins[t] = theorem1_margin(reference.w_e, m @ spec.mu_e,
+                                     lipschitz_of_linear(m), kappa, delta)
+        acc_ood = accuracy_under_shift(models, spec, LinearShift(m))
         probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
         slope = float(probit_ood @ probit_id) / sxx
-        residual = float(np.max(np.abs(probit_ood - slope * probit_id)))
-        return margin, residual
-
-    outcomes = parallel_map(run_trial, list(range(trials)))
-    margins = np.array([m for m, _ in outcomes])
-    residuals = np.array([r for _, r in outcomes])
+        residuals[t] = np.max(np.abs(probit_ood - slope * probit_id))
 
     fractions = []
     for eps in eps_grid:

@@ -148,7 +148,8 @@ def dumps_config(cfg: RunConfig) -> str:
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI config. [domain] is required; every section or key the
-    text omits takes its value from default_config()."""
+    text omits takes its value from default_config(), and an unknown section
+    or key is an error."""
     try:
         return _parse_config(text)
     except configparser.Error as exc:
@@ -162,6 +163,11 @@ def _new_parser() -> configparser.ConfigParser:
     return cp
 
 
+# keys that dumps_config writes only for some values
+_OPTIONAL_KEYS = {"domain.shift": {"matrix", "components"},
+                  "sweep": {"base_components"}}
+
+
 def _parse_config(text: str) -> RunConfig:
     given = _new_parser()
     given.read_string(text)
@@ -169,6 +175,13 @@ def _parse_config(text: str) -> RunConfig:
         raise ValueError("config must have a [domain] section")
     cp = _new_parser()
     cp.read_string(dumps_config(default_config()))
+    for name in given.sections():
+        if name not in cp:
+            raise ValueError(f"unknown config section [{name}]")
+        allowed = set(cp[name]) | _OPTIONAL_KEYS.get(name, set())
+        for key in given[name]:
+            if key not in allowed:
+                raise ValueError(f"unknown config key {key!r} in [{name}]")
     cp.read_dict(given)
 
     dom = cp["domain"]

@@ -102,8 +102,10 @@ class TestSimulate:
         dumps_config(default_config()).replace("n_shifts = 50", "n_shifts = 0"),
         dumps_config(default_config()).replace("n_per_domain = 1000",
                                                "n_per_domain = 0"),
+        dumps_config(default_config()).replace("n_shifts = 50", "n_shift = 3"),
+        dumps_config(default_config()).replace("[sweep]", "[sweeps]"),
     ], ids=["no_section_header", "duplicate_key", "zero_shifts",
-            "zero_per_domain"])
+            "zero_per_domain", "unknown_key", "unknown_section"])
     def test_bad_config_is_one_line_input_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(text, encoding="utf-8")
@@ -229,6 +231,21 @@ class TestMincount:
         rc = main(["mincount", "--table", str(path), "--ood-env", "e1",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rel-tol", "0"), ("--confidence", "1.5"), ("--clip-alpha", "0.7"),
+        ("--resamples", "10"), ("--start", "0"), ("--step", "0"),
+    ])
+    def test_bad_argument_is_input_error(self, flag, value, tmp_path, capsys):
+        rows = tuple(TableRow(f"m{i}", (float(a), float(a)))
+                     for i, a in enumerate(np.linspace(0.55, 0.95, 30)))
+        path = tmp_path / "t.csv"
+        save_accuracy_table(AccuracyTable(("e0", "e1"), rows), path)
+        rc = main(["mincount", "--table", str(path), "--ood-env", "e1",
+                   flag, value, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCmnist:

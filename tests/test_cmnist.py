@@ -139,3 +139,17 @@ def test_dataset_exports_through_shared_csv_format():
     assert np.array_equal(data.x, again.x)
     assert np.array_equal(data.y, again.y)
     assert (again.k, again.l) == (1, 1)
+
+
+def test_linear_rule_accuracy_array_matches_scalar_calls():
+    rng = np.random.default_rng(11)
+    p_e = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+    for _ in range(200):
+        w_c, w_e = rng.standard_normal(2)
+        noise = float(rng.uniform(0.0, 0.5))
+        sigma = float(rng.choice([0.0, rng.uniform(0.1, 8.0)]))
+        bias = float(rng.choice([0.0, rng.standard_normal()]))
+        stacked = linear_rule_accuracy(w_c, w_e, noise, p_e, sigma, bias)
+        single = np.array([linear_rule_accuracy(w_c, w_e, noise, float(p),
+                                                sigma, bias) for p in p_e])
+        assert np.array_equal(stacked, single)

@@ -11,7 +11,8 @@ from shiftspec.conditions import (aotl_bound, classifier_sweep,
                                   reflection_alpha_threshold, theorem1_margin,
                                   theorem2_compare, tradeoff_lower_bound,
                                   zero_measure_experiment)
-from shiftspec.core import BoundParams, Mask, default_spec
+from shiftspec.core import (BoundParams, IdentityShift, LinearShift, Mask,
+                            MixtureShift, default_spec)
 from shiftspec.synthgen import random_shift, reflection_shift, sample_domain
 from shiftspec.trainer import fit_logistic
 
@@ -310,3 +311,35 @@ def test_accuracy_under_shift_handles_bias():
     test = sample_domain(spec.with_shift(shift), 500_000, seed=0)
     mc = evaluate_accuracy(model, test)
     assert accuracy_under_shift(model, spec, shift) == pytest.approx(mc, abs=0.003)
+
+
+@pytest.mark.parametrize("shift", [
+    IdentityShift(),
+    LinearShift(np.array([[0.6, -1.2], [0.3, -0.8]])),
+    MixtureShift(((0.3, 1.5 * np.eye(2)),
+                  (0.7, np.array([[-0.5, 0.2], [0.0, -1.5]])))),
+], ids=["identity", "linear", "mixture"])
+def test_stacked_accuracy_matches_per_classifier_calls(shift):
+    from shiftspec.conditions import accuracy_under_shift
+    from shiftspec.core import LinearClassifier
+    rng = np.random.default_rng(5)
+    spec = default_spec()
+    models = [LinearClassifier(w_c=rng.standard_normal(2),
+                               w_e=rng.standard_normal(2),
+                               trained_on=Mask.FULL,
+                               bias=float(rng.uniform(-1.0, 1.0)))
+              for _ in range(40)]
+    stacked = accuracy_under_shift(models, spec, shift)
+    single = np.array([accuracy_under_shift(mdl, spec, shift) for mdl in models])
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (40,)
+    assert all(isinstance(a, float) for a in single)
+    assert np.max(np.abs(stacked - single)) <= 1e-15
+
+
+def test_stacked_accuracy_rejects_zero_variance():
+    from shiftspec.conditions import accuracy_under_shift
+    from shiftspec.core import LinearClassifier
+    good = LinearClassifier(w_c=np.ones(2), w_e=np.ones(2), trained_on=Mask.FULL)
+    flat = LinearClassifier(w_c=np.zeros(2), w_e=np.zeros(2), trained_on=Mask.FULL)
+    with pytest.raises(ValueError, match="zero score variance"):
+        accuracy_under_shift([good, flat], default_spec())

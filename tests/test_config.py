@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,32 @@ def test_omitted_sections_and_keys_take_default_config_values():
     assert parse_config(partial).bounds == cfg.bounds
     assert parse_config(partial).optimizer == cfg.optimizer
 
+
+
+@pytest.mark.parametrize("old,new,name", [
+    ("n_shifts = 50", "n_shift = 3", "n_shift"),
+    ("[sweep]", "[sweeps]", "sweeps"),
+    ("variant = identity", "variant = identity\nmatrixx = 1.0", "matrixx"),
+])
+def test_unknown_section_or_key_is_named(old, new, name):
+    text = dumps_config(default_config())
+    assert old in text
+    with pytest.raises(ValueError, match=name):
+        parse_config(text.replace(old, new))
+
+
+def test_optional_keys_are_accepted():
+    text = dumps_config(default_config()).replace(
+        "variant = identity", "variant = linear\nmatrix = 1.0, 0.0; 0.0, -1.0")
+    cfg = parse_config(text + "base_components = 1.5, 0.0; 0.0, 1.5\n")
+    assert np.array_equal(cfg.domain.shift.m, np.diag([1.0, -1.0]))
+    assert len(cfg.sweep.base_components) == 1
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert dumps_config(parse_config(blocks[0])) == \
+        dumps_config(default_config())
