@@ -18,10 +18,12 @@ import numpy as np
 
 from .analytic import normal_quantile, pearson_p_value
 from .rng import RandomStream
-from .util import parallel_map
 
 DEFAULT_CLIP_ALPHA = 1e-4
 DEFAULT_THRESHOLD = 0.3
+# Index elements per bootstrap block. Every draw has its own substream, so
+# the block size bounds memory and cannot change any result.
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,13 @@ def correlation_epsilon(pairs: Sequence[AccuracyPair], a: float,
     return float(np.max(np.abs(x - a * y)))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    den = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-    if den == 0.0:
-        return 0.0
-    return float(np.sum(xc * yc)) / den
+def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair; 0 where either row has zero variance."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    den = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
+    return np.divide(np.sum(xc * yc, axis=1), den,
+                     out=np.zeros_like(den), where=den != 0.0)
 
 
 def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
@@ -159,22 +161,29 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
 
     x, y = probit_points(pairs, clip_alpha)
     stream = RandomStream(seed)
-
-    def one_delta(size: int, b: int) -> float:
-        sub = stream.substream(size * 1_000_003 + b)
-        base = sub.integers(size, size=size)
-        ext = size + sub.integers(step, size=step)
-        grown = np.concatenate([base, ext])
-        r_base = _pearson(x[base], y[base])
-        r_grown = _pearson(x[grown], y[grown])
-        return (abs(r_grown - r_base) / abs(r_base)
-                if r_base != 0.0 else math.inf)
-
     size = start
     while size + step <= n:
-        deltas = parallel_map(lambda b, s=size: one_delta(s, b),
-                              list(range(resamples)))
-        if float(np.quantile(deltas, confidence)) < rel_tol:
+        # Draw b's own uniforms pick its base from [0, size) and its extension
+        # from [size, size + step) by RandomStream.integers' floor(u * n).
+        width = size + step
+        bounds = np.repeat([size, step], [size, step])
+        offsets = np.repeat([0, size], [size, step])
+        rows = max(1, _BLOCK_ELEMS // width)
+        deltas = np.full(resamples, math.inf)
+        for lo in range(0, resamples, rows):
+            hi = min(lo + rows, resamples)
+            u = np.array([stream.substream(size * 1_000_003 + b).uniform(size=width)
+                          for b in range(lo, hi)])
+            idx = np.minimum((u * bounds).astype(np.int64), bounds - 1) + offsets
+            gx, gy = x[idx], y[idx]
+            r_base = _row_pearson(gx[:, :size], gy[:, :size])
+            np.divide(np.abs(_row_pearson(gx, gy) - r_base), np.abs(r_base),
+                      out=deltas[lo:hi], where=r_base != 0.0)
+        # Between two infinite deltas (zero-variance bases) the quantile is
+        # inf - inf = nan, which fails the test, as it should.
+        with np.errstate(invalid="ignore"):
+            q = float(np.quantile(deltas, confidence))
+        if q < rel_tol:
             return size
         size += step
     return None

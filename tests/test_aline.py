@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shiftspec import aline
 from shiftspec.aline import (AccuracyPair, Verdict, classify_split,
                              correlation_epsilon, fit_probit_line,
-                             min_model_count)
+                             min_model_count, probit_points)
 from shiftspec.analytic import normal_cdf
+from shiftspec.rng import RandomStream
 
 
 def pairs_from_probits(xs, ys):
@@ -209,3 +211,54 @@ class TestMinModelCount:
             min_model_count(pairs, rel_tol=0.0)
         with pytest.raises(ValueError):
             min_model_count(pairs, resamples=10)
+
+
+def _scalar_pearson(x, y):
+    xc = x - x.mean()
+    yc = y - y.mean()
+    den = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
+    if den == 0.0:
+        return 0.0
+    return float(np.sum(xc * yc)) / den
+
+
+def reference_quantile(pairs, size, step, resamples, confidence=0.95,
+                       seed=0, clip_alpha=1e-4):
+    """Bootstrap quantile at one prefix, one draw at a time."""
+    x, y = probit_points(pairs, clip_alpha)
+    stream = RandomStream(seed)
+    deltas = []
+    for b in range(resamples):
+        sub = stream.substream(size * 1_000_003 + b)
+        base = sub.integers(size, size=size)
+        grown = np.concatenate([base, size + sub.integers(step, size=step)])
+        r_base = _scalar_pearson(x[base], y[base])
+        r_grown = _scalar_pearson(x[grown], y[grown])
+        deltas.append(abs(r_grown - r_base) / abs(r_base)
+                      if r_base != 0.0 else math.inf)
+    return float(np.quantile(deltas, confidence))
+
+
+class TestBootstrapPinnedToReference:
+    """The blocked bootstrap reproduces the per-draw loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, 720)
+        return pairs_from_probits(x, 0.8 * x + rng.normal(0, 0.3, 720))
+
+    # (10, 150): one block; (610, 300): a 710-wide draw fills 92-row blocks,
+    # so 300 draws take three full blocks and a partial one
+    @pytest.mark.parametrize("size,resamples", [(10, 150), (610, 300)])
+    @pytest.mark.parametrize("block_elems", [None, 1])
+    def test_quantile_is_the_threshold(self, pairs, size, resamples,
+                                       block_elems, monkeypatch):
+        if block_elems is not None:
+            monkeypatch.setattr(aline, "_BLOCK_ELEMS", block_elems)
+        q = reference_quantile(pairs, size, 100, resamples)
+        assert 0.0 < q < math.inf
+        kwargs = dict(resamples=resamples, start=size, step=100)
+        assert min_model_count(pairs, rel_tol=np.nextafter(q, math.inf),
+                               **kwargs) == size
+        assert min_model_count(pairs, rel_tol=q, **kwargs) != size
