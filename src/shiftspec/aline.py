@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import normal_quantile, pearson_p_value
-from .rng import RandomStream
+from .rng import RandomStream, uniform_to_integers
+from .util import parallel_map
 
 DEFAULT_CLIP_ALPHA = 1e-4
 DEFAULT_THRESHOLD = 0.3
 # Index elements per bootstrap block. Every draw has its own substream, so
-# the block size bounds memory and cannot change any result.
+# neither the block size nor the thread count can change any result.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -147,8 +148,8 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
     requires the `confidence` quantile of the relative change to fall below
     rel_tol. None signals the scan exhausted the list (NotReached).
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     if resamples < 100:
         raise ValueError("need at least 100 bootstrap resamples")
     if not 0.0 < confidence < 1.0:
@@ -164,7 +165,7 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
     size = start
     while size + step <= n:
         # Draw b's own uniforms pick its base from [0, size) and its extension
-        # from [size, size + step) by RandomStream.integers' floor(u * n).
+        # from [size, size + step) by the integers transform.
         width = size + step
         bounds = np.repeat([size, step], [size, step])
         offsets = np.repeat([0, size], [size, step])
@@ -172,9 +173,10 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
         deltas = np.full(resamples, math.inf)
         for lo in range(0, resamples, rows):
             hi = min(lo + rows, resamples)
-            u = np.array([stream.substream(size * 1_000_003 + b).uniform(size=width)
-                          for b in range(lo, hi)])
-            idx = np.minimum((u * bounds).astype(np.int64), bounds - 1) + offsets
+            u = np.array(parallel_map(
+                lambda b: stream.substream(size * 1_000_003 + b).uniform(size=width),
+                range(lo, hi)))
+            idx = uniform_to_integers(u, bounds) + offsets
             gx, gy = x[idx], y[idx]
             r_base = _row_pearson(gx[:, :size], gy[:, :size])
             np.divide(np.abs(_row_pearson(gx, gy) - r_base), np.abs(r_base),

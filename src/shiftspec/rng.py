@@ -17,6 +17,11 @@ from .analytic import normal_quantile
 _TINY_U = 2.0**-53
 
 
+def uniform_to_integers(u: np.ndarray, n) -> np.ndarray:
+    """Integers on [0, n) as floor(u * n) of uniforms u; n may be an array."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
 class RandomStream:
     """Seeded uniform stream plus derived variates.
 
@@ -50,9 +55,7 @@ class RandomStream:
         """Uniform integers on [0, n) via floor(u * n)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        u = self._gen.random(size=size, dtype=np.float64)
-        idx = np.minimum((u * n).astype(np.int64), n - 1)
-        return idx
+        return uniform_to_integers(self._gen.random(size=size, dtype=np.float64), n)
 
     def bernoulli_signs(self, p_plus: float, size=None) -> np.ndarray:
         """±1 labels: +1 with probability p_plus."""

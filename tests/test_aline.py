@@ -212,6 +212,14 @@ class TestMinModelCount:
         with pytest.raises(ValueError):
             min_model_count(pairs, resamples=10)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        # a nan or inf tolerance would reach the JSON report, which cannot
+        # hold it
+        pairs = [AccuracyPair(str(i), 0.5, 0.5) for i in range(200)]
+        with pytest.raises(ValueError, match="rel_tol"):
+            min_model_count(pairs, rel_tol=rel_tol)
+
 
 def _scalar_pearson(x, y):
     xc = x - x.mean()
@@ -252,8 +260,10 @@ class TestBootstrapPinnedToReference:
     # so 300 draws take three full blocks and a partial one
     @pytest.mark.parametrize("size,resamples", [(10, 150), (610, 300)])
     @pytest.mark.parametrize("block_elems", [None, 1])
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_quantile_is_the_threshold(self, pairs, size, resamples,
-                                       block_elems, monkeypatch):
+                                       block_elems, threads, monkeypatch):
+        monkeypatch.setenv("SHIFTSPEC_THREADS", threads)
         if block_elems is not None:
             monkeypatch.setattr(aline, "_BLOCK_ELEMS", block_elems)
         q = reference_quantile(pairs, size, 100, resamples)
