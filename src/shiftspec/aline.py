@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import normal_quantile, pearson_p_value
+from .core import InputError
 from .rng import RandomStream, uniform_to_integers
 from .util import parallel_map
 
@@ -38,7 +39,7 @@ class AccuracyPair:
     def __post_init__(self):
         for name, v in (("id_acc", self.id_acc), ("ood_acc", self.ood_acc)):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+                raise InputError(f"{name} must lie in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,20 @@ class Verdict(enum.Enum):
     MISSPECIFIED = "misspecified"
 
 
+def check_clip_alpha(clip_alpha: float) -> None:
+    # at or below 2^-54, 1 - clip_alpha rounds to 1 and its probit is inf
+    if not 2.0**-54 < clip_alpha < 0.5:
+        raise InputError("clip_alpha must lie in (2^-54, 0.5)")
+
+
+def check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < math.inf:
+        raise InputError("threshold must be positive and finite")
+
+
 def probit_points(pairs: Sequence[AccuracyPair],
                   clip_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 < clip_alpha < 0.5:
-        raise ValueError("clip_alpha must lie in (0, 0.5)")
+    check_clip_alpha(clip_alpha)
     ids = np.array([p.id_acc for p in pairs])
     oods = np.array([p.ood_acc for p in pairs])
     ids = np.clip(ids, clip_alpha, 1.0 - clip_alpha)
@@ -80,7 +91,7 @@ def fit_probit_line(pairs: Sequence[AccuracyPair],
                     clip_alpha: float = DEFAULT_CLIP_ALPHA) -> AlineFit:
     """OLS of probit(ood) on probit(id) with Pearson R and its p-value."""
     if len(pairs) < 3:
-        raise ValueError("need at least 3 accuracy pairs")
+        raise InputError("need at least 3 accuracy pairs")
     x, y = probit_points(pairs, clip_alpha)
     n = len(pairs)
     x_mean = float(x.mean())
@@ -111,8 +122,7 @@ def fit_probit_line(pairs: Sequence[AccuracyPair],
 
 def classify_split(fit: AlineFit, threshold: float = DEFAULT_THRESHOLD) -> Verdict:
     """Well-specified iff Pearson R is strictly below the threshold."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    check_threshold(threshold)
     return Verdict.WELL_SPECIFIED if fit.pearson_r < threshold else Verdict.MISSPECIFIED
 
 
@@ -120,7 +130,7 @@ def correlation_epsilon(pairs: Sequence[AccuracyPair], a: float,
                         clip_alpha: float = DEFAULT_CLIP_ALPHA) -> float:
     """Smallest eps such that |probit(id) - a probit(ood)| <= eps for all pairs."""
     if not pairs:
-        raise ValueError("need at least 1 accuracy pair")
+        raise InputError("need at least 1 accuracy pair")
     x, y = probit_points(pairs, clip_alpha)
     return float(np.max(np.abs(x - a * y)))
 
@@ -149,16 +159,16 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
     rel_tol. None signals the scan exhausted the list (NotReached).
     """
     if not 0.0 < rel_tol < math.inf:
-        raise ValueError("rel_tol must be positive and finite")
+        raise InputError("rel_tol must be positive and finite")
     if resamples < 100:
-        raise ValueError("need at least 100 bootstrap resamples")
+        raise InputError("need at least 100 bootstrap resamples")
     if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
+        raise InputError("confidence must lie in (0, 1)")
     if start < 1 or step < 1:
-        raise ValueError("start and step must be at least 1")
+        raise InputError("start and step must be at least 1")
     n = len(pairs)
     if n < start:
-        raise ValueError(f"need at least start={start} pairs, got {n}")
+        raise InputError(f"need at least start={start} pairs, got {n}")
 
     x, y = probit_points(pairs, clip_alpha)
     stream = RandomStream(seed)

@@ -145,13 +145,12 @@ def normal_pdf(x) -> np.ndarray | float:
 
 
 def _acklam(p: np.ndarray) -> np.ndarray:
+    """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5."""
     pf = p.ravel()
     out = np.empty_like(pf)
     lo_mask = pf < _ACK_LOW
-    hi_mask = pf > 1.0 - _ACK_LOW
     lo = np.flatnonzero(lo_mask)
-    hi = np.flatnonzero(hi_mask)
-    mid = np.flatnonzero(~(lo_mask | hi_mask))
+    mid = np.flatnonzero(~lo_mask)
 
     if lo.size:
         q = np.sqrt(-2.0 * np.log(pf.take(lo)))
@@ -159,12 +158,6 @@ def _acklam(p: np.ndarray) -> np.ndarray:
                       + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5])
                    / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q
                        + _ACK_D[3]) * q + 1.0))
-    if hi.size:
-        q = np.sqrt(-2.0 * np.log(1.0 - pf.take(hi)))
-        out[hi] = -((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q
-                       + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5])
-                    / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q
-                        + _ACK_D[3]) * q + 1.0))
     if mid.size:
         q = pf.take(mid) - 0.5
         r = q * q

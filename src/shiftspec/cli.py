@@ -1,8 +1,10 @@
 """Command-line surface: simulate, audit, mincount, cmnist.
 
-Exit codes: 0 success, 2 input error (bad arguments, files, configs,
-environments), 3 numeric or degeneracy error (degenerate sweeps, non-PSD
-covariances, fits that do not converge).
+Exit codes: 0 success, 2 input error (an InputError for bad arguments,
+tables, configs or environments, or an OSError reading input or writing
+--out), 3 numeric or degeneracy error (any other ValueError: degenerate
+sweeps, a shifted covariance that is not PSD, fits that do not converge).
+main() alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .aline import (AccuracyPair, classify_split, correlation_epsilon,
-                    fit_probit_line, min_model_count, probit_points)
+from .aline import (AccuracyPair, check_clip_alpha, check_threshold,
+                    classify_split, correlation_epsilon, fit_probit_line,
+                    min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import (condition_report, gaussian_kappa, kappa_of_mixture,
                          lipschitz_of_linear, shift_moments)
 from .config import default_config, load_config
-from .core import IdentityShift, LinearShift, Mask, MixtureShift
+from .core import IdentityShift, InputError, LinearShift, Mask, MixtureShift
 from .ingest import (dump_accuracy_table, leave_one_out_pairs,
                      load_accuracy_table, pairwise_pairs)
 from .report import write_json_report
@@ -31,10 +34,6 @@ from .util import parallel_map
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-class InputError(Exception):
-    pass
 
 
 def _out_dir(path_text: str) -> Path:
@@ -56,11 +55,7 @@ def _fmt_row(values) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else default_config()
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = load_config(args.config) if args.config else default_config()
     out = _out_dir(args.out)
     seed = args.seed
 
@@ -82,40 +77,36 @@ def cmd_simulate(args) -> int:
 
     opt = cfg.optimizer
     fit_opts = OptimizerSettings(tol=opt.tol, max_iters=opt.max_iters, bias=opt.bias)
-    try:
-        train = sample_domain(spec, sweep.n_per_domain, seed)
-        full = fit_logistic(train, Mask.FULL, opt.l2, fit_opts)
-        dg = fit_logistic(train, Mask.DOMAIN_GENERAL, opt.l2, fit_opts)
-        if isinstance(spec.shift, MixtureShift):
-            kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
-                                      for w, m in spec.shift.components])
+    train = sample_domain(spec, sweep.n_per_domain, seed)
+    full = fit_logistic(train, Mask.FULL, opt.l2, fit_opts)
+    dg = fit_logistic(train, Mask.DOMAIN_GENERAL, opt.l2, fit_opts)
+    if isinstance(spec.shift, MixtureShift):
+        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
+                                  for w, m in spec.shift.components])
+    else:
+        kappa = gaussian_kappa(spec.sigma_e)
+
+    def run_shift(index: int) -> dict:
+        if sweep.ood_mode == "interpolation":
+            ood_shift = interpolation_mixture(components, seed=seed * 31 + 1000 + index)
+            m_mean, sigma_phi = shift_moments(ood_shift, spec.mu_e, spec.sigma_e)
+            l_phi = max(lipschitz_of_linear(m) for m in ood_shift.matrices(spec.l))
         else:
-            kappa = gaussian_kappa(spec.sigma_e)
+            m_mean = random_shift(spec.l, sweep.shift_scale,
+                                  seed=seed * 31 + 1000 + index)
+            ood_shift = LinearShift(m_mean)
+            sigma_phi = None
+            l_phi = lipschitz_of_linear(m_mean)
+        rep = condition_report(full, spec, m_mean, delta=cfg.delta,
+                               kappa=kappa, l_phi=l_phi, sigma_phi=sigma_phi)
+        test = sample_domain(spec.with_shift(ood_shift), sweep.n_per_domain,
+                             seed=seed * 31 + 7_000_000 + index)
+        acc_dg = evaluate_accuracy(dg, test)
+        acc_full = evaluate_accuracy(full, test)
+        return {"index": index, "report": rep,
+                "acc_dg": acc_dg, "acc_full": acc_full}
 
-        def run_shift(index: int) -> dict:
-            if sweep.ood_mode == "interpolation":
-                ood_shift = interpolation_mixture(components, seed=seed * 31 + 1000 + index)
-                m_mean, sigma_phi = shift_moments(ood_shift, spec.mu_e, spec.sigma_e)
-                l_phi = max(lipschitz_of_linear(m) for m in ood_shift.matrices(spec.l))
-            else:
-                m_mean = random_shift(spec.l, sweep.shift_scale,
-                                      seed=seed * 31 + 1000 + index)
-                ood_shift = LinearShift(m_mean)
-                sigma_phi = None
-                l_phi = lipschitz_of_linear(m_mean)
-            rep = condition_report(full, spec, m_mean, delta=cfg.bounds.delta,
-                                   kappa=kappa, l_phi=l_phi, sigma_phi=sigma_phi)
-            test = sample_domain(spec.with_shift(ood_shift), sweep.n_per_domain,
-                                 seed=seed * 31 + 7_000_000 + index)
-            acc_dg = evaluate_accuracy(dg, test)
-            acc_full = evaluate_accuracy(full, test)
-            return {"index": index, "report": rep,
-                    "acc_dg": acc_dg, "acc_full": acc_full}
-
-        results = parallel_map(run_shift, list(range(sweep.n_shifts)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    results = parallel_map(run_shift, list(range(sweep.n_shifts)))
 
     header = ["shift_index", "reversal_term", "theorem1_margin",
               "theorem1_well_specified", "snr_id", "snr_ood",
@@ -139,7 +130,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "n_shifts": sweep.n_shifts,
         "ood_mode": sweep.ood_mode,
-        "delta": cfg.bounds.delta,
+        "delta": cfg.delta,
         "mean_abs_gap": float(np.mean(gaps)),
         "margin_negative_count": len(margins_neg),
         "dg_wins_given_margin_negative": dg_wins,
@@ -177,23 +168,17 @@ def _audit_pairs(args) -> tuple[list[AccuracyPair], str | None]:
 
 
 def cmd_audit(args) -> int:
-    try:
-        pairs, id_env = _audit_pairs(args)
-    except (OSError, InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    check_clip_alpha(args.clip_alpha)
+    check_threshold(args.threshold)
+    pairs, id_env = _audit_pairs(args)
     out = _out_dir(args.out)
 
-    try:
-        fit = fit_probit_line(pairs, clip_alpha=args.clip_alpha)
-        verdict = classify_split(fit, threshold=args.threshold)
-        x, y = probit_points(pairs, args.clip_alpha)
-        syy = float(y @ y)
-        a6 = float(x @ y) / syy if syy > 0.0 else 0.0
-        eps6 = correlation_epsilon(pairs, a6, clip_alpha=args.clip_alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    fit = fit_probit_line(pairs, clip_alpha=args.clip_alpha)
+    verdict = classify_split(fit, threshold=args.threshold)
+    x, y = probit_points(pairs, args.clip_alpha)
+    syy = float(y @ y)
+    a6 = float(x @ y) / syy if syy > 0.0 else 0.0
+    eps6 = correlation_epsilon(pairs, a6, clip_alpha=args.clip_alpha)
 
     payload = {
         "mode": args.mode,
@@ -229,23 +214,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_mincount(args) -> int:
-    try:
-        table = load_accuracy_table(args.table)
-        pairs = leave_one_out_pairs(table, args.ood_env)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    pairs = leave_one_out_pairs(load_accuracy_table(args.table), args.ood_env)
     out = _out_dir(args.out)
-    try:
-        minimum = min_model_count(pairs, rel_tol=args.rel_tol,
-                                  resamples=args.resamples,
-                                  confidence=args.confidence,
-                                  start=args.start, step=args.step,
-                                  clip_alpha=args.clip_alpha, seed=args.seed)
-    except ValueError as exc:
-        # min_model_count raises only for invalid arguments
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    minimum = min_model_count(pairs, rel_tol=args.rel_tol,
+                              resamples=args.resamples,
+                              confidence=args.confidence,
+                              start=args.start, step=args.step,
+                              clip_alpha=args.clip_alpha, seed=args.seed)
 
     payload = {
         "ood_env": args.ood_env,
@@ -269,52 +244,40 @@ def cmd_mincount(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    grid = tuple(float(p) for p in parts)
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise InputError("test grid probabilities must lie in [0, 1]")
-    return grid
+    try:
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise InputError(f"--test-grid {text!r} is not a list of numbers") from None
 
 
 def cmd_cmnist(args) -> int:
-    try:
-        if not 0.0 <= args.train_pe <= 1.0:
-            raise InputError("--train-pe must lie in [0, 1]")
-        if not 0.0 <= args.label_noise <= 1.0:
-            raise InputError("--label-noise must lie in [0, 1]")
-        grid = _parse_grid(args.test_grid)
-        spec = CmnistSpec(label_noise=args.label_noise, p_e=(args.train_pe,))
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    check_clip_alpha(args.clip_alpha)
+    check_threshold(args.threshold)
+    spec = CmnistSpec(label_noise=args.label_noise, p_e=(args.train_pe,))
+    grid = _parse_grid(args.test_grid)
+    table = cmnist_model_table(spec, train_env=0, test_grid=grid,
+                               n_train=args.n_train,
+                               noise_sigmas=DEFAULT_NOISE_SIGMAS,
+                               seeds_per_sigma=args.seeds_per_sigma,
+                               seed=args.seed)
     out = _out_dir(args.out)
+    (out / "cmnist_table.csv").write_text(dump_accuracy_table(table),
+                                          encoding="utf-8")
 
-    try:
-        table = cmnist_model_table(spec, train_env=0, test_grid=grid,
-                                   n_train=args.n_train,
-                                   noise_sigmas=DEFAULT_NOISE_SIGMAS,
-                                   seeds_per_sigma=args.seeds_per_sigma,
-                                   seed=args.seed)
-        (out / "cmnist_table.csv").write_text(dump_accuracy_table(table),
-                                              encoding="utf-8")
-
-        per_env = []
-        pooled_pairs: list[AccuracyPair] = []
-        for env, p_test in zip(table.env_names[1:], grid):
-            env_pairs = pairwise_pairs(table, "env_id", env)
-            pooled_pairs.extend(env_pairs)
-            fit = fit_probit_line(env_pairs, clip_alpha=args.clip_alpha)
-            per_env.append({
-                "env": env,
-                "test_p_e": p_test,
-                "pearson_r": fit.pearson_r,
-                "slope": fit.slope,
-                "verdict": classify_split(fit, args.threshold).value,
-            })
-        pooled_fit = fit_probit_line(pooled_pairs, clip_alpha=args.clip_alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    per_env = []
+    pooled_pairs: list[AccuracyPair] = []
+    for env, p_test in zip(table.env_names[1:], grid):
+        env_pairs = pairwise_pairs(table, "env_id", env)
+        pooled_pairs.extend(env_pairs)
+        fit = fit_probit_line(env_pairs, clip_alpha=args.clip_alpha)
+        per_env.append({
+            "env": env,
+            "test_p_e": p_test,
+            "pearson_r": fit.pearson_r,
+            "slope": fit.slope,
+            "verdict": classify_split(fit, args.threshold).value,
+        })
+    pooled_fit = fit_probit_line(pooled_pairs, clip_alpha=args.clip_alpha)
 
     payload = {
         "train_p_e": args.train_pe,
@@ -393,9 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # one line, whatever the message holds
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

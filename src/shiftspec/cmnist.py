@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import normal_cdf
-from .core import Dataset, Mask
+from .core import Dataset, InputError, Mask
 from .ingest import AccuracyTable, TableRow
 from .rng import RandomStream
 from .trainer import OptimizerSettings, fit_logistic
@@ -32,11 +32,11 @@ class CmnistSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError("label_noise must lie in [0, 1]")
+            raise InputError("label_noise must lie in [0, 1]")
         if not self.p_e:
-            raise ValueError("need at least one environment")
+            raise InputError("need at least one environment")
         if any(not 0.0 <= p <= 1.0 for p in self.p_e):
-            raise ValueError("every p_e must lie in [0, 1]")
+            raise InputError("every p_e must lie in [0, 1]")
 
     @property
     def n_envs(self) -> int:
@@ -114,10 +114,12 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     models of varying capacity. Env columns are the held-out training
     environment followed by one column per test-grid probability.
     """
+    if any(not 0.0 <= p <= 1.0 for p in test_grid):
+        raise InputError("test grid probabilities must lie in [0, 1]")
+    if n_train < 1 or seeds_per_sigma < 1:
+        raise InputError("n_train and seeds_per_sigma must be at least 1")
     if len(test_grid) < 2:
         raise ValueError("degenerate sweep: test grid needs at least 2 points")
-    if any(not 0.0 <= p <= 1.0 for p in test_grid):
-        raise ValueError("test grid probabilities must lie in [0, 1]")
     env_names = ("env_id",) + tuple(f"p_{p:g}" for p in test_grid)
     p_train = spec.p_e[train_env]
 

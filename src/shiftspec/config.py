@@ -1,4 +1,4 @@
-"""INI-style run configuration: domain spec, sweep grids, bound constants.
+"""INI-style run configuration: domain spec, optimizer, shift sweep, delta.
 
 Vectors are comma-separated, matrices use ";" between rows, and mixture
 components are "weight : matrix" items joined with "|". Floats are written
@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import DEFAULT_RELIANCE_GRID
-from .core import (BoundParams, DomainSpec, IdentityShift, LinearShift, Mask,
-                   MixtureShift, ShiftSpec)
+from .core import (DomainSpec, IdentityShift, InputError, LinearShift,
+                   MixtureShift, ShiftSpec, default_spec, read_input_text,
+                   validate_spec)
 
 DEFAULT_MIXTURE_FACTORS = (1.5, 0.5, -0.5, -1.5)
 
@@ -25,7 +26,6 @@ class OptimizerConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
     l2: float = 1e-3
-    mask: Mask = Mask.FULL
     bias: bool = False
 
 
@@ -36,10 +36,6 @@ class SweepConfig:
     n_per_domain: int = 1000
     ood_mode: str = "random"  # random | interpolation
     base_components: tuple = ()
-    reliance_grid: tuple[float, ...] = DEFAULT_RELIANCE_GRID
-    sweep_seeds: int = 3
-    eps_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0)
-    trials: int = 500
 
     def components_or_default(self, l: int) -> list[np.ndarray]:
         if self.base_components:
@@ -50,7 +46,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class RunConfig:
     domain: DomainSpec
-    bounds: BoundParams = field(default_factory=BoundParams)
+    # failure probability in the margin certificate; 0.5 keeps the
+    # sufficient-condition region populated at the default 50-shift budget,
+    # where smaller deltas certify almost no random shift
+    delta: float = 0.5
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
@@ -96,7 +95,7 @@ def _parse_shift(section) -> ShiftSpec:
             weight_text, matrix_text = item.split(":", 1)
             comps.append((float(weight_text), parse_matrix(matrix_text)))
         return MixtureShift(tuple(comps))
-    raise ValueError(f"unknown shift variant {variant!r}")
+    raise InputError(f"unknown shift variant {variant!r}")
 
 
 def dumps_config(cfg: RunConfig) -> str:
@@ -113,17 +112,12 @@ def dumps_config(cfg: RunConfig) -> str:
         "label_prior": repr(float(spec.label_prior)),
     }
     cp["domain.shift"] = _format_shift(spec.shift)
-    b = cfg.bounds
-    cp["bounds"] = {name: repr(float(getattr(b, name)))
-                    for name in ("kappa", "l_phi", "delta", "tsybakov_b",
-                                 "lemma_c", "slope_a", "clip_alpha",
-                                 "eps1", "eps2", "gamma")}
+    cp["bounds"] = {"delta": repr(float(cfg.delta))}
     o = cfg.optimizer
     cp["optimizer"] = {
         "tol": repr(float(o.tol)),
         "max_iters": str(o.max_iters),
         "l2": repr(float(o.l2)),
-        "mask": o.mask.value,
         "bias": str(o.bias).lower(),
     }
     s = cfg.sweep
@@ -132,10 +126,6 @@ def dumps_config(cfg: RunConfig) -> str:
         "shift_scale": repr(float(s.shift_scale)),
         "n_per_domain": str(s.n_per_domain),
         "ood_mode": s.ood_mode,
-        "reliance_grid": format_vector(np.array(s.reliance_grid)),
-        "sweep_seeds": str(s.sweep_seeds),
-        "eps_grid": format_vector(np.array(s.eps_grid)),
-        "trials": str(s.trials),
     }
     if s.base_components:
         parts = [format_matrix(m) for m in s.base_components]
@@ -148,13 +138,14 @@ def dumps_config(cfg: RunConfig) -> str:
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI config. [domain] is required; every section or key the
-    text omits takes its value from default_config(), and an unknown section
-    or key is an error."""
+    text omits takes its value from default_config(). An unknown section or
+    key, an unparsable value and an invalid spec or setting are InputErrors."""
     try:
         return _parse_config(text)
-    except configparser.Error as exc:
-        # configparser messages span lines; callers print one line
-        raise ValueError(" ".join(str(exc).split())) from exc
+    except KeyError as exc:
+        raise InputError(f"missing config key {exc}") from None
+    except (configparser.Error, ValueError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def _new_parser() -> configparser.ConfigParser:
@@ -172,16 +163,16 @@ def _parse_config(text: str) -> RunConfig:
     given = _new_parser()
     given.read_string(text)
     if "domain" not in given:
-        raise ValueError("config must have a [domain] section")
+        raise InputError("config must have a [domain] section")
     cp = _new_parser()
     cp.read_string(dumps_config(default_config()))
     for name in given.sections():
         if name not in cp:
-            raise ValueError(f"unknown config section [{name}]")
+            raise InputError(f"unknown config section [{name}]")
         allowed = set(cp[name]) | _OPTIONAL_KEYS.get(name, set())
         for key in given[name]:
             if key not in allowed:
-                raise ValueError(f"unknown config key {key!r} in [{name}]")
+                raise InputError(f"unknown config key {key!r} in [{name}]")
     cp.read_dict(given)
 
     dom = cp["domain"]
@@ -195,20 +186,16 @@ def _parse_config(text: str) -> RunConfig:
         label_prior=dom.getfloat("label_prior"),
         shift=_parse_shift(cp["domain.shift"]),
     )
-
-    sec = cp["bounds"]
-    bounds = BoundParams(**{name: sec.getfloat(name)
-                            for name in ("kappa", "l_phi", "delta",
-                                         "tsybakov_b", "lemma_c", "slope_a",
-                                         "clip_alpha", "eps1", "eps2",
-                                         "gamma")})
+    problems = validate_spec(spec)
+    if problems:
+        raise InputError("invalid spec: " + "; ".join(problems))
+    delta = cp["bounds"].getfloat("delta")
 
     sec = cp["optimizer"]
     optimizer = OptimizerConfig(
         tol=sec.getfloat("tol"),
         max_iters=sec.getint("max_iters"),
         l2=sec.getfloat("l2"),
-        mask=Mask(sec["mask"]),
         bias=sec.getboolean("bias"),
     )
 
@@ -222,28 +209,31 @@ def _parse_config(text: str) -> RunConfig:
         n_per_domain=sec.getint("n_per_domain"),
         ood_mode=sec["ood_mode"],
         base_components=base,
-        reliance_grid=tuple(parse_vector(sec["reliance_grid"])),
-        sweep_seeds=sec.getint("sweep_seeds"),
-        eps_grid=tuple(parse_vector(sec["eps_grid"])),
-        trials=sec.getint("trials"),
     )
+    if not 0.0 < delta < 1.0:
+        raise InputError("delta must lie in (0, 1)")
+    if not 0.0 < optimizer.tol < math.inf:
+        raise InputError("tol must be positive and finite")
+    if not 0.0 <= optimizer.l2 < math.inf:
+        raise InputError("l2 must be nonnegative and finite")
+    if optimizer.max_iters < 1:
+        raise InputError("max_iters must be at least 1")
     if sweep.ood_mode not in ("random", "interpolation"):
-        raise ValueError("ood_mode must be 'random' or 'interpolation'")
+        raise InputError("ood_mode must be 'random' or 'interpolation'")
     if sweep.n_shifts < 1:
-        raise ValueError("n_shifts must be at least 1")
+        raise InputError("n_shifts must be at least 1")
+    if not 0.0 < sweep.shift_scale < math.inf:
+        raise InputError("shift_scale must be positive and finite")
     if sweep.n_per_domain < 1:
-        raise ValueError("n_per_domain must be at least 1")
-    return RunConfig(domain=spec, bounds=bounds, optimizer=optimizer, sweep=sweep)
+        raise InputError("n_per_domain must be at least 1")
+    if any(m.shape != (spec.l, spec.l) for m in base):
+        raise InputError(f"base_components must be {spec.l}x{spec.l} matrices")
+    return RunConfig(domain=spec, delta=delta, optimizer=optimizer, sweep=sweep)
 
 
 def load_config(path) -> RunConfig:
-    from pathlib import Path
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(read_input_text(path))
 
 
 def default_config() -> RunConfig:
-    from .core import default_spec
-    # delta = 0.5 keeps the sufficient-condition region populated at the
-    # default 50-shift budget; smaller deltas certify almost no random shift.
-    return RunConfig(domain=default_spec(),
-                     bounds=BoundParams(delta=0.5))
+    return RunConfig(domain=default_spec())

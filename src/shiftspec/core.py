@@ -8,11 +8,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 PSD_JITTER = 1e-12
 WEIGHT_TOL = 1e-12
+
+
+class InputError(ValueError):
+    """Bad user input (table, config, argument); the CLI exits 2 on it.
+
+    Any other ValueError is a numeric or degeneracy error (exit 3).
+    """
+
+
+def read_input_text(path) -> str:
+    """A UTF-8 input file's text; undecodable bytes are an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aline import AccuracyPair
+from .core import InputError, read_input_text
 
 META_PREFIX = "meta_"
 
@@ -33,22 +34,27 @@ class AccuracyTable:
         try:
             return self.env_names.index(env)
         except ValueError:
-            raise ValueError(f"unknown environment {env!r}; "
+            raise InputError(f"unknown environment {env!r}; "
                              f"available: {', '.join(self.env_names)}") from None
 
 
 def parse_accuracy_table(text: str) -> AccuracyTable:
-    reader = csv.reader(io.StringIO(text))
+    try:
+        return _parse_rows(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise InputError(f"malformed table: {exc}") from None
+
+
+def _parse_rows(reader) -> AccuracyTable:
     try:
         header = next(reader)
     except StopIteration:
-        raise ValueError("empty table: missing header") from None
+        raise InputError("empty table: missing header") from None
     if not header or header[0] != "model_id":
-        raise ValueError("header must start with model_id")
+        raise InputError("header must start with model_id")
     env_names = tuple(h for h in header[1:] if not h.startswith(META_PREFIX))
-    meta_names = [h for h in header[1:] if h.startswith(META_PREFIX)]
     if not env_names:
-        raise ValueError("table must have at least one environment column")
+        raise InputError("table must have at least one environment column")
 
     rows = []
     seen = set()
@@ -56,11 +62,11 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
         if not cells:
             continue
         if len(cells) != len(header):
-            raise ValueError(f"malformed row at line {line_no}: "
+            raise InputError(f"malformed row at line {line_no}: "
                              f"expected {len(header)} cells, got {len(cells)}")
         model_id = cells[0]
         if model_id in seen:
-            raise ValueError(f"duplicate model_id {model_id!r} at line {line_no}")
+            raise InputError(f"duplicate model_id {model_id!r} at line {line_no}")
         seen.add(model_id)
         accs = []
         meta = {}
@@ -71,19 +77,18 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
             try:
                 value = float(cell)
             except ValueError:
-                raise ValueError(f"malformed row at line {line_no}: "
+                raise InputError(f"malformed row at line {line_no}: "
                                  f"{cell!r} is not a number") from None
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"accuracy out of range at line {line_no}: {value!r}")
+                raise InputError(f"accuracy out of range at line {line_no}: {value!r}")
             accs.append(value)
         rows.append(TableRow(model_id=model_id, accuracies=tuple(accs),
                              metadata=meta))
-    _ = meta_names
     return AccuracyTable(env_names=env_names, rows=tuple(rows))
 
 
 def load_accuracy_table(path: str | Path) -> AccuracyTable:
-    return parse_accuracy_table(Path(path).read_text(encoding="utf-8"))
+    return parse_accuracy_table(read_input_text(path))
 
 
 def dump_accuracy_table(table: AccuracyTable) -> str:
@@ -106,7 +111,7 @@ def leave_one_out_pairs(table: AccuracyTable, ood_env: str) -> list[AccuracyPair
     """ID is the unweighted mean over all non-OOD environments."""
     ood_idx = table.env_index(ood_env)
     if len(table.env_names) < 2:
-        raise ValueError("need at least 2 environments for a leave-one-out split")
+        raise InputError("need at least 2 environments for a leave-one-out split")
     pairs = []
     for row in table.rows:
         rest = [a for i, a in enumerate(row.accuracies) if i != ood_idx]
@@ -118,7 +123,7 @@ def leave_one_out_pairs(table: AccuracyTable, ood_env: str) -> list[AccuracyPair
 
 def pairwise_pairs(table: AccuracyTable, id_env: str, ood_env: str) -> list[AccuracyPair]:
     if id_env == ood_env:
-        raise ValueError("id_env and ood_env must differ")
+        raise InputError("id_env and ood_env must differ")
     id_idx = table.env_index(id_env)
     ood_idx = table.env_index(ood_env)
     return [AccuracyPair(model_id=row.model_id,

@@ -65,5 +65,6 @@ def write_json_report(payload: dict, path: Path, schema_name: str | None = None)
         if problems:
             raise ValueError("report does not conform to its schema: "
                              + "; ".join(problems))
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # NaN and infinities are not JSON; refuse them rather than write them
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")

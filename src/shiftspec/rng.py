@@ -70,9 +70,3 @@ class RandomStream:
             return np.ones(1)
         cuts = np.sort(self.uniform(size=m - 1))
         return np.diff(np.concatenate(([0.0], cuts, [1.0])))
-
-    def multivariate_normal(self, mean: np.ndarray, chol: np.ndarray, n: int) -> np.ndarray:
-        """n draws of mean + L z with L a Cholesky factor, z standard normal."""
-        d = len(mean)
-        z = self.standard_normal(size=(n, d))
-        return mean + z @ chol.T

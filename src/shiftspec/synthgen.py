@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Dataset, DomainSpec, MixtureShift, psd_cholesky,
-                   validate_spec)
+from .core import (Dataset, DomainSpec, InputError, MixtureShift,
+                   psd_cholesky, validate_spec)
 from .rng import RandomStream
 
 
@@ -66,7 +66,7 @@ def random_shift(l: int, scale: float, seed: int) -> np.ndarray:
 def interpolation_mixture(base_shifts: list[np.ndarray], seed: int) -> MixtureShift:
     """Mixture of the given shift matrices with fresh flat-simplex weights."""
     if len(base_shifts) < 2:
-        raise ValueError("interpolation needs at least 2 base shifts")
+        raise InputError("interpolation needs at least 2 base shifts")
     mats = [np.asarray(m, dtype=np.float64) for m in base_shifts]
     dims = {m.shape for m in mats}
     if len(dims) != 1:

@@ -20,7 +20,7 @@ from shiftspec.analytic import normal_quantile, pearson_p_value, probit
 from shiftspec.cmnist import CmnistSpec, cmnist_model_table, generate_cmnist
 from shiftspec.conditions import (classifier_sweep, condition_report,
                                   sweep_pairs, zero_measure_experiment)
-from shiftspec.config import RunConfig, default_config, dumps_config
+from shiftspec.config import default_config, dumps_config
 from shiftspec.core import Dataset, LinearShift, Mask, MixtureShift, default_spec
 from shiftspec.ingest import AccuracyTable, TableRow, pairwise_pairs, save_accuracy_table
 from shiftspec.synthgen import interpolation_mixture, random_shift, sample_domain
@@ -270,8 +270,7 @@ def _run_cli(args, threads, out):
 
 def test_criterion_9_cli_determinism(tmp_path):
     cfg = default_config()
-    cfg = RunConfig(domain=cfg.domain, bounds=cfg.bounds, optimizer=cfg.optimizer,
-                    sweep=replace(cfg.sweep, n_shifts=10, n_per_domain=300))
+    cfg = replace(cfg, sweep=replace(cfg.sweep, n_shifts=10, n_per_domain=300))
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(dumps_config(cfg), encoding="utf-8")
 

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shiftspec.cli import main
-from shiftspec.config import RunConfig, default_config, dumps_config
+from shiftspec.config import default_config, dumps_config
 from shiftspec.core import LinearShift, default_spec
 from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
 from shiftspec.report import load_schema, validate_schema
@@ -16,11 +17,8 @@ from shiftspec.report import load_schema, validate_schema
 
 @pytest.fixture()
 def small_config(tmp_path):
-    from dataclasses import replace
     cfg = default_config()
-    cfg = RunConfig(domain=cfg.domain, bounds=cfg.bounds,
-                    optimizer=cfg.optimizer,
-                    sweep=replace(cfg.sweep, n_shifts=12, n_per_domain=300))
+    cfg = replace(cfg, sweep=replace(cfg.sweep, n_shifts=12, n_per_domain=300))
     path = tmp_path / "cfg.ini"
     path.write_text(dumps_config(cfg), encoding="utf-8")
     return path
@@ -81,12 +79,9 @@ class TestSimulate:
         assert rc == 2
 
     def test_interpolation_mode_gap_is_small(self, tmp_path):
-        from dataclasses import replace
         cfg = default_config()
-        cfg = RunConfig(domain=cfg.domain, bounds=cfg.bounds,
-                        optimizer=cfg.optimizer,
-                        sweep=replace(cfg.sweep, ood_mode="interpolation",
-                                      n_shifts=25, n_per_domain=800))
+        cfg = replace(cfg, sweep=replace(cfg.sweep, ood_mode="interpolation",
+                                         n_shifts=25, n_per_domain=800))
         path = tmp_path / "interp.ini"
         path.write_text(dumps_config(cfg), encoding="utf-8")
         out = tmp_path / "out"
@@ -105,8 +100,27 @@ class TestSimulate:
                                                "n_per_domain = 0"),
         dumps_config(default_config()).replace("n_shifts = 50", "n_shift = 3"),
         dumps_config(default_config()).replace("[sweep]", "[sweeps]"),
+        dumps_config(default_config()).replace("tol = 1e-08", "tol = -1"),
+        dumps_config(default_config()).replace("l2 = 0.001", "l2 = -1"),
+        dumps_config(default_config()).replace("max_iters = 10000",
+                                               "max_iters = 0"),
+        dumps_config(default_config()).replace("mu_c = 1.0, 1.0",
+                                               "mu_c = 1.0, 1.0, 1.0"),
+        dumps_config(default_config()).replace("label_prior = 0.5",
+                                               "label_prior = 1.5"),
+        dumps_config(default_config()).replace("delta = 0.5", "delta = 1.5"),
+        dumps_config(default_config()).replace("shift_scale = 2.0",
+                                               "shift_scale = -1"),
+        dumps_config(default_config()).replace("delta = 0.5",
+                                               "delta = 0.5\nkappa = 1.0"),
+        dumps_config(default_config()).replace(
+            "ood_mode = random", "ood_mode = interpolation\n"
+            "base_components = 1.5, 0.0; 0.0, 1.5"),
     ], ids=["no_section_header", "duplicate_key", "zero_shifts",
-            "zero_per_domain", "unknown_key", "unknown_section"])
+            "zero_per_domain", "unknown_key", "unknown_section",
+            "negative_tol", "negative_l2", "zero_max_iters", "mu_c_length",
+            "label_prior", "delta", "negative_shift_scale", "deleted_key",
+            "one_interpolation_component"])
     def test_bad_config_is_one_line_input_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(text, encoding="utf-8")
@@ -264,6 +278,36 @@ class TestMincount:
                        "--out", str(tmp_path / "out")])
         assert rc == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["audit", "cmnist"])
+@pytest.mark.parametrize("flag,value", [
+    ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-1"),
+    ("--clip-alpha", "0.7"), ("--clip-alpha", "1e-20")])
+def test_bad_audit_argument_is_input_error(command, flag, value,
+                                           identity_table, tmp_path, capsys):
+    argv = [command, f"{flag}={value}", "--out", str(tmp_path / "out")]
+    if command == "audit":
+        argv += ["--table", str(identity_table), "--ood-env", "env_ood"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit", "mincount", "cmnist"])
+def test_unwritable_out_is_input_error(command, identity_table, tmp_path,
+                                       capsys):
+    blocker = tmp_path / "t.csv"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    argv = [command, "--out", str(blocker / "sub")]
+    if command in ("audit", "mincount"):
+        argv += ["--table", str(identity_table), "--ood-env", "env_ood"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCmnist:

@@ -6,15 +6,15 @@ import pytest
 
 from shiftspec.config import (OptimizerConfig, RunConfig, SweepConfig,
                               default_config, dumps_config, parse_config)
-from shiftspec.core import (BoundParams, DomainSpec, LinearShift, Mask,
-                            MixtureShift, default_spec, spec_allclose)
+from shiftspec.core import (DomainSpec, LinearShift, MixtureShift,
+                            default_spec, spec_allclose)
 
 
 def test_default_round_trip():
     cfg = default_config()
     again = parse_config(dumps_config(cfg))
     assert spec_allclose(cfg.domain, again.domain)
-    assert again.bounds == cfg.bounds
+    assert again.delta == cfg.delta
     assert again.optimizer == cfg.optimizer
     assert again.sweep == cfg.sweep
 
@@ -27,18 +27,14 @@ def test_round_trip_with_awkward_floats():
                       sigma_e=np.diag([1e-8, 2.0, 3.0]),
                       label_prior=0.123456789012345,
                       shift=LinearShift(np.arange(9, dtype=float).reshape(3, 3) / 7))
-    cfg = RunConfig(domain=spec,
-                    bounds=BoundParams(kappa=2.5, delta=0.05, gamma=1e-3),
+    cfg = RunConfig(domain=spec, delta=0.05,
                     optimizer=OptimizerConfig(tol=1e-10, max_iters=123,
-                                              l2=0.25, mask=Mask.DOMAIN_GENERAL,
-                                              bias=True),
+                                              l2=0.25, bias=True),
                     sweep=SweepConfig(n_shifts=7, shift_scale=0.5,
-                                      n_per_domain=333, ood_mode="interpolation",
-                                      reliance_grid=(0.1, 1.0, 10.0),
-                                      eps_grid=(0.0, 0.25), trials=111))
+                                      n_per_domain=333, ood_mode="interpolation"))
     again = parse_config(dumps_config(cfg))
     assert spec_allclose(cfg.domain, again.domain, tol=0.0)  # exact repr round trip
-    assert again.bounds == cfg.bounds
+    assert again.delta == cfg.delta
     assert again.optimizer == cfg.optimizer
     assert again.sweep == cfg.sweep
 
@@ -113,11 +109,11 @@ def test_omitted_sections_and_keys_take_default_config_values():
     cfg = default_config()
     domain_only = parse_config(text[:text.index("[bounds]")])
     assert spec_allclose(domain_only.domain, cfg.domain, tol=0.0)
-    assert (domain_only.bounds, domain_only.optimizer, domain_only.sweep) == \
-        (cfg.bounds, cfg.optimizer, cfg.sweep)
+    assert (domain_only.delta, domain_only.optimizer, domain_only.sweep) == \
+        (cfg.delta, cfg.optimizer, cfg.sweep)
     assert "delta = 0.5\n" in text and "l2 = 0.001\n" in text
     partial = text.replace("delta = 0.5\n", "").replace("l2 = 0.001\n", "")
-    assert parse_config(partial).bounds == cfg.bounds
+    assert parse_config(partial).delta == cfg.delta
     assert parse_config(partial).optimizer == cfg.optimizer
 
 
@@ -126,6 +122,10 @@ def test_omitted_sections_and_keys_take_default_config_values():
     ("n_shifts = 50", "n_shift = 3", "n_shift"),
     ("[sweep]", "[sweeps]", "sweeps"),
     ("variant = identity", "variant = identity\nmatrixx = 1.0", "matrixx"),
+    # keys that no command reads are unknown too
+    ("delta = 0.5", "delta = 0.5\nkappa = 1e9\nl_phi = -3", "kappa"),
+    ("bias = false", "bias = false\nmask = full", "mask"),
+    ("ood_mode = random", "ood_mode = random\ntrials = 500", "trials"),
 ])
 def test_unknown_section_or_key_is_named(old, new, name):
     text = dumps_config(default_config())

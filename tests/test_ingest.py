@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftspec.aline import fit_probit_line
+from shiftspec.core import InputError
 from shiftspec.ingest import (AccuracyTable, TableRow, dump_accuracy_table,
                               leave_one_out_pairs, load_accuracy_table,
                               pairwise_pairs, parse_accuracy_table)
@@ -26,6 +27,17 @@ class TestParse:
     def test_wrong_arity_cites_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_accuracy_table("model_id,env_0,env_1\nm1,0.9\n")
+
+    def test_oversized_field_is_input_error(self):
+        text = "model_id,env_0\n" + "m" * 200_000 + ",0.5\n"
+        with pytest.raises(InputError, match="malformed table"):
+            parse_accuracy_table(text)
+
+    def test_undecodable_file_is_input_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"model_id,env_0\nm\xff,0.5\n")
+        with pytest.raises(InputError, match="not UTF-8"):
+            load_accuracy_table(path)
 
     def test_duplicate_model_id(self):
         text = "model_id,env_0\nm1,0.5\nm1,0.6\n"
