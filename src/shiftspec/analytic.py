@@ -22,6 +22,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_TINY = 2.0 ** -1022  # smallest normal double
 _INV_SQRT_PI = 0.5641895835477562869  # 1/sqrt(pi)
 
 # Cody interval 1: erf(x) for |x| <= 0.46875, z = x^2.
@@ -179,7 +180,8 @@ def normal_quantile(p) -> np.ndarray | float:
     relative error is at most 4.4e-16 at p = 1 - 10^-k (k = 1..15) and
     p = 1 - 2^-j (j = 2..53), and the absolute error at most 1.8e-15 over
     1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
-    holds exactly for p >= 0.5.
+    holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
+    is skipped and Acklam's start, within 1.8e-9 relative, is returned.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     pf = p_arr.ravel()
@@ -191,8 +193,13 @@ def normal_quantile(p) -> np.ndarray | float:
         p_in = pf.take(interior)
         t = np.minimum(p_in, 1.0 - p_in)
         x = _acklam(t)
-        u = (normal_cdf(x) - t) * _SQRT2PI * np.exp(0.5 * x * x)
-        x = x - u / (1.0 + 0.5 * x * u)
+        # Below the smallest normal double, normal_cdf(x) - t keeps no
+        # precision and exp(0.5 x^2) overflows: keep Acklam's start there.
+        step = (slice(None) if t.min() >= _TINY
+                else np.flatnonzero(t >= _TINY))
+        xs, ts = x[step], t[step]
+        u = (normal_cdf(xs) - ts) * _SQRT2PI * np.exp(0.5 * xs * xs)
+        x[step] = xs - u / (1.0 + 0.5 * xs * u)
         out[interior] = np.where(p_in > 0.5, -x, x)
     return float(out[0]) if np.ndim(p) == 0 else out.reshape(p_arr.shape)
 

@@ -19,8 +19,8 @@ from .aline import (AccuracyPair, check_clip_alpha, check_threshold,
                     classify_split, correlation_epsilon, fit_probit_line,
                     min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
-from .conditions import (condition_report, gaussian_kappa, kappa_of_mixture,
-                         lipschitz_of_linear, shift_moments)
+from .conditions import (accuracy_under_shift, condition_report, gaussian_kappa,
+                         kappa_of_mixture, lipschitz_of_linear, shift_moments)
 from .config import default_config, load_config
 from .core import IdentityShift, InputError, LinearShift, Mask, MixtureShift
 from .ingest import (dump_accuracy_table, leave_one_out_pairs,
@@ -28,7 +28,7 @@ from .ingest import (dump_accuracy_table, leave_one_out_pairs,
 from .report import write_json_report
 from .svgplot import ScatterPlot
 from .synthgen import interpolation_mixture, random_shift, sample_domain
-from .trainer import OptimizerSettings, evaluate_accuracy, fit_logistic
+from .trainer import OptimizerSettings, fit_logistic
 from .util import parallel_map
 
 EXIT_OK = 0
@@ -99,10 +99,7 @@ def cmd_simulate(args) -> int:
             l_phi = lipschitz_of_linear(m_mean)
         rep = condition_report(full, spec, m_mean, delta=cfg.delta,
                                kappa=kappa, l_phi=l_phi, sigma_phi=sigma_phi)
-        test = sample_domain(spec.with_shift(ood_shift), sweep.n_per_domain,
-                             seed=seed * 31 + 7_000_000 + index)
-        acc_dg = evaluate_accuracy(dg, test)
-        acc_full = evaluate_accuracy(full, test)
+        acc_dg, acc_full = accuracy_under_shift([dg, full], spec, ood_shift).tolist()
         return {"index": index, "report": rep,
                 "acc_dg": acc_dg, "acc_full": acc_full}
 

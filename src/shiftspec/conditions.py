@@ -248,9 +248,10 @@ def accuracy_under_shift(
     """Exact accuracy of linear rules on the spec with the given shift.
 
     Takes one classifier (returns a float) or a sequence of them (returns
-    an array, one accuracy per classifier). Mixtures decompose into their
-    Gaussian components, so the result is the weight-averaged closed form
-    per component.
+    an array, one accuracy per classifier). The two classes are weighted
+    by the spec's label_prior: pi P(correct | y = +1) + (1 - pi)
+    P(correct | y = -1). Mixtures decompose into their Gaussian components,
+    so the result is the weight-averaged closed form per component.
     """
     shift = spec.shift if shift is None else shift
     single = isinstance(classifier_or_classifiers, LinearClassifier)
@@ -260,6 +261,7 @@ def accuracy_under_shift(
     w_c = np.array([mdl.w_c for mdl in models], dtype=np.float64).reshape(n, spec.k)
     w_e = np.array([mdl.w_e for mdl in models], dtype=np.float64).reshape(n, spec.l)
     bias = np.array([mdl.bias for mdl in models], dtype=np.float64)
+    prior = float(spec.label_prior)
     signal_c = w_c @ spec.mu_c
     var_c = np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
     total = np.zeros(n)
@@ -269,10 +271,10 @@ def accuracy_under_shift(
         if np.any(var <= 0.0):
             raise ValueError("degenerate projection: zero score variance")
         sd = np.sqrt(var)
-        # a bias breaks the ±mu symmetry: average the two class-conditional
-        # correct-side probabilities
+        # a bias breaks the ±mu symmetry: weight the two class-conditional
+        # correct-side probabilities by the label prior
         cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
-        total += float(weight) * (0.5 * (cdf[0] + cdf[1]))
+        total += float(weight) * (prior * cdf[0] + (1.0 - prior) * cdf[1])
     return float(total[0]) if single else total
 
 

@@ -91,14 +91,24 @@ def load_accuracy_table(path: str | Path) -> AccuracyTable:
     return parse_accuracy_table(read_input_text(path))
 
 
+def _csv_cell(text: str) -> str:
+    # csv.writer with lineterminator="\n" leaves a lone "\r" unquoted,
+    # which csv.reader then rejects, so cells are quoted here
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def dump_accuracy_table(table: AccuracyTable) -> str:
+    """CSV text that parse_accuracy_table reads back; a cell is quoted only
+    when it holds a comma, a quote or a line break."""
     meta_names = sorted({k for row in table.rows for k in row.metadata})
     header = ["model_id", *table.env_names, *meta_names]
-    lines = [",".join(header)]
+    lines = [",".join(map(_csv_cell, header))]
     for row in table.rows:
-        cells = [row.model_id]
+        cells = [_csv_cell(row.model_id)]
         cells += [f"{v:.17g}" for v in row.accuracies]
-        cells += [row.metadata.get(k, "") for k in meta_names]
+        cells += [_csv_cell(row.metadata.get(k, "")) for k in meta_names]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

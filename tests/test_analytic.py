@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,26 @@ class TestQuantileAccuracy:
         p = np.concatenate([p, [0.5, 1.0 - 2.0**-53], 1.0 - self.TAIL])
         assert np.array_equal(analytic.normal_quantile(1.0 - p),
                               -analytic.normal_quantile(p))
+
+    def test_subnormal_p(self):
+        p = np.array([1e-310, 1e-315, 1e-320, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = analytic.normal_quantile(p)
+            scalars = [analytic.normal_quantile(float(v)) for v in p]
+        assert np.all(np.isfinite(q)) and np.array_equal(q, scalars)
+        ref = special.ndtri(p)
+        assert float((np.abs(q - ref) / np.abs(ref)).max()) <= 2e-9
+
+    def test_smallest_normal_p_still_takes_the_step(self):
+        t = np.array([2.0**-1022, np.nextafter(2.0**-1022, 1.0), 1e-300])
+        x = analytic._acklam(t)
+        u = (analytic.normal_cdf(x) - t) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
+        one_step = x - u / (1.0 + 0.5 * x * u)
+        assert np.array_equal(analytic.normal_quantile(t), one_step)
+        # a subnormal entry in the same array leaves the others untouched
+        mixed = analytic.normal_quantile(np.concatenate([[1e-320], t]))
+        assert np.array_equal(mixed[1:], one_step)
 
     def test_bounds_nan_and_shape(self):
         p = np.array([[0.0, 1.0, -0.5], [1.5, np.nan, 0.5]])

@@ -73,6 +73,14 @@ class TestSimulate:
         assert (out_a / "simulate_report.json").read_bytes() == \
             (out_b / "simulate_report.json").read_bytes()
 
+    def test_default_report_counts(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "11", "--out", str(out)]) == 0
+        payload = json.loads((out / "simulate_report.json").read_text())
+        assert payload["margin_negative_count"] == 6
+        assert payload["dg_wins_given_margin_negative"] == 6
+        assert payload["theorem2_agreement_count"] == 6
+
     def test_missing_config_is_input_error(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "o")])

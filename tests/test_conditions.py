@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from shiftspec.analytic import gaussian_accuracy
+from shiftspec.analytic import gaussian_accuracy, normal_cdf
 from shiftspec.conditions import (aotl_bound, classifier_sweep,
                                   condition_report, gaussian_kappa,
                                   kappa_of_mixture, lipschitz_of_linear,
@@ -311,6 +311,79 @@ def test_accuracy_under_shift_handles_bias():
     test = sample_domain(spec.with_shift(shift), 500_000, seed=0)
     mc = evaluate_accuracy(model, test)
     assert accuracy_under_shift(model, spec, shift) == pytest.approx(mc, abs=0.003)
+
+
+def test_accuracy_under_shift_weights_label_prior():
+    from dataclasses import replace
+    from shiftspec.core import LinearClassifier, LinearShift
+    from shiftspec.conditions import accuracy_under_shift
+    from shiftspec.trainer import evaluate_accuracy
+    spec = replace(default_spec(), label_prior=0.2)
+    model = LinearClassifier(w_c=np.array([1.0, 0.5]), w_e=np.array([0.7, -0.3]),
+                             trained_on=Mask.FULL, bias=0.8)
+    shift = LinearShift(0.6 * np.eye(2))
+    test = sample_domain(spec.with_shift(shift), 500_000, seed=0)
+    mc = evaluate_accuracy(model, test)
+    assert accuracy_under_shift(model, spec, shift) == pytest.approx(mc, abs=0.003)
+    # the equal-weight average misses the sampled accuracy by far more
+    assert abs(_equal_weight_accuracy([model], spec, shift)[0] - mc) > 0.02
+
+
+def _equal_weight_accuracy(models, spec, shift):
+    """The stacked closed form before label_prior was weighted in: both
+    classes count 1/2."""
+    w_c = np.array([mdl.w_c for mdl in models])
+    w_e = np.array([mdl.w_e for mdl in models])
+    bias = np.array([mdl.bias for mdl in models])
+    signal_c = w_c @ spec.mu_c
+    var_c = np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
+    total = np.zeros(len(models))
+    for weight, m in zip(shift.weights(), shift.matrices(spec.l)):
+        signal = signal_c + w_e @ (m @ spec.mu_e)
+        sd = np.sqrt(var_c + np.einsum("ij,jk,ik->i", w_e,
+                                       m @ spec.sigma_e @ m.T, w_e))
+        cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
+        total += float(weight) * (0.5 * (cdf[0] + cdf[1]))
+    return total
+
+
+@pytest.mark.parametrize("shift", [
+    LinearShift(np.array([[0.6, -1.2], [0.3, -0.8]])),
+    MixtureShift(((0.3, 1.5 * np.eye(2)),
+                  (0.7, np.array([[-0.5, 0.2], [0.0, -1.5]])))),
+], ids=["linear", "mixture"])
+def test_even_prior_accuracy_is_bit_identical_to_equal_weights(shift):
+    from shiftspec.conditions import accuracy_under_shift
+    from shiftspec.core import LinearClassifier
+    rng = np.random.default_rng(8)
+    spec = default_spec()
+    assert spec.label_prior == 0.5
+    models = [LinearClassifier(w_c=rng.standard_normal(2),
+                               w_e=rng.standard_normal(2),
+                               trained_on=Mask.FULL,
+                               bias=float(rng.uniform(-2.0, 2.0)))
+              for _ in range(60)]
+    assert np.array_equal(accuracy_under_shift(models, spec, shift),
+                          _equal_weight_accuracy(models, spec, shift))
+
+
+def test_exact_gap_within_binomial_error_of_sampled_gap():
+    # criterion 1's training set, shifts and 1000-row test sets
+    from shiftspec.conditions import accuracy_under_shift
+    from shiftspec.trainer import evaluate_accuracy
+    seed, n = 11, 1000
+    spec = default_spec()
+    train = sample_domain(spec, 1000, seed=seed)
+    full = fit_logistic(train, Mask.FULL, l2=1e-3)
+    dg = fit_logistic(train, Mask.DOMAIN_GENERAL, l2=1e-3)
+    for s in range(50):
+        shift = LinearShift(random_shift(2, 2.0, seed=seed * 31 + 1000 + s))
+        test = sample_domain(spec.with_shift(shift), n,
+                             seed=seed * 31 + 7_000_000 + s)
+        sampled = evaluate_accuracy(dg, test) - evaluate_accuracy(full, test)
+        p_dg, p_full = accuracy_under_shift([dg, full], spec, shift)
+        se = math.sqrt((p_dg * (1.0 - p_dg) + p_full * (1.0 - p_full)) / n)
+        assert abs((p_dg - p_full) - sampled) <= 4.0 * se, s
 
 
 @pytest.mark.parametrize("shift", [

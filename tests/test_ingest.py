@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftspec.aline import fit_probit_line
 from shiftspec.core import InputError
@@ -59,6 +60,41 @@ class TestParse:
         path.write_text(dump_accuracy_table(table), encoding="utf-8")
         again = load_accuracy_table(path)
         assert again == table
+
+    def test_round_trip_quotes_commas(self):
+        table = AccuracyTable(env_names=("env_0", "env,1"),
+                              rows=(TableRow("resnet,50", (0.5, 0.25),
+                                             {"meta_note": 'a "b", c'}),))
+        assert parse_accuracy_table(dump_accuracy_table(table)) == table
+
+    def test_plain_table_is_not_quoted(self):
+        table = AccuracyTable(env_names=("env_0", "env_1"),
+                              rows=(TableRow("m1", (0.5, 0.25), {"meta_a": "x y"}),))
+        assert dump_accuracy_table(table) == ("model_id,env_0,env_1,meta_a\n"
+                                              "m1,0.5,0.25,x y\n")
+
+
+_CELL = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(env_names=st.lists(_CELL.filter(lambda s: not s.startswith("meta_")),
+                          min_size=1, max_size=3, unique=True),
+       meta_names=st.lists(_CELL.map(lambda s: "meta_" + s), max_size=2,
+                           unique=True),
+       model_ids=st.lists(_CELL, max_size=5, unique=True),
+       data=st.data())
+def test_dump_parse_round_trip(env_names, meta_names, model_ids, data):
+    # every row carries every meta column: dump writes a missing value as ""
+    rows = tuple(
+        TableRow(model_id,
+                 tuple(data.draw(st.lists(st.floats(0.0, 1.0),
+                                          min_size=len(env_names),
+                                          max_size=len(env_names)))),
+                 {k: data.draw(_CELL) for k in meta_names})
+        for model_id in model_ids)
+    table = AccuracyTable(env_names=tuple(env_names), rows=rows)
+    assert parse_accuracy_table(dump_accuracy_table(table)) == table
 
 
 class TestLeaveOneOut:
