@@ -2,9 +2,8 @@
 
 from .aline import (AccuracyPair, AlineFit, Verdict, classify_split,
                     correlation_epsilon, fit_probit_line, min_model_count)
-from .analytic import (SnrSummary, gaussian_accuracy, normal_cdf, normal_pdf,
-                       normal_quantile, pearson_p_value, probit, probit_inv,
-                       snr_summary)
+from .analytic import (gaussian_accuracy, normal_cdf, normal_pdf,
+                       normal_quantile, pearson_p_value, probit)
 from .conditions import (ConditionReport, Theorem2Result, TradeoffBound,
                          ZeroMeasureResult, accuracy_under_shift, aotl_bound,
                          classifier_sweep, condition_report, gaussian_kappa,

@@ -24,7 +24,7 @@ from .util import parallel_map
 DEFAULT_CLIP_ALPHA = 1e-4
 DEFAULT_THRESHOLD = 0.3
 # Index elements per bootstrap block. Every draw has its own substream, so
-# neither the block size nor the thread count can change any result.
+# the block size cannot change any result.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -112,10 +112,7 @@ def fit_probit_line(pairs: Sequence[AccuracyPair],
     p = pearson_p_value(r, n)
 
     resid = y - (intercept + slope * x)
-    if n > 2:
-        std_err = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / sxx)
-    else:
-        std_err = 0.0
+    std_err = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / sxx)
     return AlineFit(slope=slope, intercept=intercept, pearson_r=r, p_value=p,
                     std_err=std_err, n=n, clip_alpha=clip_alpha)
 

@@ -16,7 +16,6 @@ results are identical across platforms and carry no numerics dependency:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,16 +211,11 @@ def probit(p) -> np.ndarray | float:
     return normal_quantile(p)
 
 
-def probit_inv(z) -> np.ndarray | float:
-    """Normal CDF, the inverse of probit."""
-    return normal_cdf(z)
+def gaussian_accuracy(w, mu, sigma) -> float:
+    """Accuracy of sign(w.x) when x | y ~ N(y mu, sigma), y = ±1.
 
-
-def gaussian_accuracy(w, mu, sigma, prior: float | None = None) -> float:
-    """Accuracy of sign(w.x) when x | y ~ N(y mu, sigma), y uniform on ±1.
-
-    Equals Phi(r) with r = w.mu / sqrt(w' sigma w). With an unequal prior p
-    on y=+1 the threshold-at-zero rule scores p Phi(r) + (1-p)/2.
+    Equals Phi(r) with r = w.mu / sqrt(w' sigma w). Each class is correct
+    with probability Phi(r), so the label prior does not enter.
     """
     w = np.asarray(w, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -229,31 +223,7 @@ def gaussian_accuracy(w, mu, sigma, prior: float | None = None) -> float:
     var = float(w @ sigma @ w)
     if var <= 0.0:
         raise ValueError("degenerate projection: w' sigma w must be positive")
-    r = float(w @ mu) / math.sqrt(var)
-    if prior is None:
-        return float(normal_cdf(r))
-    if not 0.0 < prior < 1.0:
-        raise ValueError("prior must lie in (0, 1)")
-    return prior * float(normal_cdf(r)) + (1.0 - prior) * 0.5
-
-
-@dataclass(frozen=True)
-class SnrSummary:
-    """Signal-to-noise ratio of a linear rule and its implied accuracy."""
-
-    snr: float
-    accuracy: float
-
-
-def snr_summary(w, mu, sigma) -> SnrSummary:
-    w = np.asarray(w, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    var = float(w @ sigma @ w)
-    if var <= 0.0:
-        raise ValueError("degenerate projection: w' sigma w must be positive")
-    r = float(w @ mu) / math.sqrt(var)
-    return SnrSummary(snr=r, accuracy=float(normal_cdf(r)))
+    return float(normal_cdf(float(w @ mu) / math.sqrt(var)))
 
 
 def _betacf(a: float, b: float, x: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .aline import AccuracyPair
 from .analytic import normal_cdf, normal_pdf, normal_quantile
 from .core import (BoundParams, DomainSpec, LinearClassifier, LinearShift,
-                   Mask, ShiftSpec)
+                   Mask, MixtureShift, ShiftSpec)
 from .synthgen import random_shift, sample_domain
 from .trainer import OptimizerSettings, fit_logistic
 
@@ -128,19 +128,24 @@ def shift_moments(shift: ShiftSpec, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarr
 
 
 def condition_report(classifier: LinearClassifier, spec: DomainSpec,
-                     m: np.ndarray, delta: float,
-                     kappa: float | None = None,
-                     l_phi: float | None = None,
-                     sigma_phi: np.ndarray | None = None) -> ConditionReport:
-    """Evaluate both shift conditions for a full classifier under shift M."""
-    m = np.asarray(m, dtype=np.float64)
-    if kappa is None:
+                     shift: ShiftSpec | np.ndarray, delta: float) -> ConditionReport:
+    """Evaluate both shift conditions for a full classifier under a shift.
+
+    A bare l x l matrix is taken as a LinearShift. The shift enters through
+    its mean matrix and covariance (shift_moments) and the largest operator
+    norm of its components (L_phi); kappa is the ID spurious block's
+    sub-Gaussian parameter, with kappa_of_mixture for a mixture ID shift.
+    """
+    if not isinstance(shift, ShiftSpec):
+        shift = LinearShift(shift)
+    m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
+    l_phi = max(lipschitz_of_linear(m) for m in shift.matrices(spec.l))
+    if isinstance(spec.shift, MixtureShift):
+        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
+                                  for w, m in spec.shift.components])
+    else:
         kappa = gaussian_kappa(spec.sigma_e)
-    if l_phi is None:
-        l_phi = lipschitz_of_linear(m)
-    if sigma_phi is None:
-        sigma_phi = m @ spec.sigma_e @ m.T
-    m_mu_e = m @ spec.mu_e
+    m_mu_e = m_mean @ spec.mu_e
     reversal = float(np.asarray(classifier.w_e) @ m_mu_e)
     margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, kappa, delta)
     t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,

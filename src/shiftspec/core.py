@@ -1,14 +1,13 @@
 """Shared domain types: environment specs, shifts, datasets, classifiers.
 
 All types are immutable value objects once constructed; arrays are stored
-read-only so instances can be shared freely across workers.
+read-only so instances can be shared freely.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,9 @@ class InputError(ValueError):
 def read_input_text(path) -> str:
     """A UTF-8 input file's text; undecodable bytes are an InputError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # newline="" keeps a \r inside a quoted CSV cell, as csv requires
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
 

@@ -1,6 +1,6 @@
 """Counter-based random streams for reproducible, order-independent sampling.
 
-Every stream is a Philox4x64 generator keyed by (seed, stream_id), so workers
+Every stream is a Philox4x64 generator keyed by (seed, stream_id), so tasks
 can draw from disjoint streams in any order and still produce identical
 results. Uniform doubles are the only primitive taken from the generator;
 normals, integers, and simplex weights are documented transforms of that
@@ -37,7 +37,7 @@ class RandomStream:
         self.stream_id = int(stream_id)
 
     def substream(self, stream_id: int) -> "RandomStream":
-        """Derive an independent stream; used to fan work out to workers."""
+        """Derive an independent stream; used to give each task its own."""
         return RandomStream(self.seed, (self.stream_id * 0x9E3779B9 + 1 + stream_id))
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:

@@ -1,13 +1,11 @@
-"""Worker-pool helper honoring the SHIFTSPEC_THREADS cap.
+"""In-order task map, run in the calling thread.
 
-Results are returned in submission order and every task derives its own
-random stream from its index, so outputs are identical for any worker count.
+The benchmark tracer (perfbench/tracer.py) wraps parallel_map and reads
+thread_count, so both names stay until it stops using them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -15,19 +13,8 @@ R = TypeVar("R")
 
 
 def thread_count() -> int:
-    raw = os.environ.get("SHIFTSPEC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

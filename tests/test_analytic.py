@@ -17,7 +17,7 @@ class TestProbit:
         assert analytic.probit(0.841345) == pytest.approx(1.0, abs=1e-5)
 
     def test_known_cdf(self):
-        assert analytic.probit_inv(1.959964) == pytest.approx(0.975, abs=1e-6)
+        assert analytic.normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
 
     def test_matches_scipy_quantile(self):
         p = np.linspace(1e-7, 1 - 1e-7, 20001)
@@ -31,7 +31,7 @@ class TestProbit:
 
     def test_round_trip(self):
         z = np.linspace(-5.0, 5.0, 4001)
-        back = analytic.probit(analytic.probit_inv(z))
+        back = analytic.probit(analytic.normal_cdf(z))
         assert float(np.abs(back - z).max()) < 1e-8
 
     def test_rejects_boundary(self):
@@ -251,19 +251,6 @@ class TestGaussianAccuracy:
         with pytest.raises(ValueError, match="degenerate projection"):
             analytic.gaussian_accuracy([1.0, 0.0], [1.0, 1.0],
                                        np.diag([0.0, 1.0]))
-
-    def test_prior_variant(self):
-        w = np.ones(2)
-        mu = np.ones(2)
-        acc = analytic.gaussian_accuracy(w, mu, np.eye(2), prior=0.7)
-        r = math.sqrt(2.0)
-        assert acc == pytest.approx(0.7 * stats.norm.cdf(r) + 0.15, abs=1e-12)
-
-
-class TestSnrSummary:
-    def test_accuracy_consistent(self):
-        s = analytic.snr_summary([1.0, 1.0], [1.0, 1.0], np.eye(2))
-        assert s.accuracy == pytest.approx(analytic.normal_cdf(s.snr), abs=1e-15)
 
 
 class TestPValue:

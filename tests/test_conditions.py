@@ -5,15 +5,18 @@ import pytest
 from scipy import stats
 
 from shiftspec.analytic import gaussian_accuracy, normal_cdf
-from shiftspec.conditions import (aotl_bound, classifier_sweep,
-                                  condition_report, gaussian_kappa,
-                                  kappa_of_mixture, lipschitz_of_linear,
-                                  reflection_alpha_threshold, theorem1_margin,
-                                  theorem2_compare, tradeoff_lower_bound,
+from shiftspec.conditions import (ConditionReport, aotl_bound,
+                                  classifier_sweep, condition_report,
+                                  gaussian_kappa, kappa_of_mixture,
+                                  lipschitz_of_linear,
+                                  reflection_alpha_threshold, shift_moments,
+                                  theorem1_margin, theorem2_compare,
+                                  tradeoff_lower_bound,
                                   zero_measure_experiment)
 from shiftspec.core import (BoundParams, IdentityShift, LinearShift, Mask,
                             MixtureShift, default_spec)
-from shiftspec.synthgen import random_shift, reflection_shift, sample_domain
+from shiftspec.synthgen import (interpolation_mixture, random_shift,
+                                reflection_shift, sample_domain)
 from shiftspec.trainer import fit_logistic
 
 LOG10 = math.log(10.0)
@@ -264,6 +267,77 @@ class TestConditionReport:
         assert set(d) == {"reversal_term", "theorem1_margin",
                           "theorem1_well_specified", "snr_id", "snr_ood",
                           "theorem2_well_specified"}
+
+
+def _reference_report(classifier, spec, shift, delta):
+    """The constants simulate used to compute and pass in, then both checks."""
+    if isinstance(spec.shift, MixtureShift):
+        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
+                                  for w, m in spec.shift.components])
+    else:
+        kappa = gaussian_kappa(spec.sigma_e)
+    if isinstance(shift, MixtureShift):
+        m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
+        l_phi = max(lipschitz_of_linear(m) for m in shift.matrices(spec.l))
+    else:
+        m_mean = np.asarray(shift, dtype=np.float64)
+        sigma_phi = m_mean @ spec.sigma_e @ m_mean.T
+        l_phi = lipschitz_of_linear(m_mean)
+    m_mu_e = m_mean @ spec.mu_e
+    margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, kappa, delta)
+    t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
+                          classifier.w_e, m_mu_e, sigma_phi)
+    return ConditionReport(reversal_term=float(classifier.w_e @ m_mu_e),
+                           theorem1_margin=margin,
+                           theorem1_well_specified=margin < 0.0,
+                           snr_id=t2.snr_id, snr_ood=t2.snr_ood,
+                           theorem2_well_specified=t2.well_specified)
+
+
+class TestConditionReportConstants:
+    """condition_report derives M, Sigma_phi, L_phi and kappa from the specs
+    exactly as simulate did when it passed them in."""
+
+    BASES = [np.diag([1.5, 1.5]), np.diag([-1.5, -1.5]),
+             np.array([[0.5, -1.0], [2.0, 0.3]])]
+    MIXTURE_ID = MixtureShift(((0.3, np.diag([1.5, 0.5])),
+                               (0.7, np.array([[-1.0, 0.4], [0.2, -2.0]]))))
+
+    def _fit(self, spec, seed):
+        return fit_logistic(sample_domain(spec, 500, seed=seed), Mask.FULL, 1e-3)
+
+    @pytest.mark.parametrize("id_shift", [IdentityShift(), MIXTURE_ID],
+                             ids=["identity_id", "mixture_id"])
+    def test_random_linear_shifts(self, id_shift):
+        spec = default_spec().with_shift(id_shift)
+        full = self._fit(spec, 3)
+        for s in range(20):
+            m = random_shift(2, 2.0, seed=50 + s)
+            ref = _reference_report(full, spec, m, 0.3)
+            assert condition_report(full, spec, LinearShift(m), 0.3) == ref
+            assert condition_report(full, spec, m, 0.3) == ref
+
+    @pytest.mark.parametrize("id_shift", [IdentityShift(), MIXTURE_ID],
+                             ids=["identity_id", "mixture_id"])
+    def test_interpolation_mixtures(self, id_shift):
+        spec = default_spec().with_shift(id_shift)
+        full = self._fit(spec, 4)
+        for s in range(20):
+            shift = interpolation_mixture(self.BASES, seed=70 + s)
+            assert condition_report(full, spec, shift, 0.5) == \
+                _reference_report(full, spec, shift, 0.5)
+
+    def test_mixture_id_kappa_enters_the_margin(self):
+        spec = default_spec()
+        mixed = spec.with_shift(self.MIXTURE_ID)
+        full = self._fit(spec, 5)
+        m = -np.eye(2)
+        plain = condition_report(full, spec, m, 0.5)
+        wider = condition_report(full, mixed, m, 0.5)
+        assert kappa_of_mixture([(w, c @ spec.mu_e, c @ c.T)
+                                 for w, c in self.MIXTURE_ID.components]) > 1.0
+        assert wider.theorem1_margin > plain.theorem1_margin
+        assert wider.reversal_term == plain.reversal_term
 
 
 class TestZeroMeasure:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from shiftspec.config import (OptimizerConfig, RunConfig, SweepConfig,
-                              default_config, dumps_config, parse_config)
+                              default_config, dumps_config, load_config,
+                              parse_config)
 from shiftspec.core import (DomainSpec, LinearShift, MixtureShift,
                             default_spec, spec_allclose)
+from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
 
 
 def test_default_round_trip():
@@ -85,6 +87,14 @@ def test_random_specs_round_trip_exactly():
         assert spec_allclose(spec, again.domain, tol=1e-12)
 
 
+def test_crlf_config_file_reads_like_lf(tmp_path):
+    text = dumps_config(default_config()).replace(
+        "variant = identity", "variant = linear\nmatrix = 1.0, 0.5; 0.0, -1.0")
+    path = tmp_path / "run.ini"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert dumps_config(load_config(path)) == dumps_config(parse_config(text))
+
+
 def test_missing_domain_section():
     with pytest.raises(ValueError, match="domain"):
         parse_config("[bounds]\nkappa = 1.0\n")
@@ -149,3 +159,19 @@ def test_readme_config_block_is_the_default_config():
     assert len(blocks) == 1
     assert dumps_config(parse_config(blocks[0])) == \
         dumps_config(default_config())
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"## Library use\n\n```python\n(.*?)```", readme,
+                        flags=re.S)
+    assert len(blocks) == 1
+    ids = np.linspace(0.6, 0.95, 12)
+    rows = tuple(TableRow(f"m{i}", (a, a - 0.05, 0.5 + 0.4 * (a - 0.6)))
+                 for i, a in enumerate(ids))
+    save_accuracy_table(AccuracyTable(("env_0", "env_1", "env_2"), rows),
+                        tmp_path / "accs.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

@@ -6,7 +6,8 @@ from shiftspec.aline import fit_probit_line
 from shiftspec.core import InputError
 from shiftspec.ingest import (AccuracyTable, TableRow, dump_accuracy_table,
                               leave_one_out_pairs, load_accuracy_table,
-                              pairwise_pairs, parse_accuracy_table)
+                              pairwise_pairs, parse_accuracy_table,
+                              save_accuracy_table)
 
 
 class TestParse:
@@ -66,6 +67,20 @@ class TestParse:
                               rows=(TableRow("resnet,50", (0.5, 0.25),
                                              {"meta_note": 'a "b", c'}),))
         assert parse_accuracy_table(dump_accuracy_table(table)) == table
+
+    def test_carriage_return_in_cell_survives_the_file(self, tmp_path):
+        table = AccuracyTable(env_names=("env_0", "env_1"),
+                              rows=(TableRow("x\ry", (0.5, 0.25)),
+                                    TableRow("p\r\nq", (0.75, 0.125))))
+        path = tmp_path / "t.csv"
+        save_accuracy_table(table, path)
+        assert load_accuracy_table(path) == table
+
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        text = "model_id,env_0,env_1\nm1,0.5,0.25\nm2,0.75,0.125\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert load_accuracy_table(path) == parse_accuracy_table(text)
 
     def test_plain_table_is_not_quoted(self):
         table = AccuracyTable(env_names=("env_0", "env_1"),
