@@ -23,7 +23,8 @@ from .util import parallel_map
 
 DEFAULT_CLIP_ALPHA = 1e-4
 DEFAULT_THRESHOLD = 0.3
-# Index elements per bootstrap block. Every draw has its own substream, so
+# Index elements per bootstrap block. A draw's uniforms depend only on its
+# key (seed, prefix size, draw index), not on which block computes them, so
 # the block size cannot change any result.
 _BLOCK_ELEMS = 1 << 16
 
@@ -181,7 +182,7 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
         for lo in range(0, resamples, rows):
             hi = min(lo + rows, resamples)
             u = np.array(parallel_map(
-                lambda b: stream.substream(size * 1_000_003 + b).uniform(size=width),
+                lambda b: stream.substream_uniform(size * 1_000_003 + b, width),
                 range(lo, hi)))
             idx = uniform_to_integers(u, bounds) + offsets
             gx, gy = x[idx], y[idx]

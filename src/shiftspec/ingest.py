@@ -3,6 +3,7 @@
 Tables are CSV with header ``model_id,<env_0>,...,<env_K>[,meta_*...]``:
 every non-meta column after model_id is a per-environment accuracy in
 [0, 1]. Columns whose names start with ``meta_`` ride along untouched.
+Every column name must be unique.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def _parse_rows(reader) -> AccuracyTable:
         raise InputError("empty table: missing header") from None
     if not header or header[0] != "model_id":
         raise InputError("header must start with model_id")
+    names = set()
+    for name in header:
+        if name in names:
+            raise InputError(f"duplicate column {name!r} in header")
+        names.add(name)
     env_names = tuple(h for h in header[1:] if not h.startswith(META_PREFIX))
     if not env_names:
         raise InputError("table must have at least one environment column")

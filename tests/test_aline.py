@@ -272,3 +272,45 @@ class TestBootstrapPinnedToReference:
         assert min_model_count(pairs, rel_tol=np.nextafter(q, math.inf),
                                **kwargs) == size
         assert min_model_count(pairs, rel_tol=q, **kwargs) != size
+
+
+class TestBootstrapPinnedForMaskedSeeds:
+    """Seeds outside [0, 2^64) are masked to 64 bits in every draw's key."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, 720)
+        return pairs_from_probits(x, 0.8 * x + rng.normal(0, 0.3, 720))
+
+    @pytest.mark.parametrize("size,resamples", [(10, 150), (610, 300)])
+    @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
+    def test_quantile_is_the_threshold(self, pairs, size, resamples, seed):
+        q = reference_quantile(pairs, size, 100, resamples, seed=seed)
+        assert 0.0 < q < math.inf
+        kwargs = dict(resamples=resamples, start=size, step=100, seed=seed)
+        assert min_model_count(pairs, rel_tol=np.nextafter(q, math.inf),
+                               **kwargs) == size
+        assert min_model_count(pairs, rel_tol=q, **kwargs) != size
+
+
+def test_bootstrap_builds_a_fixed_number_of_generators(monkeypatch):
+    # a generator per draw would make the count grow with resamples
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, 230)
+    pairs = pairs_from_probits(x, 0.5 * x + rng.normal(0, 0.3, 230))
+    philox = np.random.Philox
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counts = []
+    for resamples in (100, 400):
+        built.clear()
+        assert min_model_count(pairs, rel_tol=1e-12, resamples=resamples,
+                               start=10, step=100) is None
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0

@@ -304,6 +304,25 @@ def test_bad_audit_argument_is_input_error(command, flag, value,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["audit", "mincount"])
+@pytest.mark.parametrize("header", ["model_id,e0,e1,e1",
+                                    "model_id,e0,e1,meta_x,meta_x"])
+def test_duplicate_header_column_is_input_error(command, header, tmp_path,
+                                                capsys):
+    rows = [f"m{i},{a:.3f},{a:.3f},{a:.3f}"
+            for i, a in enumerate(np.linspace(0.55, 0.95, 30))]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, "--table", str(path), "--ood-env", "e1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate column" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit", "mincount", "cmnist"])
 def test_unwritable_out_is_input_error(command, identity_table, tmp_path,
                                        capsys):

@@ -46,6 +46,16 @@ class TestParse:
         with pytest.raises(ValueError, match="duplicate"):
             parse_accuracy_table(text)
 
+    @pytest.mark.parametrize("header,name", [
+        ("model_id,e1,e1", "e1"),
+        ("model_id,e1,meta_x,meta_x", "meta_x"),
+        ("model_id,model_id,e1", "model_id")])
+    def test_duplicate_column(self, header, name):
+        cells = ",".join(["m1"] + ["0.5"] * header.count(","))
+        with pytest.raises(InputError) as exc:
+            parse_accuracy_table(f"{header}\n{cells}\n")
+        assert str(exc.value) == f"duplicate column {name!r} in header"
+
     def test_metadata_columns_preserved(self):
         text = "model_id,env_0,meta_arch\nm1,0.5,resnet18\n"
         table = parse_accuracy_table(text)

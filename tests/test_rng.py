@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from shiftspec.rng import RandomStream
 
@@ -50,3 +51,37 @@ def test_bernoulli_signs():
     y = RandomStream(4).bernoulli_signs(0.75, size=100_000)
     assert set(np.unique(y)) == {-1.0, 1.0}
     assert abs(np.mean(y == 1.0) - 0.75) < 0.01
+
+
+# seeds and stream ids that __init__ has to mask to 64 bits, and small ones
+_KEY = st.one_of(st.integers(-2**70, 2**70), st.integers(-8, 8),
+                 st.integers(2**64 - 4, 2**64 + 4))
+# 0-5 straddle the 4-word Philox output buffer; 1010 is a bootstrap row
+_SIZE = st.one_of(st.integers(0, 5), st.just(1010))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_KEY, stream_id=_KEY,
+       calls=st.lists(st.tuples(_KEY, _SIZE), min_size=1, max_size=6))
+def test_substream_uniform_matches_substream(seed, stream_id, calls):
+    stream = RandomStream(seed, stream_id)
+    for sid, size in calls:
+        want = RandomStream(seed, stream_id).substream(sid).uniform(size=size)
+        got = stream.substream_uniform(sid, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_KEY, sids=st.lists(_KEY, min_size=1, max_size=4), size=_SIZE)
+def test_substream_uniform_leaves_the_parent_stream_alone(seed, sids, size):
+    plain, mixed = RandomStream(seed), RandomStream(seed)
+    want = [plain.uniform(size=3), plain.standard_normal(size=5),
+            plain.uniform(size=7)]
+    got = [mixed.uniform(size=3)]
+    for sid in sids:
+        mixed.substream_uniform(sid, size)
+    got.append(mixed.standard_normal(size=5))
+    mixed.substream_uniform(sids[0], size)
+    got.append(mixed.uniform(size=7))
+    assert all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
