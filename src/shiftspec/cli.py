@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .aline import (AccuracyPair, check_clip_alpha, check_threshold,
-                    classify_split, correlation_epsilon, fit_probit_line,
-                    min_model_count, probit_points)
+from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, AccuracyPair,
+                    check_clip_alpha, check_threshold, classify_split,
+                    correlation_epsilon, fit_probit_line, min_model_count,
+                    probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import accuracy_under_shift, condition_report
 from .config import default_config, load_config
@@ -61,9 +62,7 @@ def cmd_simulate(args) -> int:
     spec = cfg.domain
     sweep = cfg.sweep
     if sweep.ood_mode == "interpolation":
-        if sweep.base_components:
-            components = sweep.components_or_default(spec.l)
-        elif isinstance(spec.shift, MixtureShift):
+        if isinstance(spec.shift, MixtureShift) and not sweep.base_components:
             # reweight the ID mixture's own components
             components = spec.shift.matrices(spec.l)
         else:
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--mode", choices=("loo", "pairwise"), default="loo")
     aud.add_argument("--ood-env", required=True)
     aud.add_argument("--id-env", default=None)
-    aud.add_argument("--threshold", type=float, default=0.3)
-    aud.add_argument("--clip-alpha", type=float, default=1e-4)
+    aud.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    aud.add_argument("--clip-alpha", type=float, default=DEFAULT_CLIP_ALPHA)
     aud.add_argument("--out", default="out_audit")
     aud.set_defaults(func=cmd_audit)
 
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--confidence", type=float, default=0.95)
     mc.add_argument("--start", type=int, default=10)
     mc.add_argument("--step", type=int, default=100)
-    mc.add_argument("--clip-alpha", type=float, default=1e-4)
+    mc.add_argument("--clip-alpha", type=float, default=DEFAULT_CLIP_ALPHA)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--out", default="out_mincount")
     mc.set_defaults(func=cmd_mincount)
@@ -333,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--label-noise", type=float, default=0.25)
     cm.add_argument("--n-train", type=int, default=4000)
     cm.add_argument("--seeds-per-sigma", type=int, default=2)
-    cm.add_argument("--threshold", type=float, default=0.3)
-    cm.add_argument("--clip-alpha", type=float, default=1e-4)
+    cm.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    cm.add_argument("--clip-alpha", type=float, default=DEFAULT_CLIP_ALPHA)
     cm.add_argument("--seed", type=int, default=0)
     cm.add_argument("--out", default="out_cmnist")
     cm.set_defaults(func=cmd_cmnist)

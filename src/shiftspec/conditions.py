@@ -3,7 +3,9 @@
 Three layers live here: scalar condition checks (reversal margin, SNR
 comparison), the concentration-bound evaluators, and the zero-measure
 experiment that measures how often a random shift is simultaneously
-well-specified and on the accuracy line.
+well-specified and on the accuracy line. Every evaluator takes the
+theorem constants kappa (_id_kappa) and M, Sigma_phi, L_phi
+(_shift_constants) from the (spec, shift) it is given.
 """
 
 from __future__ import annotations
@@ -127,27 +129,37 @@ def shift_moments(shift: ShiftSpec, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarr
     return m_mean, sigma_phi
 
 
-def condition_report(classifier: LinearClassifier, spec: DomainSpec,
-                     shift: ShiftSpec | np.ndarray, delta: float) -> ConditionReport:
-    """Evaluate both shift conditions for a full classifier under a shift.
+def _id_kappa(spec: DomainSpec) -> float:
+    """kappa of the ID spurious block: gaussian_kappa(sigma_e), or
+    kappa_of_mixture over the shifted components under a mixture ID shift."""
+    if isinstance(spec.shift, MixtureShift):
+        return kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
+                                 for w, m in spec.shift.components])
+    return gaussian_kappa(spec.sigma_e)
 
-    A bare l x l matrix is taken as a LinearShift. The shift enters through
-    its mean matrix and covariance (shift_moments) and the largest operator
-    norm of its components (L_phi); kappa is the ID spurious block's
-    sub-Gaussian parameter, with kappa_of_mixture for a mixture ID shift.
-    """
+
+def _shift_constants(spec: DomainSpec, shift: ShiftSpec | np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """M and Sigma_phi (shift_moments) and L_phi, the largest component
+    operator norm, of a shift; a bare l x l matrix is a LinearShift."""
     if not isinstance(shift, ShiftSpec):
         shift = LinearShift(shift)
     m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
     l_phi = max(lipschitz_of_linear(m) for m in shift.matrices(spec.l))
-    if isinstance(spec.shift, MixtureShift):
-        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ spec.sigma_e @ m.T)
-                                  for w, m in spec.shift.components])
-    else:
-        kappa = gaussian_kappa(spec.sigma_e)
+    return m_mean, sigma_phi, l_phi
+
+
+def condition_report(classifier: LinearClassifier, spec: DomainSpec,
+                     shift: ShiftSpec | np.ndarray, delta: float) -> ConditionReport:
+    """Evaluate both shift conditions for a full classifier under a shift.
+
+    A bare l x l matrix is taken as a LinearShift; kappa comes from
+    _id_kappa and M, Sigma_phi, L_phi from _shift_constants.
+    """
+    m_mean, sigma_phi, l_phi = _shift_constants(spec, shift)
     m_mu_e = m_mean @ spec.mu_e
     reversal = float(np.asarray(classifier.w_e) @ m_mu_e)
-    margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, kappa, delta)
+    margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, _id_kappa(spec), delta)
     t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
                           classifier.w_e, m_mu_e, sigma_phi)
     return ConditionReport(reversal_term=reversal,
@@ -158,34 +170,27 @@ def condition_report(classifier: LinearClassifier, spec: DomainSpec,
                            theorem2_well_specified=t2.well_specified)
 
 
-def aotl_bound(params: BoundParams, w_e, m=None, mu_e=None, sigma_e=None) -> float:
+def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
+               shift: ShiftSpec | np.ndarray) -> float:
     """Accuracy-on-the-line deviation bound.
 
     Evaluates L B (||w_e|| eps1 + C sqrt(log 1/delta) + sqrt(eps2)) + zeta
     with C = c kappa max(||w_e||, L_phi ||w_e||) and L the Lipschitz constant
-    of the probit on the clipped accuracy interval. eps1/eps2 and L_phi are
-    computed from (m, mu_e, sigma_e) when those are supplied, otherwise the
-    values in params are used.
+    of the probit on the clipped accuracy interval. kappa, L_phi, M and
+    Sigma_phi come from (spec, shift) as in condition_report, with
+    eps1 = ||M mu_e - mu_e|| and eps2 = |w_e' (Sigma_phi - sigma_e) w_e|.
     """
     problems = params.validate()
     if problems:
         raise ValueError("invalid params: " + "; ".join(problems))
     w_e = np.asarray(w_e, dtype=np.float64)
     w_norm = float(np.linalg.norm(w_e))
-
-    eps1, eps2, l_phi = params.eps1, params.eps2, params.l_phi
-    if m is not None and mu_e is not None:
-        mu_e = np.asarray(mu_e, dtype=np.float64)
-        m = np.asarray(m, dtype=np.float64)
-        eps1 = float(np.linalg.norm(m @ mu_e - mu_e))
-        l_phi = lipschitz_of_linear(m)
-        if sigma_e is not None:
-            sigma_e = np.asarray(sigma_e, dtype=np.float64)
-            sigma_phi = m @ sigma_e @ m.T
-            eps2 = abs(float(w_e @ sigma_phi @ w_e) - float(w_e @ sigma_e @ w_e))
+    m_mean, sigma_phi, l_phi = _shift_constants(spec, shift)
+    eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
+    eps2 = abs(float(w_e @ sigma_phi @ w_e) - float(w_e @ spec.sigma_e @ w_e))
 
     lip = probit_lipschitz(params.clip_alpha)
-    c_const = params.lemma_c * params.kappa * max(w_norm, l_phi * w_norm)
+    c_const = params.lemma_c * _id_kappa(spec) * max(w_norm, l_phi * w_norm)
     zeta = abs(1.0 - params.slope_a) * float(normal_quantile(1.0 - params.clip_alpha))
     core = (w_norm * eps1
             + c_const * math.sqrt(math.log(1.0 / params.delta))
@@ -211,10 +216,12 @@ class TradeoffBound:
     reversal_condition_positive: bool
 
 
-def tradeoff_lower_bound(params: BoundParams, w_e, mu_e, m) -> TradeoffBound:
+def tradeoff_lower_bound(params: BoundParams, w_e, spec: DomainSpec,
+                         shift: ShiftSpec | np.ndarray) -> TradeoffBound:
     """Evaluate C ||w_e|| sqrt(log 1/delta) ||M mu_e - mu_e|| - zeta.
 
-    The folded constant C is params.lemma_c. Also reports the auxiliary
+    The folded constant C is params.lemma_c; M is the shift's mean matrix,
+    as in condition_report. Also reports the auxiliary
     lower bound (gamma + w_e.mu_e)/||w_e|| on the mean shift and whether
     gamma + w_e.mu_e is strictly positive.
     """
@@ -222,14 +229,13 @@ def tradeoff_lower_bound(params: BoundParams, w_e, mu_e, m) -> TradeoffBound:
     if problems:
         raise ValueError("invalid params: " + "; ".join(problems))
     w_e = np.asarray(w_e, dtype=np.float64)
-    mu_e = np.asarray(mu_e, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
+    m_mean, _, _ = _shift_constants(spec, shift)
     w_norm = float(np.linalg.norm(w_e))
-    mean_shift = float(np.linalg.norm(m @ mu_e - mu_e))
+    mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
     zeta = abs(1.0 - params.slope_a) * float(normal_quantile(1.0 - params.clip_alpha))
     bound = (params.lemma_c * w_norm * math.sqrt(math.log(1.0 / params.delta))
              * mean_shift - zeta)
-    margin_sum = params.gamma + float(w_e @ mu_e)
+    margin_sum = params.gamma + float(w_e @ spec.mu_e)
     lower = margin_sum / w_norm if w_norm > 0.0 else 0.0
     return TradeoffBound(bound=bound, mean_shift=mean_shift,
                          mean_shift_lower=lower,
@@ -353,6 +359,8 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     on the probit scale; the max probit residual over the sweep is the
     smallest eps the shift supports. Fractions are nondecreasing in eps by
     construction because every trial shares one (margin, residual) pair.
+    Each margin equals condition_report's for the reference fit and that
+    trial's shift.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
@@ -363,7 +371,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
                               n_seeds=n_seeds)
     reference = fit_logistic(sample_domain(spec, n_per_domain, seed ^ 0x5EED),
                              Mask.FULL, 1e-3)
-    kappa = gaussian_kappa(spec.sigma_e)
+    kappa = _id_kappa(spec)
 
     acc_id = accuracy_under_shift(models, spec)
     if float(np.ptp(acc_id)) < 1e-12:

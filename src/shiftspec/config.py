@@ -228,6 +228,8 @@ def _parse_config(text: str) -> RunConfig:
         raise InputError("n_per_domain must be at least 1")
     if any(m.shape != (spec.l, spec.l) for m in base):
         raise InputError(f"base_components must be {spec.l}x{spec.l} matrices")
+    if not all(np.all(np.isfinite(m)) for m in base):
+        raise InputError("base_components must be finite")
     return RunConfig(domain=spec, delta=delta, optimizer=optimizer, sweep=sweep)
 
 

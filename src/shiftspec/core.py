@@ -161,6 +161,10 @@ def validate_spec(spec: DomainSpec) -> list[str]:
     problems: list[str] = []
     if spec.k < 1 or spec.l < 1:
         problems.append("dimensions k and l must be at least 1")
+    arrays = (spec.mu_c, spec.sigma_c, spec.mu_e, spec.sigma_e,
+              *spec.shift.matrices(spec.l), spec.shift.weights())
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        problems.append("every mean, covariance and shift entry must be finite")
     if spec.mu_c.shape != (spec.k,):
         problems.append(f"mu_c must have length k={spec.k}")
     if spec.mu_e.shape != (spec.l,):
@@ -259,25 +263,17 @@ class LinearClassifier:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Constants feeding the theorem-condition and bound evaluators."""
+    """Bound-evaluator constants that a (spec, shift) does not fix."""
 
-    kappa: float = 1.0
-    l_phi: float = 1.0
     delta: float = 0.1
     tsybakov_b: float = 1.0
     lemma_c: float = 1.0
     slope_a: float = 1.0
     clip_alpha: float = 0.1
-    eps1: float = 0.0
-    eps2: float = 0.0
     gamma: float = 0.1
 
     def validate(self) -> list[str]:
         problems = []
-        if self.kappa < 0:
-            problems.append("kappa must be >= 0")
-        if self.l_phi < 0:
-            problems.append("l_phi must be >= 0")
         if not 0.0 < self.delta < 1.0:
             problems.append("delta must lie in (0, 1)")
         if self.tsybakov_b <= 0:
@@ -286,8 +282,6 @@ class BoundParams:
             problems.append("lemma_c must be > 0")
         if not 0.0 < self.clip_alpha < 0.5:
             problems.append("clip_alpha must lie in (0, 0.5)")
-        if self.eps1 < 0 or self.eps2 < 0:
-            problems.append("eps1 and eps2 must be >= 0")
         if self.gamma <= 0:
             problems.append("gamma must be > 0")
         return problems

@@ -28,7 +28,6 @@ class OptimizerSettings:
     tol: float = 1e-8
     max_iters: int = 10_000
     bias: bool = False
-    init: np.ndarray | None = None
     # Multiplies l2 on the spurious block only; used by classifier sweeps to
     # move the optimum along the spurious-reliance path. 1.0 is the plain
     # objective above.
@@ -84,10 +83,7 @@ def fit_logistic(data: Dataset, mask: Mask, l2: float,
     if opts.bias:
         penalty[-1] = 0.0  # intercept is conventionally unpenalized
 
-    w = np.zeros(x.shape[1]) if opts.init is None else np.array(opts.init, dtype=np.float64)
-    if w.shape != (x.shape[1],):
-        raise ValueError("init has the wrong dimension")
-
+    w = np.zeros(x.shape[1])
     obj, grad = _objective_and_grad(w, x, y, penalty)
     steps = 0
     while True:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from shiftspec.cli import main
 from shiftspec.config import default_config, dumps_config
-from shiftspec.core import LinearShift, default_spec
+from shiftspec.core import LinearShift, MixtureShift, default_spec
 from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
 from shiftspec.report import load_schema, validate_schema
 
@@ -100,6 +101,27 @@ class TestSimulate:
         assert payload["ood_mode"] == "interpolation"
         assert payload["mean_abs_gap"] < 0.03
 
+    @pytest.mark.parametrize("id_shift, digest", [
+        (MixtureShift(((0.3, np.diag([1.5, 0.5])),
+                       (0.7, np.array([[-1.0, 0.4], [0.2, -2.0]])))),
+         "af7ddbe525f8d865ae4eb6ffc20cc0b35f9f610f59b020da8e543352408de117"),
+        (LinearShift(np.array([[1.0, 0.2], [0.0, -0.5]])),
+         "3a10dcbf05bfc74ab09600c0c70d8122d653213aebafab6a30fc1a6c0683a553"),
+    ], ids=["mixture_id", "linear_id"])
+    def test_interpolation_csv_bytes_pinned(self, id_shift, digest, tmp_path):
+        # the ID mixture's own components, or the default ones for a linear ID
+        cfg = default_config()
+        cfg = replace(cfg, domain=cfg.domain.with_shift(id_shift),
+                      sweep=replace(cfg.sweep, ood_mode="interpolation",
+                                    n_shifts=12, n_per_domain=300))
+        path = tmp_path / "interp.ini"
+        path.write_text(dumps_config(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--seed", "5",
+                     "--out", str(out)]) == 0
+        csv = (out / "simulate.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digest
+
     @pytest.mark.parametrize("text", [
         "k = 2\n",
         "[domain]\nk = 2\nk = 3\n",
@@ -124,11 +146,24 @@ class TestSimulate:
         dumps_config(default_config()).replace(
             "ood_mode = random", "ood_mode = interpolation\n"
             "base_components = 1.5, 0.0; 0.0, 1.5"),
+        dumps_config(default_config()).replace(
+            "variant = identity", "variant = mixture\n"
+            "components = nan : 1,0;0,1 | 1.0 : -1,0;0,-1"),
+        dumps_config(default_config()).replace("mu_e = 1.0, 1.0",
+                                               "mu_e = inf, 1.0"),
+        dumps_config(default_config()).replace("mu_c = 1.0, 1.0",
+                                               "mu_c = nan, 1.0"),
+        dumps_config(default_config()).replace(
+            "variant = identity", "variant = linear\nmatrix = 1, 0; nan, 1"),
+        dumps_config(default_config()).replace(
+            "ood_mode = random", "ood_mode = interpolation\n"
+            "base_components = 1,0;0,1 | nan,0;0,1"),
     ], ids=["no_section_header", "duplicate_key", "zero_shifts",
             "zero_per_domain", "unknown_key", "unknown_section",
             "negative_tol", "negative_l2", "zero_max_iters", "mu_c_length",
             "label_prior", "delta", "negative_shift_scale", "deleted_key",
-            "one_interpolation_component"])
+            "one_interpolation_component", "nan_mixture_weight", "inf_mu_e",
+            "nan_mu_c", "nan_linear_matrix", "nan_base_component"])
     def test_bad_config_is_one_line_input_error(self, text, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(text, encoding="utf-8")

@@ -20,6 +20,10 @@ from shiftspec.synthgen import (interpolation_mixture, random_shift,
 from shiftspec.trainer import fit_logistic
 
 LOG10 = math.log(10.0)
+BASES = [np.diag([1.5, 1.5]), np.diag([-1.5, -1.5]),
+         np.array([[0.5, -1.0], [2.0, 0.3]])]
+MIXTURE_ID = MixtureShift(((0.3, np.diag([1.5, 0.5])),
+                           (0.7, np.array([[-1.0, 0.4], [0.2, -2.0]]))))
 
 
 class TestTheorem1Margin:
@@ -113,7 +117,7 @@ class TestKappa:
 class TestAotlBound:
     def test_slope_one_kills_zeta(self):
         params = BoundParams(slope_a=1.0, clip_alpha=0.1, delta=0.1)
-        bound_a1 = aotl_bound(params, np.ones(2))
+        bound_a1 = aotl_bound(params, np.ones(2), default_spec(), np.eye(2))
         # zeta would add |1-a| * probit(0.9); with a=1 the bound is the core
         lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
         c_const = 1.0 * 1.0 * math.sqrt(2.0)
@@ -121,41 +125,64 @@ class TestAotlBound:
         assert bound_a1 == pytest.approx(expected, rel=1e-9)
 
     def test_identity_shift_drops_eps_terms(self):
-        params = BoundParams(slope_a=1.0, clip_alpha=0.1, delta=0.1,
-                             eps1=99.0, eps2=99.0)
+        params = BoundParams(slope_a=1.0, clip_alpha=0.1, delta=0.1)
         w_e = np.array([1.0, 0.0])
-        bound = aotl_bound(params, w_e, m=np.eye(2), mu_e=np.ones(2),
-                           sigma_e=np.eye(2))
+        bound = aotl_bound(params, w_e, default_spec(), IdentityShift())
         lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
         assert bound == pytest.approx(lip * math.sqrt(LOG10), rel=1e-9)
 
     def test_worked_example(self):
-        params = BoundParams(kappa=1.0, l_phi=1.0, delta=0.1, tsybakov_b=1.0,
-                             lemma_c=1.0, slope_a=1.0, clip_alpha=0.1,
-                             eps1=0.0, eps2=0.0)
-        bound = aotl_bound(params, np.array([1.0]))
+        params = BoundParams(delta=0.1, tsybakov_b=1.0, lemma_c=1.0,
+                             slope_a=1.0, clip_alpha=0.1)
+        bound = aotl_bound(params, np.array([1.0]), default_spec(k=1, l=1),
+                           np.eye(1))
         lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
         assert lip == pytest.approx(5.69797, abs=1e-4)
         assert bound == pytest.approx(8.646, abs=1e-3)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            aotl_bound(BoundParams(clip_alpha=0.9), np.ones(1))
+            aotl_bound(BoundParams(clip_alpha=0.9), np.ones(1),
+                       default_spec(k=1, l=1), np.eye(1))
+
+    def test_mixture_shift_matches_hand_computation(self):
+        spec = default_spec().with_shift(MIXTURE_ID)
+        shift = interpolation_mixture(BASES, seed=3)
+        params = BoundParams(delta=0.2, tsybakov_b=1.5, lemma_c=0.7,
+                             slope_a=0.8, clip_alpha=0.05)
+        w_e = np.array([0.6, -1.3])
+        m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
+        eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
+        eps2 = abs(float(w_e @ (sigma_phi - spec.sigma_e) @ w_e))
+        l_phi = max(float(np.linalg.svd(m, compute_uv=False)[0])
+                    for _, m in shift.components)
+        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ m.T)
+                                  for w, m in MIXTURE_ID.components])
+        w_norm = float(np.linalg.norm(w_e))
+        lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.95))
+        core = (w_norm * eps1
+                + 0.7 * kappa * max(1.0, l_phi) * w_norm
+                * math.sqrt(math.log(5.0))
+                + math.sqrt(eps2))
+        expected = lip * 1.5 * core + 0.2 * stats.norm.ppf(0.95)
+        assert eps1 > 0.0 and eps2 > 0.0
+        assert aotl_bound(params, w_e, spec, shift) == \
+            pytest.approx(expected, rel=1e-9)
 
 
 class TestTradeoffLowerBound:
     def test_no_shift_is_vacuous(self):
         params = BoundParams(slope_a=0.5, clip_alpha=0.1)
-        res = tradeoff_lower_bound(params, np.ones(2), np.ones(2), np.eye(2))
+        res = tradeoff_lower_bound(params, np.ones(2), default_spec(),
+                                   np.eye(2))
         assert res.mean_shift == 0.0
         assert res.bound <= 0.0
 
     def test_reversal_gives_positive_bound(self):
         params = BoundParams(slope_a=1.0, delta=0.1, gamma=0.5)
         w_e = np.array([1.0, 1.0])
-        mu_e = np.array([1.0, 1.0])
         m = reflection_shift(w_e, alpha=1.0)
-        res = tradeoff_lower_bound(params, w_e, mu_e, m)
+        res = tradeoff_lower_bound(params, w_e, default_spec(), m)
         assert res.bound > 0.0
         assert res.reversal_condition_positive
         assert res.mean_shift >= res.mean_shift_lower - 1e-12
@@ -163,12 +190,24 @@ class TestTradeoffLowerBound:
     def test_worked_example(self):
         params = BoundParams(lemma_c=1.0, delta=0.1, slope_a=1.0)
         w_e = np.array([1.0, 1.0])
-        mu_e = np.array([1.0, 1.0])
-        m = -np.eye(2)
-        res = tradeoff_lower_bound(params, w_e, mu_e, m)
+        res = tradeoff_lower_bound(params, w_e, default_spec(), -np.eye(2))
         assert res.mean_shift == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert res.bound == pytest.approx(4.0 * math.sqrt(LOG10), abs=1e-9)
         assert res.bound == pytest.approx(6.0697, abs=1e-3)
+
+    def test_mixture_mean_shift_matches_hand_computation(self):
+        spec = default_spec()
+        shift = interpolation_mixture(BASES, seed=8)
+        params = BoundParams(lemma_c=1.3, delta=0.25, slope_a=0.9,
+                             clip_alpha=0.05)
+        w_e = np.array([1.0, 0.5])
+        m_mean = sum(w * m for w, m in shift.components)
+        mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
+        res = tradeoff_lower_bound(params, w_e, spec, shift)
+        assert res.mean_shift == pytest.approx(mean_shift, rel=1e-12)
+        assert res.bound == pytest.approx(
+            1.3 * float(np.linalg.norm(w_e)) * math.sqrt(math.log(4.0))
+            * mean_shift - 0.1 * stats.norm.ppf(0.95), rel=1e-9)
 
 
 class TestReflectionThreshold:
@@ -298,11 +337,6 @@ class TestConditionReportConstants:
     """condition_report derives M, Sigma_phi, L_phi and kappa from the specs
     exactly as simulate did when it passed them in."""
 
-    BASES = [np.diag([1.5, 1.5]), np.diag([-1.5, -1.5]),
-             np.array([[0.5, -1.0], [2.0, 0.3]])]
-    MIXTURE_ID = MixtureShift(((0.3, np.diag([1.5, 0.5])),
-                               (0.7, np.array([[-1.0, 0.4], [0.2, -2.0]]))))
-
     def _fit(self, spec, seed):
         return fit_logistic(sample_domain(spec, 500, seed=seed), Mask.FULL, 1e-3)
 
@@ -323,19 +357,19 @@ class TestConditionReportConstants:
         spec = default_spec().with_shift(id_shift)
         full = self._fit(spec, 4)
         for s in range(20):
-            shift = interpolation_mixture(self.BASES, seed=70 + s)
+            shift = interpolation_mixture(BASES, seed=70 + s)
             assert condition_report(full, spec, shift, 0.5) == \
                 _reference_report(full, spec, shift, 0.5)
 
     def test_mixture_id_kappa_enters_the_margin(self):
         spec = default_spec()
-        mixed = spec.with_shift(self.MIXTURE_ID)
+        mixed = spec.with_shift(MIXTURE_ID)
         full = self._fit(spec, 5)
         m = -np.eye(2)
         plain = condition_report(full, spec, m, 0.5)
         wider = condition_report(full, mixed, m, 0.5)
         assert kappa_of_mixture([(w, c @ spec.mu_e, c @ c.T)
-                                 for w, c in self.MIXTURE_ID.components]) > 1.0
+                                 for w, c in MIXTURE_ID.components]) > 1.0
         assert wider.theorem1_margin > plain.theorem1_margin
         assert wider.reversal_term == plain.reversal_term
 
@@ -355,6 +389,19 @@ class TestZeroMeasure:
         fracs = res.fractions
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
         assert fracs[0] <= 1.0 / res.trials
+
+    def test_mixture_id_margins_match_condition_report(self):
+        spec = default_spec().with_shift(MIXTURE_ID)
+        res = zero_measure_experiment(spec, [0.0, 1.0], trials=100,
+                                      n_per_domain=300, seed=3, delta=0.5,
+                                      reliance_grid=(1e-3, 1.0, 1e3), n_seeds=1)
+        reference = fit_logistic(sample_domain(spec, 300, 3 ^ 0x5EED),
+                                 Mask.FULL, 1e-3)
+        expected = [condition_report(reference, spec,
+                                     random_shift(2, 2.0, 3 * 7_919 + t),
+                                     0.5).theorem1_margin
+                    for t in range(100)]
+        assert list(res.margins) == expected
 
     def test_csv_export(self):
         res = zero_measure_experiment(default_spec(), [0.0, 1.0], trials=100,

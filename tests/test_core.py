@@ -75,7 +75,7 @@ class TestBoundParams:
 
     def test_each_range(self):
         assert BoundParams(delta=1.5).validate()
-        assert BoundParams(kappa=-1).validate()
+        assert BoundParams(lemma_c=0.0).validate()
         assert BoundParams(clip_alpha=0.5).validate()
         assert BoundParams(gamma=0.0).validate()
         assert BoundParams(tsybakov_b=0.0).validate()

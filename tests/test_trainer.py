@@ -42,13 +42,6 @@ class TestFitLogistic:
         assert model.trained_on is Mask.DOMAIN_GENERAL
         assert np.all(model.w_e == 0.0)
 
-    def test_unique_optimum_across_inits(self):
-        data = sample_domain(default_spec(), 2000, seed=3)
-        a = fit_logistic(data, Mask.FULL, l2=1e-2)
-        b = fit_logistic(data, Mask.FULL, l2=1e-2,
-                         opts=OptimizerSettings(init=np.full(4, 5.0)))
-        assert float(np.linalg.norm(a.w - b.w)) < 1e-6
-
     def test_gradient_matches_finite_differences(self):
         from shiftspec.trainer import _objective_and_grad
         rng = np.random.default_rng(4)
