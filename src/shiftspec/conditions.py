@@ -5,7 +5,13 @@ comparison), the concentration-bound evaluators, and the zero-measure
 experiment that measures how often a random shift is simultaneously
 well-specified and on the accuracy line. Every evaluator takes the
 theorem constants kappa (_id_kappa) and M, Sigma_phi, L_phi
-(_shift_constants) from the (spec, shift) it is given.
+(_shift_constants) from the (spec, shift) it is given; eps1, eps2 and
+mean_shift measure the OOD moments against the ID environment's,
+shift_moments(spec.shift, mu_e, sigma_e).
+
+Every exact accuracy comes from one kernel, _accuracy_kernel, which takes
+stacked rules and a (C, l, l) stack of shift matrices: a mixture passes its
+components, and the zero-measure experiment passes all of its trials.
 """
 
 from __future__ import annotations
@@ -177,8 +183,9 @@ def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
     Evaluates L B (||w_e|| eps1 + C sqrt(log 1/delta) + sqrt(eps2)) + zeta
     with C = c kappa max(||w_e||, L_phi ||w_e||) and L the Lipschitz constant
     of the probit on the clipped accuracy interval. kappa, L_phi, M and
-    Sigma_phi come from (spec, shift) as in condition_report, with
-    eps1 = ||M mu_e - mu_e|| and eps2 = |w_e' (Sigma_phi - sigma_e) w_e|.
+    Sigma_phi come from (spec, shift) as in condition_report. eps1 and eps2
+    are taken against the ID moments M_id, Sigma_id of spec.shift:
+    eps1 = ||M mu_e - M_id mu_e|| and eps2 = |w_e' (Sigma_phi - Sigma_id) w_e|.
     """
     problems = params.validate()
     if problems:
@@ -186,8 +193,9 @@ def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
     w_e = np.asarray(w_e, dtype=np.float64)
     w_norm = float(np.linalg.norm(w_e))
     m_mean, sigma_phi, l_phi = _shift_constants(spec, shift)
-    eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
-    eps2 = abs(float(w_e @ sigma_phi @ w_e) - float(w_e @ spec.sigma_e @ w_e))
+    m_id, sigma_id = shift_moments(spec.shift, spec.mu_e, spec.sigma_e)
+    eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
+    eps2 = abs(float(w_e @ sigma_phi @ w_e) - float(w_e @ sigma_id @ w_e))
 
     lip = probit_lipschitz(params.clip_alpha)
     c_const = params.lemma_c * _id_kappa(spec) * max(w_norm, l_phi * w_norm)
@@ -218,10 +226,11 @@ class TradeoffBound:
 
 def tradeoff_lower_bound(params: BoundParams, w_e, spec: DomainSpec,
                          shift: ShiftSpec | np.ndarray) -> TradeoffBound:
-    """Evaluate C ||w_e|| sqrt(log 1/delta) ||M mu_e - mu_e|| - zeta.
+    """Evaluate C ||w_e|| sqrt(log 1/delta) ||M mu_e - M_id mu_e|| - zeta.
 
     The folded constant C is params.lemma_c; M is the shift's mean matrix,
-    as in condition_report. Also reports the auxiliary
+    as in condition_report, and M_id that of spec.shift, the ID
+    environment. Also reports the auxiliary
     lower bound (gamma + w_e.mu_e)/||w_e|| on the mean shift and whether
     gamma + w_e.mu_e is strictly positive.
     """
@@ -230,8 +239,9 @@ def tradeoff_lower_bound(params: BoundParams, w_e, spec: DomainSpec,
         raise ValueError("invalid params: " + "; ".join(problems))
     w_e = np.asarray(w_e, dtype=np.float64)
     m_mean, _, _ = _shift_constants(spec, shift)
+    m_id, _ = shift_moments(spec.shift, spec.mu_e, spec.sigma_e)
     w_norm = float(np.linalg.norm(w_e))
-    mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
+    mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
     zeta = abs(1.0 - params.slope_a) * float(normal_quantile(1.0 - params.clip_alpha))
     bound = (params.lemma_c * w_norm * math.sqrt(math.log(1.0 / params.delta))
              * mean_shift - zeta)
@@ -253,6 +263,40 @@ def reflection_alpha_threshold(w_e, mu_e, sigma_e, delta: float) -> float:
     return math.sqrt(2.0 * var * math.log(1.0 / delta)) / signal
 
 
+def _stacked_weights(models: Sequence[LinearClassifier], spec: DomainSpec
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, k) w_c, (n, l) w_e and (n,) bias stacked from n classifiers."""
+    n = len(models)
+    w_c = np.array([mdl.w_c for mdl in models], dtype=np.float64).reshape(n, spec.k)
+    w_e = np.array([mdl.w_e for mdl in models], dtype=np.float64).reshape(n, spec.l)
+    bias = np.array([mdl.bias for mdl in models], dtype=np.float64)
+    return w_c, w_e, bias
+
+
+def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
+                     spec: DomainSpec, mats: np.ndarray) -> np.ndarray:
+    """(C, n) exact accuracies of n stacked rules under each of C matrices.
+
+    Row t is the closed form for the linear shift mats[t]. The stacked
+    matmul and einsum forms below round exactly as one matrix at a time
+    does; other spellings (``m_mu @ w_e.T``, ``(w_e @ cov * w_e).sum(-1)``)
+    move the last bits.
+    """
+    prior = float(spec.label_prior)
+    signal_c = w_c @ spec.mu_c
+    var_c = np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
+    signal = signal_c + (w_e @ (mats @ spec.mu_e)[..., None])[..., 0]
+    cov = mats @ spec.sigma_e @ np.swapaxes(mats, -1, -2)
+    var = var_c + np.einsum("ij,tjk,ik->ti", w_e, cov, w_e)
+    if np.any(var <= 0.0):
+        raise ValueError("degenerate projection: zero score variance")
+    sd = np.sqrt(var)
+    # a bias breaks the ±mu symmetry: weight the two class-conditional
+    # correct-side probabilities by the label prior
+    cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
+    return prior * cdf[0] + (1.0 - prior) * cdf[1]
+
+
 def accuracy_under_shift(
         classifier_or_classifiers: LinearClassifier | Sequence[LinearClassifier],
         spec: DomainSpec, shift: ShiftSpec | None = None) -> float | np.ndarray:
@@ -261,31 +305,20 @@ def accuracy_under_shift(
     Takes one classifier (returns a float) or a sequence of them (returns
     an array, one accuracy per classifier). The two classes are weighted
     by the spec's label_prior: pi P(correct | y = +1) + (1 - pi)
-    P(correct | y = -1). Mixtures decompose into their Gaussian components,
-    so the result is the weight-averaged closed form per component.
+    P(correct | y = -1). Mixtures decompose into their Gaussian components:
+    one _accuracy_kernel call gives every component's closed form, and the
+    result is their weighted sum, accumulated in component order.
     """
     shift = spec.shift if shift is None else shift
     single = isinstance(classifier_or_classifiers, LinearClassifier)
     models = ([classifier_or_classifiers] if single
               else list(classifier_or_classifiers))
-    n = len(models)
-    w_c = np.array([mdl.w_c for mdl in models], dtype=np.float64).reshape(n, spec.k)
-    w_e = np.array([mdl.w_e for mdl in models], dtype=np.float64).reshape(n, spec.l)
-    bias = np.array([mdl.bias for mdl in models], dtype=np.float64)
-    prior = float(spec.label_prior)
-    signal_c = w_c @ spec.mu_c
-    var_c = np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
-    total = np.zeros(n)
-    for weight, m in zip(shift.weights(), shift.matrices(spec.l)):
-        signal = signal_c + w_e @ (m @ spec.mu_e)
-        var = var_c + np.einsum("ij,jk,ik->i", w_e, m @ spec.sigma_e @ m.T, w_e)
-        if np.any(var <= 0.0):
-            raise ValueError("degenerate projection: zero score variance")
-        sd = np.sqrt(var)
-        # a bias breaks the ±mu symmetry: weight the two class-conditional
-        # correct-side probabilities by the label prior
-        cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
-        total += float(weight) * (prior * cdf[0] + (1.0 - prior) * cdf[1])
+    w_c, w_e, bias = _stacked_weights(models, spec)
+    rows = _accuracy_kernel(w_c, w_e, bias, spec,
+                            np.stack(shift.matrices(spec.l)))
+    total = np.zeros(len(models))
+    for weight, row in zip(shift.weights(), rows):
+        total += float(weight) * row
     return float(total[0]) if single else total
 
 
@@ -361,11 +394,21 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     construction because every trial shares one (margin, residual) pair.
     Each margin equals condition_report's for the reference fit and that
     trial's shift.
+
+    All trials run in one pass: the random_shift draws (one seed per trial,
+    seed * 7919 + t) are stacked, one _accuracy_kernel call and one
+    normal_quantile call cover the (trial x model) grid, and one batched
+    SVD gives every trial's L_phi. The per-trial dot products of the margin
+    and the slope stay scalar, since batched BLAS rounds them differently.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    if any(e < 0 for e in eps_grid):
-        raise ValueError("eps grid must be nonnegative")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < shift_scale < math.inf:
+        raise ValueError("shift_scale must be positive and finite")
+    if not all(0.0 <= e < math.inf for e in eps_grid):
+        raise ValueError("eps grid must be finite and nonnegative")
 
     models = classifier_sweep(spec, n_per_domain, seed, reliance_grid,
                               n_seeds=n_seeds)
@@ -382,16 +425,17 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     if sxx <= 0.0:
         raise ValueError("degenerate sweep: zero probit variance")
 
-    margins = np.empty(trials)
-    residuals = np.empty(trials)
-    for t in range(trials):
-        m = random_shift(spec.l, shift_scale, seed * 7_919 + t)
-        margins[t] = theorem1_margin(reference.w_e, m @ spec.mu_e,
-                                     lipschitz_of_linear(m), kappa, delta)
-        acc_ood = accuracy_under_shift(models, spec, LinearShift(m))
-        probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
-        slope = float(probit_ood @ probit_id) / sxx
-        residuals[t] = np.max(np.abs(probit_ood - slope * probit_id))
+    mats = np.stack([random_shift(spec.l, shift_scale, seed * 7_919 + t)
+                     for t in range(trials)])
+    m_mu_e = mats @ spec.mu_e
+    l_phi = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    margins = np.array([theorem1_margin(reference.w_e, m_mu_e[t], l_phi[t],
+                                        kappa, delta)
+                        for t in range(trials)])
+    acc_ood = _accuracy_kernel(*_stacked_weights(models, spec), spec, mats)
+    probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
+    slopes = np.array([float(row @ probit_id) / sxx for row in probit_ood])
+    residuals = np.max(np.abs(probit_ood - slopes[:, None] * probit_id), axis=1)
 
     fractions = []
     for eps in eps_grid:

@@ -8,6 +8,8 @@ from counter-based streams keyed by the caller's seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (Dataset, DomainSpec, InputError, MixtureShift,
@@ -57,8 +59,8 @@ def random_shift(l: int, scale: float, seed: int) -> np.ndarray:
     """l x l matrix with entries i.i.d. uniform on [-scale, scale]."""
     if l < 1:
         raise ValueError("dimension must be at least 1")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     stream = RandomStream(seed)
     return stream.uniform(-scale, scale, size=(l, l))
 

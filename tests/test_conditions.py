@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from shiftspec.analytic import gaussian_accuracy, normal_cdf
-from shiftspec.conditions import (ConditionReport, aotl_bound,
-                                  classifier_sweep, condition_report,
-                                  gaussian_kappa, kappa_of_mixture,
-                                  lipschitz_of_linear,
+from shiftspec import conditions
+from shiftspec.analytic import gaussian_accuracy, normal_cdf, normal_quantile
+from shiftspec.conditions import (DEFAULT_RELIANCE_GRID, ConditionReport,
+                                  _accuracy_kernel, _id_kappa,
+                                  _stacked_weights, accuracy_under_shift,
+                                  aotl_bound, classifier_sweep,
+                                  condition_report, gaussian_kappa,
+                                  kappa_of_mixture, lipschitz_of_linear,
+                                  probit_lipschitz,
                                   reflection_alpha_threshold, shift_moments,
                                   theorem1_margin, theorem2_compare,
                                   tradeoff_lower_bound,
                                   zero_measure_experiment)
-from shiftspec.core import (BoundParams, IdentityShift, LinearShift, Mask,
+from shiftspec.core import (BoundParams, DomainSpec, IdentityShift,
+                            LinearClassifier, LinearShift, Mask,
                             MixtureShift, default_spec)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 reflection_shift, sample_domain)
@@ -152,8 +158,9 @@ class TestAotlBound:
                              slope_a=0.8, clip_alpha=0.05)
         w_e = np.array([0.6, -1.3])
         m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
-        eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
-        eps2 = abs(float(w_e @ (sigma_phi - spec.sigma_e) @ w_e))
+        m_id, sigma_id = shift_moments(MIXTURE_ID, spec.mu_e, spec.sigma_e)
+        eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
+        eps2 = abs(float(w_e @ (sigma_phi - sigma_id) @ w_e))
         l_phi = max(float(np.linalg.svd(m, compute_uv=False)[0])
                     for _, m in shift.components)
         kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ m.T)
@@ -537,3 +544,199 @@ def test_stacked_accuracy_rejects_zero_variance():
     flat = LinearClassifier(w_c=np.zeros(2), w_e=np.zeros(2), trained_on=Mask.FULL)
     with pytest.raises(ValueError, match="zero score variance"):
         accuracy_under_shift([good, flat], default_spec())
+
+
+def _random_spec(rng, k, l, mixture_id=None):
+    """Random PSD spec with label_prior away from 1/2; the ID shift is a
+    random linear shift, a random mixture (mixture_id=True) or none."""
+    a = rng.standard_normal((k, k))
+    b = rng.standard_normal((l, l))
+    prior = float(rng.choice([rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]))
+    spec = DomainSpec(k=k, l=l, mu_c=rng.standard_normal(k),
+                      sigma_c=a @ a.T + 0.1 * np.eye(k),
+                      mu_e=rng.standard_normal(l),
+                      sigma_e=b @ b.T + 0.1 * np.eye(l), label_prior=prior)
+    if mixture_id is None:
+        return spec
+    if mixture_id:
+        weights = rng.dirichlet(np.ones(3))
+        return spec.with_shift(MixtureShift(tuple(
+            (float(w), rng.uniform(-2.0, 2.0, (l, l))) for w in weights)))
+    return spec.with_shift(LinearShift(rng.uniform(-2.0, 2.0, (l, l))))
+
+
+def _random_models(rng, spec, n):
+    signs = rng.choice([-1.0, 1.0], n)
+    return [LinearClassifier(w_c=rng.standard_normal(spec.k),
+                             w_e=rng.standard_normal(spec.l),
+                             trained_on=Mask.FULL,
+                             bias=float(s * rng.uniform(0.1, 2.0)))
+            for s in signs]
+
+
+def _per_shift_accuracy(models, spec, m):
+    """The closed form for one linear shift, one matrix at a time."""
+    w_c, w_e, bias = _stacked_weights(models, spec)
+    prior = spec.label_prior
+    signal = w_c @ spec.mu_c + w_e @ (m @ spec.mu_e)
+    sd = np.sqrt(np.einsum("ij,jk,ik->i", w_c, spec.sigma_c, w_c)
+                 + np.einsum("ij,jk,ik->i", w_e, m @ spec.sigma_e @ m.T, w_e))
+    cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
+    return prior * cdf[0] + (1.0 - prior) * cdf[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), l=st.integers(1, 5), n=st.integers(2, 30),
+       c=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_kernel_over_a_stack_equals_per_shift_calls(k, l, n, c, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, k, l)
+    models = _random_models(rng, spec, n)
+    mats = rng.uniform(-2.0, 2.0, (c, l, l))
+    stacked = _accuracy_kernel(*_stacked_weights(models, spec), spec, mats)
+    assert stacked.shape == (c, n)
+    for row, m in zip(stacked, mats):
+        assert np.array_equal(row, accuracy_under_shift(models, spec,
+                                                        LinearShift(m)))
+        assert np.array_equal(row, _per_shift_accuracy(models, spec, m))
+    # a mixture is the weighted sum of the per-shift rows, in component order
+    weights = rng.dirichlet(np.ones(c))
+    total = np.zeros(n)
+    for w, m in zip(weights, mats):
+        total += float(w) * _per_shift_accuracy(models, spec, m)
+    mixture = MixtureShift(tuple(zip(weights.tolist(), mats)))
+    assert np.array_equal(accuracy_under_shift(models, spec, mixture), total)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 3), l=st.integers(1, 5), c=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_for_one_classifier_is_within_an_ulp(k, l, c, seed):
+    # with one rule and l = 2 the stacked einsum sums the variance in
+    # another order and can move it by one ULP
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, k, l)
+    model = _random_models(rng, spec, 1)[0]
+    mats = rng.uniform(-2.0, 2.0, (c, l, l))
+    stacked = _accuracy_kernel(*_stacked_weights([model], spec), spec, mats)[:, 0]
+    single = np.array([accuracy_under_shift(model, spec, LinearShift(m))
+                       for m in mats])
+    assert np.max(np.abs(stacked - single)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), l=st.integers(1, 4), mixture_id=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_ood_shift_equal_to_id_shift_has_no_eps(k, l, mixture_id, seed):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, k, l, mixture_id)
+    w_e = rng.standard_normal(l)
+    params = BoundParams(delta=0.2, tsybakov_b=1.5, lemma_c=0.7,
+                         slope_a=0.8, clip_alpha=0.05)
+    assert tradeoff_lower_bound(params, w_e, spec, spec.shift).mean_shift == 0.0
+    # with eps1 = eps2 = 0 only the concentration term is left in the core
+    l_phi = max(lipschitz_of_linear(m) for m in spec.shift.matrices(l))
+    w_norm = float(np.linalg.norm(w_e))
+    core = 0.7 * _id_kappa(spec) * max(w_norm, l_phi * w_norm) \
+        * math.sqrt(math.log(5.0))
+    expected = (probit_lipschitz(0.05) * 1.5 * core
+                + 0.2 * float(normal_quantile(0.95)))
+    assert aotl_bound(params, w_e, spec, spec.shift) == \
+        pytest.approx(expected, rel=1e-12)
+
+
+def test_eps_measured_from_a_linear_id_shift():
+    m = np.array([[-1.0, 0.3], [0.2, -0.5]])
+    spec = default_spec().with_shift(LinearShift(m))
+    res = tradeoff_lower_bound(BoundParams(), np.array([1.0, 0.5]), spec, m)
+    assert res.mean_shift == 0.0
+    moved = tradeoff_lower_bound(BoundParams(), np.array([1.0, 0.5]), spec,
+                                 IdentityShift())
+    assert moved.mean_shift == pytest.approx(
+        float(np.linalg.norm(spec.mu_e - m @ spec.mu_e)), rel=1e-12)
+
+
+def _reference_zero_measure(spec, eps_grid, trials, n_per_domain, seed, delta):
+    """zero_measure_experiment as one loop over trials: per trial one
+    margin, one accuracy_under_shift call and one normal_quantile call."""
+    models = classifier_sweep(spec, n_per_domain, seed, DEFAULT_RELIANCE_GRID,
+                              n_seeds=2)
+    reference = fit_logistic(sample_domain(spec, n_per_domain, seed ^ 0x5EED),
+                             Mask.FULL, 1e-3)
+    kappa = _id_kappa(spec)
+    acc_id = accuracy_under_shift(models, spec)
+    probit_id = normal_quantile(np.clip(acc_id, 1e-12, 1.0 - 1e-12))
+    sxx = float(probit_id @ probit_id)
+    margins = np.empty(trials)
+    residuals = np.empty(trials)
+    for t in range(trials):
+        m = random_shift(spec.l, 2.0, seed * 7_919 + t)
+        margins[t] = theorem1_margin(reference.w_e, m @ spec.mu_e,
+                                     lipschitz_of_linear(m), kappa, delta)
+        acc_ood = accuracy_under_shift(models, spec, LinearShift(m))
+        probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
+        slope = float(probit_ood @ probit_id) / sxx
+        residuals[t] = np.max(np.abs(probit_ood - slope * probit_id))
+    fractions = [float(np.mean((margins < 0.0) & (residuals <= eps)))
+                 for eps in eps_grid]
+    return margins.tolist(), residuals.tolist(), fractions
+
+
+class TestZeroMeasurePinnedToReference:
+    """The stacked zero-measure pass reproduces the per-trial loop bit for
+    bit, at criterion 7's settings."""
+
+    EPS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("id_shift", [IdentityShift(), MIXTURE_ID],
+                             ids=["identity_id", "mixture_id"])
+    def test_margins_residuals_and_fractions(self, id_shift):
+        spec = default_spec().with_shift(id_shift)
+        res = zero_measure_experiment(spec, self.EPS, trials=500,
+                                      n_per_domain=1000, seed=3, delta=0.5)
+        margins, residuals, fractions = _reference_zero_measure(
+            spec, self.EPS, 500, 1000, 3, 0.5)
+        assert list(res.margins) == margins
+        assert list(res.residuals) == residuals
+        assert list(res.fractions) == fractions
+        if isinstance(id_shift, IdentityShift):
+            assert res.fractions == (0.0, 0.0, 0.0, 0.042, 0.096)
+
+    def test_one_kernel_and_quantile_call_for_all_trials(self, monkeypatch):
+        calls = {"kernel": 0, "quantile": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(conditions, "_accuracy_kernel",
+                            counted("kernel", conditions._accuracy_kernel))
+        monkeypatch.setattr(conditions, "normal_quantile",
+                            counted("quantile", conditions.normal_quantile))
+        for trials in (100, 300):
+            calls.update(kernel=0, quantile=0)
+            zero_measure_experiment(default_spec(), [0.0, 1.0], trials=trials,
+                                    n_per_domain=300, seed=4, delta=0.5,
+                                    reliance_grid=(1e-3, 1.0, 1e3), n_seeds=1)
+            # one call for the ID sweep, one for every trial at once
+            assert calls == {"kernel": 2, "quantile": 2}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"delta": 1.5}, {"delta": 0.0}, {"delta": math.nan},
+    {"shift_scale": -1.0}, {"shift_scale": 0.0}, {"shift_scale": math.inf},
+    {"shift_scale": math.nan},
+    {"eps_grid": [0.0, math.nan]}, {"eps_grid": [-0.1]},
+    {"eps_grid": [math.inf]},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_zero_measure_rejects_bad_input_before_fitting(kwargs, monkeypatch):
+    fits = []
+    monkeypatch.setattr(conditions, "fit_logistic",
+                        lambda *a, **k: fits.append(1))
+    args = dict(eps_grid=[0.0, 1.0], trials=100, n_per_domain=300, seed=0)
+    args.update(kwargs)
+    with pytest.raises(ValueError):
+        zero_measure_experiment(default_spec(), **args)
+    assert fits == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -78,6 +80,11 @@ class TestRandomShift:
             random_shift(0, 1.0, seed=0)
         with pytest.raises(ValueError):
             random_shift(2, 0.0, seed=0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            random_shift(2, scale, seed=0)
 
 
 class TestInterpolationMixture:
