@@ -11,6 +11,14 @@ results are identical across platforms and carry no numerics dependency:
   step is cubic, so one step already reaches the CDF's own precision:
   relative error <= 4.4e-16 in both tails, absolute error <= 1.8e-15 on
   uniform samples.
+
+The array kernels gather each region's entries through integer indices and
+update their polynomial accumulators in place (Horner's rule with `+=`,
+`*=` and `out=`), so a call makes few passes and few new arrays. Each
+element still gets the same operations in the same order as the plain
+expressions, so the results are the same bit for bit. Regions that samples
+rarely reach (erfc's tail and underflow, p outside (0, 1), nan) are looked
+up only when present.
 """
 
 from __future__ import annotations
@@ -65,41 +73,60 @@ _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _ACK_LOW = 0.02425
 
 
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """((c0 z + c1) z + ...) z + c_n, accumulated in place in one new array."""
+    acc = coeffs[0] * z
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[-1]
+    return acc
+
+
+def _times_exp_neg_sq(y: np.ndarray, result: np.ndarray) -> np.ndarray:
+    """result * exp(-y^2), in place in result.
+
+    exp(-y^2) is split as exp(-ysq^2) exp(-(y - ysq)(y + ysq)) with ysq = y
+    rounded down to a multiple of 1/16, to preserve accuracy for large y.
+    """
+    ysq = y * 16.0
+    np.floor(ysq, out=ysq)
+    ysq /= 16.0
+    delta = y - ysq
+    delta *= y + ysq
+    np.negative(delta, out=delta)
+    np.exp(delta, out=delta)
+    ysq *= ysq
+    np.negative(ysq, out=ysq)
+    np.exp(ysq, out=ysq)
+    ysq *= delta
+    result *= ysq
+    return result
+
+
 def _erf_small(x: np.ndarray) -> np.ndarray:
     z = x * x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    num = _horner((_ERF_A[4],) + _ERF_A[:4], z)
+    num *= x
+    num /= _horner((1.0,) + _ERF_B, z)
+    return num
 
 
 def _erfc_mid(y: np.ndarray) -> np.ndarray:
-    num = _ERFC_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * y
-        den = (den + _ERFC_D[i]) * y
-    result = (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    # Split exp(-y^2) to preserve accuracy for large arguments.
-    ysq = np.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta) * result
+    num = _horner((_ERFC_C[8],) + _ERFC_C[:8], y)
+    num /= _horner((1.0,) + _ERFC_D, y)
+    return _times_exp_neg_sq(y, num)
 
 
 def _erfc_tail(y: np.ndarray) -> np.ndarray:
-    z = 1.0 / (y * y)
-    num = _ERFC_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    result = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    result = (_INV_SQRT_PI - result) / y
-    ysq = np.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta) * result
+    z = y * y
+    np.divide(1.0, z, out=z)
+    num = _horner((_ERFC_P[5],) + _ERFC_P[:5], z)
+    num *= z
+    num /= _horner((1.0,) + _ERFC_Q, z)
+    np.subtract(_INV_SQRT_PI, num, out=num)
+    num /= y
+    return _times_exp_neg_sq(y, num)
 
 
 def erfc(x) -> np.ndarray | float:
@@ -107,35 +134,44 @@ def erfc(x) -> np.ndarray | float:
 
     Each region is gathered and scattered through integer indices: boolean
     masks over randomly ordered samples defeat branch prediction and cost
-    more than the arithmetic. nan maps to nan.
+    more than the arithmetic. The tail and underflow regions are looked up
+    only when some |x| > 4 (or nan) is present, and the 2 - erfc(|x|)
+    reflection touches only the entries below -0.46875. nan maps to nan.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     xf = x_arr.ravel()
     y = np.abs(xf)
-    out = np.full_like(y, np.nan)
+    out = np.empty_like(y)
 
     small = np.flatnonzero(y <= 0.46875)
     mid = np.flatnonzero((y > 0.46875) & (y <= 4.0))
-    tail = np.flatnonzero((y > 4.0) & (y < 26.543))
-    huge = np.flatnonzero(y >= 26.543)  # erfc underflows to 0 beyond here
-
+    if small.size + mid.size < y.size:  # tail, huge or nan entries
+        out.fill(np.nan)
+        tail = np.flatnonzero((y > 4.0) & (y < 26.543))
+        if tail.size:
+            out[tail] = _erfc_tail(y.take(tail))
+        out[y >= 26.543] = 0.0  # erfc underflows to 0 beyond here
     if small.size:
-        out[small] = 1.0 - _erf_small(xf.take(small))
+        v = _erf_small(xf.take(small))
+        out[small] = np.subtract(1.0, v, out=v)
     if mid.size:
         out[mid] = _erfc_mid(y.take(mid))
-    if tail.size:
-        out[tail] = _erfc_tail(y.take(tail))
-    out[huge] = 0.0
 
-    out = np.where((xf < 0.0) & (y > 0.46875), 2.0 - out, out)
+    neg = np.flatnonzero(xf < -0.46875)  # x < 0 outside the small region
+    if neg.size:
+        v = out.take(neg)
+        out[neg] = np.subtract(2.0, v, out=v)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 def normal_cdf(x) -> np.ndarray | float:
     """Standard normal CDF Phi(x) = erfc(-x / sqrt 2) / 2."""
     x_arr = np.asarray(x, dtype=np.float64)
-    res = 0.5 * erfc(-x_arr / _SQRT2)
-    return float(res) if np.ndim(x) == 0 else res
+    res = erfc(x_arr / -_SQRT2)  # == -x / sqrt 2, bit for bit
+    if x_arr.ndim == 0:
+        return 0.5 * res
+    res *= 0.5
+    return res
 
 
 def normal_pdf(x) -> np.ndarray | float:
@@ -145,26 +181,26 @@ def normal_pdf(x) -> np.ndarray | float:
 
 
 def _acklam(p: np.ndarray) -> np.ndarray:
-    """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5."""
-    pf = p.ravel()
-    out = np.empty_like(pf)
-    lo_mask = pf < _ACK_LOW
-    lo = np.flatnonzero(lo_mask)
-    mid = np.flatnonzero(~lo_mask)
+    """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5.
 
+    The central formula is evaluated on every entry (it is finite on all of
+    [0, 1]); the lower tail p < 0.02425 then overwrites its entries.
+    """
+    pf = p.ravel()
+    q = pf - 0.5
+    r = q * q
+    out = _horner(_ACK_A, r)
+    out *= q
+    out /= _horner(_ACK_B + (1.0,), r)
+
+    lo = np.flatnonzero(pf < _ACK_LOW)
     if lo.size:
-        q = np.sqrt(-2.0 * np.log(pf.take(lo)))
-        out[lo] = ((((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q
-                      + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5])
-                   / ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q
-                       + _ACK_D[3]) * q + 1.0))
-    if mid.size:
-        q = pf.take(mid) - 0.5
-        r = q * q
-        out[mid] = ((((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r
-                       + _ACK_A[3]) * r + _ACK_A[4]) * r + _ACK_A[5]) * q
-                    / (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r
-                         + _ACK_B[3]) * r + _ACK_B[4]) * r + 1.0))
+        q = np.log(pf.take(lo))
+        q *= -2.0
+        np.sqrt(q, out=q)
+        v = _horner(_ACK_C, q)
+        v /= _horner(_ACK_D + (1.0,), q)
+        out[lo] = v
     return out.reshape(p.shape)
 
 
@@ -181,26 +217,47 @@ def normal_quantile(p) -> np.ndarray | float:
     1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
     holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
     is skipped and Acklam's start, within 1.8e-9 relative, is returned.
+
+    The step runs in place over the whole array. Entries with p outside
+    (0, 1) or nan are looked up only when the smallest t shows one; they
+    are refined as t = 0.5 and overwritten at the end.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     pf = p_arr.ravel()
-    out = np.full_like(pf, np.nan)
-    out[pf <= 0.0] = -np.inf
-    out[pf >= 1.0] = np.inf
-    interior = np.flatnonzero((pf > 0.0) & (pf < 1.0))
-    if interior.size:
-        p_in = pf.take(interior)
-        t = np.minimum(p_in, 1.0 - p_in)
-        x = _acklam(t)
-        # Below the smallest normal double, normal_cdf(x) - t keeps no
-        # precision and exp(0.5 x^2) overflows: keep Acklam's start there.
-        step = (slice(None) if t.min() >= _TINY
-                else np.flatnonzero(t >= _TINY))
-        xs, ts = x[step], t[step]
-        u = (normal_cdf(xs) - ts) * _SQRT2PI * np.exp(0.5 * xs * xs)
-        x[step] = xs - u / (1.0 + 0.5 * xs * u)
-        out[interior] = np.where(p_in > 0.5, -x, x)
-    return float(out[0]) if np.ndim(p) == 0 else out.reshape(p_arr.shape)
+    t = 1.0 - pf
+    np.minimum(pf, t, out=t)  # t > 0 exactly where 0 < p < 1
+    t_min = t.min(initial=1.0)
+    outside = None
+    if not t_min > 0.0:
+        outside = np.flatnonzero(~(t > 0.0))
+        t[outside] = 0.5
+        t_min = t.min()
+
+    x = _acklam(t)
+    # Below the smallest normal double, normal_cdf(x) - t keeps no
+    # precision and exp(0.5 x^2) overflows: keep Acklam's start there.
+    step = None if t_min >= _TINY else np.flatnonzero(t >= _TINY)
+    xs, ts = (x, t) if step is None else (x.take(step), t.take(step))
+    u = normal_cdf(xs)
+    u -= ts
+    u *= _SQRT2PI
+    w = 0.5 * xs
+    w *= xs
+    u *= np.exp(w, out=w)
+    np.multiply(0.5, xs, out=w)
+    w *= u
+    w += 1.0
+    u /= w
+    xs -= u
+    if step is not None:
+        x[step] = xs
+
+    np.negative(x, out=x, where=pf > 0.5)
+    if outside is not None:
+        po = pf.take(outside)
+        x[outside] = np.where(po <= 0.0, -np.inf,
+                              np.where(po >= 1.0, np.inf, np.nan))
+    return float(x[0]) if p_arr.ndim == 0 else x.reshape(p_arr.shape)
 
 
 def probit(p) -> np.ndarray | float:

@@ -344,9 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # one line, whatever the message holds
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        message = " ".join(str(exc).split())
+        if isinstance(exc, MemoryError):
+            message = "out of memory" + (f": {message}" if message else "")
+        print("error: " + message, file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, (InputError, OSError)) else EXIT_NUMERIC
 
 

@@ -26,7 +26,8 @@ from .aline import AccuracyPair
 from .analytic import normal_cdf, normal_pdf, normal_quantile
 from .core import (BoundParams, DomainSpec, LinearClassifier, LinearShift,
                    Mask, MixtureShift, ShiftSpec)
-from .synthgen import random_shift, sample_domain
+from .rng import seeded_uniforms
+from .synthgen import sample_domain
 from .trainer import OptimizerSettings, fit_logistic
 
 
@@ -396,10 +397,11 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     trial's shift.
 
     All trials run in one pass: the random_shift draws (one seed per trial,
-    seed * 7919 + t) are stacked, one _accuracy_kernel call and one
-    normal_quantile call cover the (trial x model) grid, and one batched
-    SVD gives every trial's L_phi. The per-trial dot products of the margin
-    and the slope stay scalar, since batched BLAS rounds them differently.
+    seed * 7919 + t, through one re-keyed generator) are stacked, one
+    _accuracy_kernel call and one normal_quantile call cover the (trial x
+    model) grid, and one batched SVD gives every trial's L_phi. The
+    per-trial dot products of the margin and the slope stay scalar, since
+    batched BLAS rounds them differently.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
@@ -425,8 +427,9 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     if sxx <= 0.0:
         raise ValueError("degenerate sweep: zero probit variance")
 
-    mats = np.stack([random_shift(spec.l, shift_scale, seed * 7_919 + t)
-                     for t in range(trials)])
+    # random_shift(spec.l, shift_scale, seed * 7919 + t) for every trial t
+    mats = seeded_uniforms([seed * 7_919 + t for t in range(trials)],
+                           -shift_scale, shift_scale, (spec.l, spec.l))
     m_mu_e = mats @ spec.mu_e
     l_phi = np.linalg.svd(mats, compute_uv=False)[:, 0]
     margins = np.array([theorem1_margin(reference.w_e, m_mu_e[t], l_phi[t],

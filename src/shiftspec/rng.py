@@ -12,6 +12,8 @@ without building one generator each: it re-keys a single cached Philox
 generator to (seed, substream id) with its counter at zero, which is the
 state a fresh `substream` starts from, so the doubles are the same. The
 cached generator makes a `RandomStream` unsafe to share between threads.
+`seeded_uniforms` does the same for many seeds at stream id 0, with one
+generator per call.
 """
 
 from __future__ import annotations
@@ -28,6 +30,40 @@ _ZEROS4 = (0, 0, 0, 0)
 def uniform_to_integers(u: np.ndarray, n) -> np.ndarray:
     """Integers on [0, n) as floor(u * n) of uniforms u; n may be an array."""
     return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def _rekey(gen: np.random.Generator, seed: int,
+           stream_id: int) -> np.random.Generator:
+    """Reset gen's Philox to the state of ``RandomStream(seed, stream_id)``.
+
+    That is the key (seed, stream_id), both masked to 64 bits, with counter
+    0, an empty output buffer and no pending 32-bit half: exactly the state
+    of a freshly keyed Philox. Re-keying skips building a Philox, its
+    discarded SeedSequence and a Generator.
+    """
+    # Tuples, not arrays: the state setter reads them item by item.
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4,
+                  "key": (seed & _MASK64, stream_id & _MASK64)},
+        "buffer": _ZEROS4, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def seeded_uniforms(seeds, low: float, high: float,
+                    shape: tuple[int, ...]) -> np.ndarray:
+    """Stack of ``RandomStream(s).uniform(low, high, shape)`` over seeds s.
+
+    The same doubles, drawn through one generator re-keyed per seed; the
+    generator lives for this call only.
+    """
+    out = np.empty((len(seeds),) + tuple(shape))
+    gen = np.random.Generator(np.random.Philox(0))
+    for row, seed in zip(out, seeds):
+        u = _rekey(gen, seed, 0).random(size=shape, dtype=np.float64)
+        row[...] = low + (high - low) * u  # as RandomStream.uniform
+    return out
 
 
 class RandomStream:
@@ -54,25 +90,16 @@ class RandomStream:
     def substream_uniform(self, stream_id: int, size: int) -> np.ndarray:
         """The same doubles as ``self.substream(stream_id).uniform(size=size)``.
 
-        One Philox generator, built on first use, is reset for each call to
-        the key (seed, substream id) with counter 0, an empty output buffer
-        and no pending 32-bit half: exactly the state of a freshly keyed
-        Philox. That skips building a Philox, its discarded SeedSequence and
-        a Generator per call. Not thread-safe, as calls share the cached
-        generator; nothing in shiftspec draws from more than one thread.
+        One Philox generator, built on first use, is re-keyed for each call
+        to (seed, substream id) (see `_rekey`). Not thread-safe, as calls
+        share the cached generator; nothing in shiftspec draws from more
+        than one thread.
         """
         if self._rekeyed is None:
             self._rekeyed = np.random.Generator(np.random.Philox(0))
-        # Tuples, not arrays: the state setter reads them item by item.
-        self._rekeyed.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4,
-                      "key": (self.seed & _MASK64,
-                              self._substream_id(stream_id) & _MASK64)},
-            "buffer": _ZEROS4, "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        gen = _rekey(self._rekeyed, self.seed, self._substream_id(stream_id))
         # uniform() maps u to 0.0 + 1.0 * u, which is u itself
-        return self._rekeyed.random(size=size, dtype=np.float64)
+        return gen.random(size=size, dtype=np.float64)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         u = self._gen.random(size=size, dtype=np.float64)

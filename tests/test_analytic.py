@@ -3,9 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from shiftspec import analytic
+
+# A kernel that evaluates a formula outside its region (log of 0, exp that
+# overflows) warns; here that fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestProbit:
@@ -105,6 +110,47 @@ class TestQuantileAccuracy:
         assert isinstance(analytic.normal_quantile(0.25), float)
 
 
+# Cody's three regions as the out-of-place kernels computed them, frozen
+# here so the references do not follow later edits to analytic.
+def _frozen_erf_small(x):
+    a, b = analytic._ERF_A, analytic._ERF_B
+    z = x * x
+    num = a[4] * z
+    den = z
+    for i in range(3):
+        num = (num + a[i]) * z
+        den = (den + b[i]) * z
+    return x * (num + a[3]) / (den + b[3])
+
+
+def _frozen_exp_split(y, result):
+    ysq = np.floor(y * 16.0) / 16.0
+    delta = (y - ysq) * (y + ysq)
+    return np.exp(-ysq * ysq) * np.exp(-delta) * result
+
+
+def _frozen_erfc_mid(y):
+    c, d = analytic._ERFC_C, analytic._ERFC_D
+    num = c[8] * y
+    den = y
+    for i in range(7):
+        num = (num + c[i]) * y
+        den = (den + d[i]) * y
+    return _frozen_exp_split(y, (num + c[7]) / (den + d[7]))
+
+
+def _frozen_erfc_tail(y):
+    p, q = analytic._ERFC_P, analytic._ERFC_Q
+    z = 1.0 / (y * y)
+    num = p[5] * z
+    den = z
+    for i in range(4):
+        num = (num + p[i]) * z
+        den = (den + q[i]) * z
+    result = z * (num + p[4]) / (den + q[4])
+    return _frozen_exp_split(y, (analytic._INV_SQRT_PI - result) / y)
+
+
 def _reference_erfc(x):
     """erfc with boolean-mask gathers, as the index kernels replaced it.
 
@@ -120,11 +166,11 @@ def _reference_erfc(x):
     tail = (y > 4.0) & (y < 26.543)
     huge = y >= 26.543
     if small.any():
-        out[small] = 1.0 - analytic._erf_small(x_arr[small])
+        out[small] = 1.0 - _frozen_erf_small(x_arr[small])
     if mid.any():
-        out[mid] = analytic._erfc_mid(y[mid])
+        out[mid] = _frozen_erfc_mid(y[mid])
     if tail.any():
-        out[tail] = analytic._erfc_tail(y[tail])
+        out[tail] = _frozen_erfc_tail(y[tail])
     if huge.any():
         out[huge] = 0.0
     neg = (x_arr < 0.0) & ~small
@@ -157,6 +203,37 @@ def _reference_acklam(p):
                     / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4])
                        * r + 1.0))
     return out
+
+
+def _reference_normal_quantile(p):
+    """normal_quantile with out-of-place arithmetic on the gathered interior."""
+    p_arr = np.asarray(p, dtype=np.float64)
+    pf = p_arr.ravel()
+    out = np.full_like(pf, np.nan)
+    out[pf <= 0.0] = -np.inf
+    out[pf >= 1.0] = np.inf
+    interior = np.flatnonzero((pf > 0.0) & (pf < 1.0))
+    if interior.size:
+        p_in = pf.take(interior)
+        t = np.minimum(p_in, 1.0 - p_in)
+        x = _reference_acklam(t)
+        step = t >= 2.0 ** -1022
+        xs, ts = x[step], t[step]
+        u = ((_reference_normal_cdf(xs) - ts) * math.sqrt(2.0 * math.pi)
+             * np.exp(0.5 * xs * xs))
+        x[step] = xs - u / (1.0 + 0.5 * xs * u)
+        out[interior] = np.where(p_in > 0.5, -x, x)
+    return float(out[0]) if np.ndim(p) == 0 else out.reshape(p_arr.shape)
+
+
+def _assert_same_bits(ours, reference):
+    """Equal bit patterns off nan, signed zeros included; nan where nan."""
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert ours.shape == reference.shape and ours.dtype == reference.dtype
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert np.array_equal(ours[~nan].view(np.uint64),
+                          reference[~nan].view(np.uint64))
 
 
 def _around(points):
@@ -207,6 +284,68 @@ class TestKernelsPinnedToReference:
         ours = analytic._acklam(p)
         assert ours.shape == p.shape
         assert np.array_equal(ours, _reference_acklam(p), equal_nan=True)
+
+
+_TINY = 2.0 ** -1022
+_QUANTILE_EDGES = np.array([
+    0.0, 1.0, -0.0, -0.25, -1e-300, 1.0 + 2.0 ** -52, 7.5, np.inf, -np.inf,
+    np.nan, 2.0 ** -1074, _TINY, np.nextafter(_TINY, 0.0),
+    np.nextafter(_TINY, 1.0), analytic._ACK_LOW,
+    np.nextafter(analytic._ACK_LOW, 0.0), np.nextafter(analytic._ACK_LOW, 1.0),
+    1.0 - analytic._ACK_LOW, 0.5, np.nextafter(0.5, 0.0),
+    np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 2.0 ** -53])
+_UNIFORMS = np.random.default_rng(16).random(100_000)
+
+
+class TestQuantilePinnedToReference:
+    """normal_quantile's in-place passes reproduce the out-of-place
+    kernel bit for bit."""
+
+    @pytest.mark.parametrize("p", [
+        _QUANTILE_EDGES,
+        _UNIFORMS,
+        np.concatenate([_UNIFORMS[:1000], _QUANTILE_EDGES]),
+        _UNIFORMS[:60_000].reshape(200, 300),
+        _QUANTILE_EDGES[:20].reshape(4, 5),
+        np.array(0.3), np.array(np.nan), np.array(-0.0),
+        np.empty(0), np.empty((0, 3)),
+    ], ids=["edges", "uniforms", "mixed", "2d", "2d_edges", "0d", "0d_nan",
+            "0d_negzero", "empty", "empty_2d"])
+    def test_arrays(self, p):
+        ours = analytic.normal_quantile(p)
+        want = _reference_normal_quantile(p)
+        if p.ndim == 0:
+            assert type(ours) is float and type(want) is float
+        _assert_same_bits(ours, want)
+
+    def test_python_scalars(self):
+        for v in _QUANTILE_EDGES.tolist() + [0, 1, 0.7]:
+            ours = analytic.normal_quantile(v)
+            assert type(ours) is float
+            _assert_same_bits(ours, _reference_normal_quantile(v))
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300),
+                            st.sampled_from(_QUANTILE_EDGES.tolist()),
+                            _ANY_FLOAT), max_size=40))
+def test_normal_quantile_matches_reference(p):
+    p = np.array(p, dtype=np.float64)
+    _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("erfc", _reference_erfc), ("normal_cdf", _reference_normal_cdf)])
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.one_of(st.floats(-40.0, 40.0),
+                            st.sampled_from(_EDGES.tolist()), _ANY_FLOAT),
+                  max_size=40))
+def test_erfc_and_cdf_match_reference(name, reference, x):
+    x = np.array(x, dtype=np.float64)
+    _assert_same_bits(getattr(analytic, name)(x), reference(x))
 
 
 class TestGaussianAccuracy:

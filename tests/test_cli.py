@@ -407,6 +407,36 @@ class TestCmnist:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 745. GiB for an array with\n"
+                    "shape (100000000000, 2) and data type float64"),
+        MemoryError()], ids=["numpy_message", "bare"])
+    def test_out_of_memory_is_one_line_numeric_error(self, exc, tmp_path,
+                                                     capsys, monkeypatch):
+        # raised, never allocated: a real 745 GiB request can exhaust the host
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("shiftspec.cli.cmnist_model_table", exhausted)
+        out = tmp_path / "out"
+        rc = main(["cmnist", "--n-train", "100000000000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_default_outputs_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["cmnist", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("cmnist_table.csv", "cmnist_report.json")}
+        assert digests == {
+            "cmnist_table.csv":
+                "05f226fdbea4d1d15325a4e33ac3ec382a0761c0f4c8d2f0b64e023bed9e06db",
+            "cmnist_report.json":
+                "2d68ef4f7d6b8662a28053d9cb938a2dddc3d796624cf39e94560d5bf7190161",
+        }
+
 
 def test_thread_count_does_not_change_bytes(small_config, tmp_path):
     env = dict(os.environ)

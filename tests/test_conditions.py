@@ -702,6 +702,25 @@ class TestZeroMeasurePinnedToReference:
         if isinstance(id_shift, IdentityShift):
             assert res.fractions == (0.0, 0.0, 0.0, 0.042, 0.096)
 
+    def test_builds_a_fixed_number_of_generators(self, monkeypatch):
+        # a generator per trial would make the count grow with trials
+        philox = np.random.Philox
+        built = []
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        counts = []
+        for trials in (100, 400):
+            built.clear()
+            zero_measure_experiment(default_spec(), [0.0, 1.0], trials=trials,
+                                    n_per_domain=300, seed=4, delta=0.5,
+                                    reliance_grid=(1e-3, 1.0, 1e3), n_seeds=1)
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
     def test_one_kernel_and_quantile_call_for_all_trials(self, monkeypatch):
         calls = {"kernel": 0, "quantile": 0}
 

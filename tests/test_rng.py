@@ -1,7 +1,13 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftspec.rng import RandomStream
+from shiftspec.rng import RandomStream, seeded_uniforms
+from shiftspec.synthgen import random_shift
+
+# A transform that evaluates log or exp outside its region warns; here that
+# fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_same_key_same_draws():
@@ -85,3 +91,13 @@ def test_substream_uniform_leaves_the_parent_stream_alone(seed, sids, size):
     mixed.substream_uniform(sids[0], size)
     got.append(mixed.uniform(size=7))
     assert all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(_KEY, max_size=6), l=st.integers(1, 4),
+       scale=st.floats(1e-3, 1e3))
+def test_seeded_uniforms_match_random_shift(seeds, l, scale):
+    mats = seeded_uniforms(seeds, -scale, scale, (l, l))
+    assert mats.shape == (len(seeds), l, l)
+    for mat, seed in zip(mats, seeds):
+        assert mat.tobytes() == random_shift(l, scale, seed).tobytes()

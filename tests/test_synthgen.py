@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -46,6 +47,19 @@ class TestSampleDomain:
         emp = centered.T @ centered / n
         dist = np.linalg.norm(emp - target)
         assert dist < 10.0 * np.linalg.norm(target) / np.sqrt(n)
+
+    @pytest.mark.parametrize("seed, x_digest, y_digest", [
+        (0, "9fa01ae86de90c0287393bda506c51324196284a40ed70f323145bcf5062eb8f",
+         "97ce902801f0fa09ea29381f26c1067f2c2967ae10ac1bf9efe2e89ae3d39017"),
+        (1, "1742ce907df343a5f4ea818e35a9cff7bbb82741b7be0c9379fca0ff0b739fe2",
+         "a17f1c394de0fd9fe23f85a3eff7dba44cde145e78bc9b6fb53724a1484f2285"),
+        (2, "3e346826ff551d3c36809110136c1150b4e9e7dedcdf6b7e86feee265a9f6c47",
+         "a3ba23120bacc27ac5171a60d70f7ad6e0687412e4ef443a3eece83cbc6be500"),
+    ])
+    def test_bytes_pinned(self, seed, x_digest, y_digest):
+        data = sample_domain(default_spec(), 10_000, seed)
+        assert hashlib.sha256(data.x.tobytes()).hexdigest() == x_digest
+        assert hashlib.sha256(data.y.tobytes()).hexdigest() == y_digest
 
     def test_single_component_mixture_matches_linear(self):
         m = np.array([[0.7, 0.2], [0.1, -1.1]])

@@ -25,6 +25,16 @@ class TestFitLogistic:
         assert np.all(model.w_c > 0)
         assert np.all(model.w_e > 0)
 
+    def test_lemma1_risk_pair_pinned(self):
+        # criterion 8's seed 0: train on seed 0, hold out seed 100_000
+        spec = default_spec()
+        train = sample_domain(spec, 10_000, seed=0)
+        heldout = sample_domain(spec, 10_000, seed=100_000)
+        risks = tuple(evaluate_risk(fit_logistic(train, mask, l2=1e-3),
+                                    heldout, 1e-3)
+                      for mask in (Mask.FULL, Mask.DOMAIN_GENERAL))
+        assert risks == (0.0707038165107983, 0.20935500651767205)
+
     def test_bit_identical_reruns(self):
         data = sample_domain(default_spec(), 500, seed=1)
         a = fit_logistic(data, Mask.FULL, l2=1e-3)
