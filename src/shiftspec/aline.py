@@ -93,8 +93,14 @@ def fit_probit_line(pairs: Sequence[AccuracyPair],
     """OLS of probit(ood) on probit(id) with Pearson R and its p-value."""
     if len(pairs) < 3:
         raise InputError("need at least 3 accuracy pairs")
-    x, y = probit_points(pairs, clip_alpha)
-    n = len(pairs)
+    return fit_probit_points(*probit_points(pairs, clip_alpha), clip_alpha)
+
+
+def fit_probit_points(x: np.ndarray, y: np.ndarray, clip_alpha: float) -> AlineFit:
+    """fit_probit_line on pairs already through probit_points."""
+    n = len(x)
+    if n < 3:
+        raise InputError("need at least 3 accuracy pairs")
     x_mean = float(x.mean())
     y_mean = float(y.mean())
     sxx = float(np.sum((x - x_mean) ** 2))

@@ -263,7 +263,7 @@ def normal_quantile(p) -> np.ndarray | float:
 def probit(p) -> np.ndarray | float:
     """Inverse normal CDF; defined only on the open interval (0, 1)."""
     p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):  # nan fails too
         raise ValueError("probit requires probabilities strictly inside (0, 1)")
     return normal_quantile(p)
 

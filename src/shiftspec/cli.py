@@ -17,7 +17,7 @@ import numpy as np
 
 from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, AccuracyPair,
                     check_clip_alpha, check_threshold, classify_split,
-                    correlation_epsilon, fit_probit_line, min_model_count,
+                    fit_probit_line, fit_probit_points, min_model_count,
                     probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import accuracy_under_shift, condition_report
@@ -158,12 +158,13 @@ def cmd_audit(args) -> int:
     pairs, id_env = _audit_pairs(args)
     out = _out_dir(args.out)
 
-    fit = fit_probit_line(pairs, clip_alpha=args.clip_alpha)
-    verdict = classify_split(fit, threshold=args.threshold)
     x, y = probit_points(pairs, args.clip_alpha)
+    fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
+    verdict = classify_split(fit, threshold=args.threshold)
+    # Definition 6: least-squares a, then eps = max |x - a y|
     syy = float(y @ y)
     a6 = float(x @ y) / syy if syy > 0.0 else 0.0
-    eps6 = correlation_epsilon(pairs, a6, clip_alpha=args.clip_alpha)
+    eps6 = float(np.max(np.abs(x - a6 * y)))
 
     payload = {
         "mode": args.mode,
@@ -262,7 +263,8 @@ def cmd_cmnist(args) -> int:
             "slope": fit.slope,
             "verdict": classify_split(fit, args.threshold).value,
         })
-    pooled_fit = fit_probit_line(pooled_pairs, clip_alpha=args.clip_alpha)
+    x, y = probit_points(pooled_pairs, args.clip_alpha)
+    pooled_fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
 
     payload = {
         "train_p_e": args.train_pe,
@@ -278,7 +280,6 @@ def cmd_cmnist(args) -> int:
     write_json_report(payload, out / "cmnist_report.json",
                       "cmnist_report.schema.json")
 
-    x, y = probit_points(pooled_pairs, args.clip_alpha)
     plot = ScatterPlot(title=f"ColoredMNIST sweep: train p_e={args.train_pe:g}",
                        xlabel="ID accuracy (probit)",
                        ylabel="OOD accuracy (probit)", probit_axes=True)

@@ -23,10 +23,12 @@ class InputError(ValueError):
 
 
 def read_input_text(path) -> str:
-    """A UTF-8 input file's text; undecodable bytes are an InputError."""
+    """A UTF-8 input file's text, without a leading byte-order mark (as
+    spreadsheet "CSV UTF-8" exports write); undecodable bytes are an
+    InputError."""
     try:
         # newline="" keeps a \r inside a quoted CSV cell, as csv requires
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None

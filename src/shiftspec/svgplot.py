@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analytic import normal_quantile
 
 WIDTH = 640.0
@@ -24,6 +26,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _xml_text(text: str) -> str:
+    """Text escaped for an SVG element or a double-quoted attribute."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
+
+
 @dataclass
 class ScatterPlot:
     title: str
@@ -34,7 +42,9 @@ class ScatterPlot:
     lines: list = field(default_factory=list)    # (x0, y0, x1, y1, color, dash)
 
     def add_points(self, xs, ys, color: str = "#1f6fb2") -> None:
-        self.points.extend((float(x), float(y), color) for x, y in zip(xs, ys))
+        xs = np.asarray(xs, dtype=np.float64).tolist()
+        ys = np.asarray(ys, dtype=np.float64).tolist()
+        self.points.extend((x, y, color) for x, y in zip(xs, ys))
 
     def add_line(self, x0, y0, x1, y1, color: str = "#444444",
                  dash: str | None = None) -> None:
@@ -65,7 +75,7 @@ class ScatterPlot:
             f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
             f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
             f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{self.title}</text>',
+            f'font-family="sans-serif" font-size="15">{_xml_text(self.title)}</text>',
         ]
 
         # frame
@@ -77,9 +87,8 @@ class ScatterPlot:
         # ticks: probit axes carry the probit value plus a secondary label
         # giving the raw accuracy at that position
         if self.probit_axes:
-            ticks = [(float(normal_quantile(a)),
-                      f"{float(normal_quantile(a)):.2f}", f"({a:g})")
-                     for a in ACC_TICKS]
+            ticks = [(q, f"{q:.2f}", f"({a:g})") for q, a in
+                     zip(normal_quantile(np.array(ACC_TICKS)).tolist(), ACC_TICKS)]
         else:
             ticks = None
 
@@ -107,12 +116,12 @@ class ScatterPlot:
                          f'stroke="#222222" stroke-width="1"/>')
             parts.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_B + 18)}" '
                          f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="11">{label}</text>')
+                         f'font-size="11">{_xml_text(label)}</text>')
             if sub_label:
                 parts.append(f'<text x="{_fmt(px)}" '
                              f'y="{_fmt(HEIGHT - MARGIN_B + 31)}" '
                              f'text-anchor="middle" font-family="sans-serif" '
-                             f'font-size="9" fill="#777777">{sub_label}</text>')
+                             f'font-size="9" fill="#777777">{_xml_text(sub_label)}</text>')
         for yv, label, sub_label in y_ticks:
             py = sy(yv)
             parts.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(py)}" '
@@ -120,18 +129,18 @@ class ScatterPlot:
                          f'stroke="#222222" stroke-width="1"/>')
             parts.append(f'<text x="{_fmt(MARGIN_L - 9)}" y="{_fmt(py)}" '
                          f'text-anchor="end" font-family="sans-serif" '
-                         f'font-size="11">{label}</text>')
+                         f'font-size="11">{_xml_text(label)}</text>')
             if sub_label:
                 parts.append(f'<text x="{_fmt(MARGIN_L - 9)}" y="{_fmt(py + 11)}" '
                              f'text-anchor="end" font-family="sans-serif" '
-                             f'font-size="9" fill="#777777">{sub_label}</text>')
+                             f'font-size="9" fill="#777777">{_xml_text(sub_label)}</text>')
 
         parts.append(f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 18:.0f}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="13">{self.xlabel}</text>')
+                     f'font-size="13">{_xml_text(self.xlabel)}</text>')
         parts.append(f'<text x="18" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 18 {HEIGHT / 2:.0f})">{self.ylabel}</text>')
+                     f'transform="rotate(-90 18 {HEIGHT / 2:.0f})">{_xml_text(self.ylabel)}</text>')
 
         def clip_segment(x0, y0, x1, y1):
             # segments come from reference lines across the full range
@@ -145,9 +154,14 @@ class ScatterPlot:
                          f'x2="{_fmt(sx(x1))}" y2="{_fmt(sy(y1))}" '
                          f'stroke="{color}" stroke-width="1.5"{dash_attr}/>')
 
-        for x, y, color in self.points:
-            parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
-                         f'fill="{color}" fill-opacity="0.75"/>')
+        # sx and sy written out: three calls per point cost more than the rest
+        # of the plot
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
+        y_base = HEIGHT - MARGIN_B
+        parts += [f'<circle cx="{MARGIN_L + (x - x_lo) / x_span * plot_w:.2f}" '
+                  f'cy="{y_base - (y - y_lo) / y_span * plot_h:.2f}" r="3" '
+                  f'fill="{color}" fill-opacity="0.75"/>'
+                  for x, y, color in self.points]
 
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

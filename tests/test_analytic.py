@@ -44,6 +44,11 @@ class TestProbit:
             with pytest.raises(ValueError):
                 analytic.probit(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan]])
+    def test_rejects_nan(self, bad):
+        with pytest.raises(ValueError, match="strictly inside"):
+            analytic.probit(bad)
+
 
 class TestErf:
     def test_matches_scipy(self):

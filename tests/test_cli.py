@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -247,6 +248,29 @@ class TestAudit:
                    "--id-env", "env_id", "--ood-env", "env_ood",
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_svg_is_well_formed_xml(command, small_config, tmp_path):
+    # env names come from the user's header; simulate's x label holds a "<"
+    ood = 'R&D <v2> "b"'
+    out = tmp_path / "out"
+    if command == "audit":
+        rows = tuple(TableRow(f"m{i}", (float(a), float(a) ** 2))
+                     for i, a in enumerate(np.linspace(0.55, 0.95, 12)))
+        path = tmp_path / "t.csv"
+        save_accuracy_table(AccuracyTable(("env_id", ood), rows), path)
+        argv = ["audit", "--table", str(path), "--ood-env", ood]
+    else:
+        argv = ["simulate", "--config", str(small_config)]
+    assert main(argv + ["--out", str(out)]) == 0
+    svg, = out.glob("*.svg")
+    doc = minidom.parse(str(svg))
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    if command == "audit":
+        assert texts[0] == f"ID vs OOD accuracy (probit scale), OOD={ood}"
+    else:
+        assert "w_e . M mu_e (dark points: reversal margin < 0)" in texts
 
 
 class TestMincount:

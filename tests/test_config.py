@@ -95,6 +95,13 @@ def test_crlf_config_file_reads_like_lf(tmp_path):
     assert dumps_config(load_config(path)) == dumps_config(parse_config(text))
 
 
+def test_byte_order_mark_config_reads_like_plain(tmp_path):
+    text = dumps_config(default_config())
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert dumps_config(load_config(path)) == text
+
+
 def test_missing_domain_section():
     with pytest.raises(ValueError, match="domain"):
         parse_config("[bounds]\nkappa = 1.0\n")

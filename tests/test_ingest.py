@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +43,12 @@ class TestParse:
         path.write_bytes(b"model_id,env_0\nm\xff,0.5\n")
         with pytest.raises(InputError, match="not UTF-8"):
             load_accuracy_table(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "model_id,env_0,env_1\nm1,0.5,0.25\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_accuracy_table(path) == parse_accuracy_table(text)
 
     def test_duplicate_model_id(self):
         text = "model_id,env_0\nm1,0.5\nm1,0.6\n"
@@ -120,6 +129,138 @@ def test_dump_parse_round_trip(env_names, meta_names, model_ids, data):
         for model_id in model_ids)
     table = AccuracyTable(env_names=tuple(env_names), rows=rows)
     assert parse_accuracy_table(dump_accuracy_table(table)) == table
+
+
+def _reference_parse(text: str) -> AccuracyTable:
+    """The row-by-row parser that the column-wise one replaced, kept as the
+    reference for which fault a bad table reports, and with what message."""
+    try:
+        return _reference_rows(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise InputError(f"malformed table: {exc}") from None
+
+
+def _reference_rows(reader) -> AccuracyTable:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("empty table: missing header") from None
+    if not header or header[0] != "model_id":
+        raise InputError("header must start with model_id")
+    names = set()
+    for name in header:
+        if name in names:
+            raise InputError(f"duplicate column {name!r} in header")
+        names.add(name)
+    env_names = tuple(h for h in header[1:] if not h.startswith("meta_"))
+    if not env_names:
+        raise InputError("table must have at least one environment column")
+
+    rows = []
+    seen = set()
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise InputError(f"malformed row at line {line_no}: "
+                             f"expected {len(header)} cells, got {len(cells)}")
+        model_id = cells[0]
+        if model_id in seen:
+            raise InputError(f"duplicate model_id {model_id!r} at line {line_no}")
+        seen.add(model_id)
+        accs = []
+        meta = {}
+        for name, cell in zip(header[1:], cells[1:]):
+            if name.startswith("meta_"):
+                meta[name] = cell
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(f"malformed row at line {line_no}: "
+                                 f"{cell!r} is not a number") from None
+            if not 0.0 <= value <= 1.0:
+                raise InputError(f"accuracy out of range at line {line_no}: {value!r}")
+            accs.append(value)
+        rows.append(TableRow(model_id=model_id, accuracies=tuple(accs),
+                             metadata=meta))
+    return AccuracyTable(env_names=env_names, rows=tuple(rows))
+
+
+_FAULTS = ("short_row", "long_row", "duplicate_id", "not_a_number",
+           "out_of_range", "nan", "huge_field", "blank_line")
+_BAD_NUMBERS = ("banana", "", "0.5.5", "1e", "0x1", "--0.1")
+_OUT_OF_RANGE = ("1.5", "-0.25", "inf", "-inf", "1.0000000000000002", "1e300")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_envs=st.integers(1, 3), n_meta=st.integers(0, 2),
+       n_rows=st.integers(1, 8), data=st.data())
+def test_first_fault_matches_row_loop(n_envs, n_meta, n_rows, data):
+    header = (["model_id"] + [f"env_{j}" for j in range(n_envs)]
+              + [f"meta_{j}" for j in range(n_meta)])
+    header[1:] = data.draw(st.permutations(header[1:]))
+    accuracy = st.sampled_from(("0", "1", "0.5", "0.25", "1.0", "-0.0", "1e-3",
+                                "0.123456789012345678"))
+    rows = [[f"m{i}"] + [data.draw(st.text("ab", max_size=3))
+                         if h.startswith("meta_") else data.draw(accuracy)
+                         for h in header[1:]]
+            for i in range(n_rows)]
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        fault = data.draw(st.sampled_from(_FAULTS))
+        i = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        col = data.draw(st.integers(1, len(cells) - 1)) if len(cells) > 1 else 0
+        if fault == "short_row" and len(cells) > 1:
+            del cells[col]
+        elif fault == "long_row":
+            cells.insert(col, "0.5")
+        elif fault == "duplicate_id":
+            cells[0] = lines[data.draw(st.integers(1, len(lines) - 1))].split(",")[0]
+        elif fault == "not_a_number":
+            cells[col] = data.draw(st.sampled_from(_BAD_NUMBERS))
+        elif fault == "out_of_range":
+            cells[col] = data.draw(st.sampled_from(_OUT_OF_RANGE))
+        elif fault == "nan":
+            cells[col] = data.draw(st.sampled_from(("nan", "NaN", "-nan")))
+        elif fault == "huge_field":
+            cells[col] = "7" * 200_000
+        elif fault == "blank_line":
+            lines.insert(i, "")
+            continue
+        lines[i] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    want = _outcome(_reference_parse, text)
+    got = _outcome(parse_accuracy_table, text)
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_envs=st.integers(2, 6), n_rows=st.integers(0, 12), data=st.data())
+def test_loo_mean_adds_columns_left_to_right(n_envs, n_rows, data):
+    accs = [tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_envs,
+                                     max_size=n_envs)))
+            for _ in range(n_rows)]
+    table = AccuracyTable(tuple(f"e{j}" for j in range(n_envs)),
+                          tuple(TableRow(f"m{i}", a) for i, a in enumerate(accs)))
+    ood = data.draw(st.integers(0, n_envs - 1))
+    for source in (table, parse_accuracy_table(dump_accuracy_table(table))):
+        pairs = leave_one_out_pairs(source, f"e{ood}")
+        for row, pair in zip(accs, pairs):
+            total = 0.0
+            for j, a in enumerate(row):
+                if j != ood:
+                    total = total + a
+            assert pair.id_acc.hex() == (total / (n_envs - 1)).hex()
+            assert pair.ood_acc.hex() == row[ood].hex()
 
 
 class TestLeaveOneOut:
