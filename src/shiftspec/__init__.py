@@ -1,7 +1,7 @@
 """Spurious-correlation shift simulation and accuracy-on-the-line auditing."""
 
-from .aline import (AccuracyPair, AlineFit, Verdict, classify_split,
-                    correlation_epsilon, fit_probit_line, min_model_count)
+from .aline import (AlineFit, Verdict, classify_split, correlation_epsilon,
+                    fit_probit_line, min_model_count)
 from .analytic import (gaussian_accuracy, normal_cdf, normal_pdf,
                        normal_quantile, pearson_p_value, probit)
 from .conditions import (ConditionReport, Theorem2Result, TradeoffBound,

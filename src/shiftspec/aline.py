@@ -1,10 +1,11 @@
 """Accuracy-on-the-line auditing: probit regression, verdicts, stability.
 
-Accuracies are clamped away from {0, 1}, probit-transformed, and OOD is
-regressed on ID by ordinary least squares. A split is flagged well-specified
-when the Pearson correlation of the transformed pairs falls below the
-configured threshold (0.3 by default), which also captures inverse-line
-behavior.
+A split is two equal-length arrays, ``id_acc`` and ``ood_acc``, one entry
+per model. Accuracies are range-checked, clamped away from {0, 1},
+probit-transformed, and OOD is regressed on ID by ordinary least squares. A
+split is flagged well-specified when the Pearson correlation of the
+transformed pairs falls below the configured threshold (0.3 by default),
+which also captures inverse-line behavior.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .analytic import normal_quantile, pearson_p_value
 from .core import InputError
@@ -27,20 +28,6 @@ DEFAULT_THRESHOLD = 0.3
 # key (seed, prefix size, draw index), not on which block computes them, so
 # the block size cannot change any result.
 _BLOCK_ELEMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class AccuracyPair:
-    """One classifier's ID and OOD accuracy."""
-
-    model_id: str
-    id_acc: float
-    ood_acc: float
-
-    def __post_init__(self):
-        for name, v in (("id_acc", self.id_acc), ("ood_acc", self.ood_acc)):
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -78,22 +65,29 @@ def check_threshold(threshold: float) -> None:
         raise InputError("threshold must be positive and finite")
 
 
-def probit_points(pairs: Sequence[AccuracyPair],
+def probit_points(id_acc: ArrayLike, ood_acc: ArrayLike,
                   clip_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped probits of a split; every accuracy is range-checked here."""
     check_clip_alpha(clip_alpha)
-    ids = np.array([p.id_acc for p in pairs])
-    oods = np.array([p.ood_acc for p in pairs])
-    ids = np.clip(ids, clip_alpha, 1.0 - clip_alpha)
-    oods = np.clip(oods, clip_alpha, 1.0 - clip_alpha)
-    return normal_quantile(ids), normal_quantile(oods)
+    ids = np.asarray(id_acc, dtype=np.float64)
+    oods = np.asarray(ood_acc, dtype=np.float64)
+    if ids.ndim != 1 or ids.shape != oods.shape:
+        raise InputError("id_acc and ood_acc must be 1-d and of equal length, "
+                         f"got shapes {ids.shape} and {oods.shape}")
+    acc = np.stack((ids, oods))
+    bad = np.argwhere(~((acc >= 0.0) & (acc <= 1.0)))
+    if len(bad):
+        side, k = bad[0]
+        raise InputError(f"{('id_acc', 'ood_acc')[side]} must lie in [0, 1], "
+                         f"got {float(acc[side, k])!r}")
+    x, y = normal_quantile(np.clip(acc, clip_alpha, 1.0 - clip_alpha))
+    return x, y
 
 
-def fit_probit_line(pairs: Sequence[AccuracyPair],
+def fit_probit_line(id_acc: ArrayLike, ood_acc: ArrayLike,
                     clip_alpha: float = DEFAULT_CLIP_ALPHA) -> AlineFit:
     """OLS of probit(ood) on probit(id) with Pearson R and its p-value."""
-    if len(pairs) < 3:
-        raise InputError("need at least 3 accuracy pairs")
-    return fit_probit_points(*probit_points(pairs, clip_alpha), clip_alpha)
+    return fit_probit_points(*probit_points(id_acc, ood_acc, clip_alpha), clip_alpha)
 
 
 def fit_probit_points(x: np.ndarray, y: np.ndarray, clip_alpha: float) -> AlineFit:
@@ -130,12 +124,12 @@ def classify_split(fit: AlineFit, threshold: float = DEFAULT_THRESHOLD) -> Verdi
     return Verdict.WELL_SPECIFIED if fit.pearson_r < threshold else Verdict.MISSPECIFIED
 
 
-def correlation_epsilon(pairs: Sequence[AccuracyPair], a: float,
+def correlation_epsilon(id_acc: ArrayLike, ood_acc: ArrayLike, a: float,
                         clip_alpha: float = DEFAULT_CLIP_ALPHA) -> float:
     """Smallest eps such that |probit(id) - a probit(ood)| <= eps for all pairs."""
-    if not pairs:
+    x, y = probit_points(id_acc, ood_acc, clip_alpha)
+    if not len(x):
         raise InputError("need at least 1 accuracy pair")
-    x, y = probit_points(pairs, clip_alpha)
     return float(np.max(np.abs(x - a * y)))
 
 
@@ -148,7 +142,8 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      out=np.zeros_like(den), where=den != 0.0)
 
 
-def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
+def min_model_count(id_acc: ArrayLike, ood_acc: ArrayLike,
+                    rel_tol: float = 0.01,
                     resamples: int = 1000, confidence: float = 0.95,
                     start: int = 10, step: int = 100,
                     clip_alpha: float = DEFAULT_CLIP_ALPHA,
@@ -170,11 +165,11 @@ def min_model_count(pairs: Sequence[AccuracyPair], rel_tol: float = 0.01,
         raise InputError("confidence must lie in (0, 1)")
     if start < 1 or step < 1:
         raise InputError("start and step must be at least 1")
-    n = len(pairs)
+    x, y = probit_points(id_acc, ood_acc, clip_alpha)
+    n = len(x)
     if n < start:
         raise InputError(f"need at least start={start} pairs, got {n}")
 
-    x, y = probit_points(pairs, clip_alpha)
     stream = RandomStream(seed)
     size = start
     while size + step <= n:

@@ -10,15 +10,15 @@ main() alone maps exceptions to these codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, AccuracyPair,
-                    check_clip_alpha, check_threshold, classify_split,
-                    fit_probit_line, fit_probit_points, min_model_count,
-                    probit_points)
+from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
+                    check_threshold, classify_split, fit_probit_line,
+                    fit_probit_points, min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import accuracy_under_shift, condition_report
 from .config import default_config, load_config
@@ -127,12 +127,11 @@ def cmd_simulate(args) -> int:
     plot = ScatterPlot(title="OOD accuracy gap vs. spurious reversal term",
                        xlabel="w_e . M mu_e (dark points: reversal margin < 0)",
                        ylabel="OOD accuracy: domain-general minus full")
-    certified = [r for r in results if r["report"].theorem1_margin < 0.0]
     rest = [r for r in results if r["report"].theorem1_margin >= 0.0]
     plot.add_points([r["report"].reversal_term for r in rest],
                     [r["acc_dg"] - r["acc_full"] for r in rest])
-    plot.add_points([r["report"].reversal_term for r in certified],
-                    [r["acc_dg"] - r["acc_full"] for r in certified],
+    plot.add_points([r["report"].reversal_term for r in margins_neg],
+                    [r["acc_dg"] - r["acc_full"] for r in margins_neg],
                     color="#7d2181")
     plot.add_line(0.0, -1.0, 0.0, 1.0, color="#888888", dash="4,3")
     x_vals = [r["report"].reversal_term for r in results]
@@ -143,22 +142,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _audit_pairs(args) -> tuple[list[AccuracyPair], str | None]:
+def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
     table = load_accuracy_table(args.table)
     if args.mode == "loo":
-        return leave_one_out_pairs(table, args.ood_env), None
+        return *leave_one_out_pairs(table, args.ood_env), None
     if not args.id_env:
         raise InputError("pairwise mode requires --id-env")
-    return pairwise_pairs(table, args.id_env, args.ood_env), args.id_env
+    return *pairwise_pairs(table, args.id_env, args.ood_env), args.id_env
 
 
 def cmd_audit(args) -> int:
     check_clip_alpha(args.clip_alpha)
     check_threshold(args.threshold)
-    pairs, id_env = _audit_pairs(args)
+    id_acc, ood_acc, id_env = _audit_pairs(args)
     out = _out_dir(args.out)
 
-    x, y = probit_points(pairs, args.clip_alpha)
+    x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
     verdict = classify_split(fit, threshold=args.threshold)
     # Definition 6: least-squares a, then eps = max |x - a y|
@@ -170,7 +169,7 @@ def cmd_audit(args) -> int:
         "mode": args.mode,
         "ood_env": args.ood_env,
         "threshold": args.threshold,
-        "n_models": len(pairs),
+        "n_models": len(x),
         "fit": fit.to_dict(),
         "verdict": verdict.value,
         "definition6": {"a": a6, "epsilon": eps6},
@@ -195,14 +194,15 @@ def cmd_audit(args) -> int:
     plot.add_line(lo, lo, hi, hi, color="#888888", dash="4,3")
     (out / "audit_scatter.svg").write_text(plot.render(), encoding="utf-8")
     print(f"audit: R={fit.pearson_r:.4f} verdict={verdict.value} "
-          f"({len(pairs)} models)")
+          f"({len(x)} models)")
     return EXIT_OK
 
 
 def cmd_mincount(args) -> int:
-    pairs = leave_one_out_pairs(load_accuracy_table(args.table), args.ood_env)
+    id_acc, ood_acc = leave_one_out_pairs(load_accuracy_table(args.table),
+                                          args.ood_env)
     out = _out_dir(args.out)
-    minimum = min_model_count(pairs, rel_tol=args.rel_tol,
+    minimum = min_model_count(id_acc, ood_acc, rel_tol=args.rel_tol,
                               resamples=args.resamples,
                               confidence=args.confidence,
                               start=args.start, step=args.step,
@@ -213,7 +213,7 @@ def cmd_mincount(args) -> int:
         "rel_tol": args.rel_tol,
         "resamples": args.resamples,
         "confidence": args.confidence,
-        "total_models": len(pairs),
+        "total_models": len(id_acc),
         "reached": minimum is not None,
     }
     if minimum is not None:
@@ -223,9 +223,9 @@ def cmd_mincount(args) -> int:
 
     min_text = str(minimum) if minimum is not None else "not_reached"
     (out / "mincount.csv").write_text(
-        "minimum_models,total_models\n" + f"{min_text},{len(pairs)}\n",
+        "minimum_models,total_models\n" + f"{min_text},{len(id_acc)}\n",
         encoding="utf-8")
-    print(f"mincount: minimum={min_text} total={len(pairs)}")
+    print(f"mincount: minimum={min_text} total={len(id_acc)}")
     return EXIT_OK
 
 
@@ -250,12 +250,10 @@ def cmd_cmnist(args) -> int:
     (out / "cmnist_table.csv").write_text(dump_accuracy_table(table),
                                           encoding="utf-8")
 
+    splits = [pairwise_pairs(table, "env_id", env) for env in table.env_names[1:]]
     per_env = []
-    pooled_pairs: list[AccuracyPair] = []
-    for env, p_test in zip(table.env_names[1:], grid):
-        env_pairs = pairwise_pairs(table, "env_id", env)
-        pooled_pairs.extend(env_pairs)
-        fit = fit_probit_line(env_pairs, clip_alpha=args.clip_alpha)
+    for env, p_test, split in zip(table.env_names[1:], grid, splits):
+        fit = fit_probit_line(*split, clip_alpha=args.clip_alpha)
         per_env.append({
             "env": env,
             "test_p_e": p_test,
@@ -263,7 +261,9 @@ def cmd_cmnist(args) -> int:
             "slope": fit.slope,
             "verdict": classify_split(fit, args.threshold).value,
         })
-    x, y = probit_points(pooled_pairs, args.clip_alpha)
+    # pooled split: the per-env arrays concatenated in env order
+    id_acc, ood_acc = map(np.concatenate, zip(*splits))
+    x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     pooled_fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
 
     payload = {
@@ -291,7 +291,9 @@ def cmd_cmnist(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The four-command parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="shiftspec",
         description="Simulate spurious-correlation shifts and audit "

@@ -112,7 +112,8 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     (its pipeline keeps the same noise at evaluation), giving a family whose
     held-out ID accuracy spans the whole quality range, like checkpoints of
     models of varying capacity. Env columns are the held-out training
-    environment followed by one column per test-grid probability.
+    environment followed by one column per test-grid probability p, named
+    ``p_{p:g}``; two grid values that give the same name are an InputError.
     """
     if any(not 0.0 <= p <= 1.0 for p in test_grid):
         raise InputError("test grid probabilities must lie in [0, 1]")
@@ -121,6 +122,10 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     if len(test_grid) < 2:
         raise ValueError("degenerate sweep: test grid needs at least 2 points")
     env_names = ("env_id",) + tuple(f"p_{p:g}" for p in test_grid)
+    if len(set(env_names)) < len(env_names):
+        dup = next(name for name in env_names if env_names.count(name) > 1)
+        raise InputError(f"test grid names column {dup!r} twice; grid values "
+                         "must differ in their first 6 significant digits")
     p_train = spec.p_e[train_env]
 
     rows = []
@@ -131,8 +136,7 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
             noise_stream = RandomStream(seed * 1_000_003 + task, stream_id=1)
             x_noisy = data.x + sigma * noise_stream.standard_normal(size=data.x.shape)
             noisy = Dataset(x=x_noisy, y=data.y, k=1, l=1)
-            model = fit_logistic(noisy, Mask.FULL, l2,
-                                 OptimizerSettings(tol=1e-8, max_iters=10_000))
+            model = fit_logistic(noisy, Mask.FULL, l2, OptimizerSettings())
             w_c = float(model.w_c[0])
             w_e = float(model.w_e[0])
             accs = linear_rule_accuracy(w_c, w_e, spec.label_noise,

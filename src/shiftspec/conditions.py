@@ -17,12 +17,11 @@ components, and the zero-measure experiment passes all of its trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .aline import AccuracyPair
 from .analytic import normal_cdf, normal_pdf, normal_quantile
 from .core import (BoundParams, DomainSpec, LinearClassifier, LinearShift,
                    Mask, MixtureShift, ShiftSpec)
@@ -341,22 +340,17 @@ def classifier_sweep(spec: DomainSpec, n: int, seed: int,
     for rho in reliance_grid:
         for _ in range(n_seeds):
             data = sample_domain(spec, n, seed * 1_000_003 + task)
-            fit_opts = OptimizerSettings(tol=opts.tol, max_iters=opts.max_iters,
-                                         bias=opts.bias,
-                                         spurious_l2_scale=float(rho))
+            fit_opts = replace(opts, spurious_l2_scale=float(rho))
             models.append(fit_logistic(data, Mask.FULL, l2, fit_opts))
             task += 1
     return models
 
 
 def sweep_pairs(models: Sequence[LinearClassifier], spec: DomainSpec,
-                ood_shift: ShiftSpec) -> list[AccuracyPair]:
-    """Analytic (ID, OOD) accuracy pairs for a classifier family."""
-    acc_id = accuracy_under_shift(models, spec)
-    acc_ood = accuracy_under_shift(models, spec, ood_shift)
-    return [AccuracyPair(model_id=f"model_{i:04d}", id_acc=float(a),
-                         ood_acc=float(b))
-            for i, (a, b) in enumerate(zip(acc_id, acc_ood))]
+                ood_shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic ``(id_acc, ood_acc)`` arrays for a classifier family."""
+    return (accuracy_under_shift(models, spec),
+            accuracy_under_shift(models, spec, ood_shift))
 
 
 DEFAULT_RELIANCE_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e3, 13))

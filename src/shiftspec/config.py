@@ -17,16 +17,17 @@ import numpy as np
 from .core import (DomainSpec, IdentityShift, InputError, LinearShift,
                    MixtureShift, ShiftSpec, default_spec, read_input_text,
                    validate_spec)
+from .trainer import OptimizerSettings
 
 DEFAULT_MIXTURE_FACTORS = (1.5, 0.5, -0.5, -1.5)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    tol: float = 1e-8
-    max_iters: int = 10_000
+    tol: float = OptimizerSettings.tol
+    max_iters: int = OptimizerSettings.max_iters
     l2: float = 1e-3
-    bias: bool = False
+    bias: bool = OptimizerSettings.bias
 
 
 @dataclass(frozen=True)

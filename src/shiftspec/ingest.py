@@ -1,4 +1,4 @@
-"""Load benchmark accuracy tables and build ID/OOD pairs for auditing.
+"""Load benchmark accuracy tables and build ID/OOD splits for auditing.
 
 Tables are CSV with header ``model_id,<env_0>,...,<env_K>[,meta_*...]``:
 every non-meta column after model_id is a per-environment accuracy in
@@ -8,10 +8,13 @@ Every column name must be unique.
 The parse is column-wise. One loop over the CSV records checks only each
 row's arity and model_id; each environment column is then converted with
 ``map(float, ...)`` and range-checked as one ``(n_envs, n_models)`` matrix,
-which the table keeps as ``AccuracyTable.columns`` for the pair builders.
+which the table keeps as ``AccuracyTable.columns`` for the split builders.
 A faulty table reports the first fault in file order, with its line: the
 record loop stops at the first arity, duplicate-id or CSV fault, and a bad
 cell in an earlier row takes precedence over it.
+
+A split is two equal-length float64 arrays ``(id_acc, ood_acc)`` in row
+order, which the ``aline`` functions take as they are.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .aline import AccuracyPair
 from .core import InputError, read_input_text
 
 META_PREFIX = "meta_"
@@ -171,14 +173,10 @@ def save_accuracy_table(table: AccuracyTable, path: str | Path) -> None:
     Path(path).write_text(dump_accuracy_table(table), encoding="utf-8")
 
 
-def _pairs(table: AccuracyTable, ids: np.ndarray,
-           oods: np.ndarray) -> list[AccuracyPair]:
-    return [AccuracyPair(model_id=row.model_id, id_acc=i, ood_acc=o)
-            for row, i, o in zip(table.rows, ids.tolist(), oods.tolist())]
-
-
-def leave_one_out_pairs(table: AccuracyTable, ood_env: str) -> list[AccuracyPair]:
-    """ID is the unweighted mean over all non-OOD environments.
+def leave_one_out_pairs(table: AccuracyTable,
+                        ood_env: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(id_acc, ood_acc)``, where ID is the unweighted mean over all
+    non-OOD environments.
 
     The columns are added left to right from 0.0 and the total divided by
     their count, as ``sum(rest) / len(rest)`` does per row on Python 3.11.
@@ -191,12 +189,14 @@ def leave_one_out_pairs(table: AccuracyTable, ood_env: str) -> list[AccuracyPair
     for j, column in enumerate(acc):
         if j != ood_idx:
             total = total + column
-    return _pairs(table, total / (len(acc) - 1), acc[ood_idx])
+    return total / (len(acc) - 1), acc[ood_idx]
 
 
-def pairwise_pairs(table: AccuracyTable, id_env: str, ood_env: str) -> list[AccuracyPair]:
+def pairwise_pairs(table: AccuracyTable, id_env: str,
+                   ood_env: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(id_acc, ood_acc)``: the two named columns, read-only views."""
     if id_env == ood_env:
         raise InputError("id_env and ood_env must differ")
     id_idx = table.env_index(id_env)
     ood_idx = table.env_index(ood_env)
-    return _pairs(table, table.columns[id_idx], table.columns[ood_idx])
+    return table.columns[id_idx], table.columns[ood_idx]

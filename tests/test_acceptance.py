@@ -88,17 +88,16 @@ def test_criterion_3_figure_3_correlation_regimes():
 
     pos_rs = {}
     for a in (0.3, 0.5, 1.0):
-        fit = fit_probit_line(sweep_pairs(models, spec, LinearShift(a * np.eye(2))))
+        fit = fit_probit_line(*sweep_pairs(models, spec, LinearShift(a * np.eye(2))))
         pos_rs[a] = fit.pearson_r
     neg_rs = {}
     for a in (-0.5, -1.0, -2.0):
-        fit = fit_probit_line(sweep_pairs(models, spec, LinearShift(a * np.eye(2))))
+        fit = fit_probit_line(*sweep_pairs(models, spec, LinearShift(a * np.eye(2))))
         neg_rs[a] = fit.pearson_r
 
     # random shifts paired per classifier, kept when the SNR condition holds
-    from shiftspec.aline import AccuracyPair
     from shiftspec.conditions import accuracy_under_shift
-    pairs = []
+    id_accs, ood_accs = [], []
     draw = 0
     for model in models:
         while True:
@@ -106,12 +105,10 @@ def test_criterion_3_figure_3_correlation_regimes():
             draw += 1
             rep = condition_report(model, spec, m, delta=0.1)
             if rep.theorem2_well_specified:
-                pairs.append(AccuracyPair(
-                    model_id=f"m{draw}",
-                    id_acc=accuracy_under_shift(model, spec),
-                    ood_acc=accuracy_under_shift(model, spec, LinearShift(m))))
+                id_accs.append(accuracy_under_shift(model, spec))
+                ood_accs.append(accuracy_under_shift(model, spec, LinearShift(m)))
                 break
-    random_r = fit_probit_line(pairs).pearson_r
+    random_r = fit_probit_line(id_accs, ood_accs).pearson_r
     elapsed = time.time() - t0
 
     ok = (all(r >= 0.9 for r in pos_rs.values())
@@ -197,11 +194,8 @@ def test_criterion_6_statistical_oracles():
         n = int(rng.integers(5, 80))
         x = rng.uniform(-1.2, 1.2, n)
         y = rng.uniform(-1.2, 1.2, n)
-        from shiftspec.aline import AccuracyPair
         from shiftspec.analytic import normal_cdf
-        pairs = [AccuracyPair(str(i), float(a), float(b))
-                 for i, (a, b) in enumerate(zip(normal_cdf(x), normal_cdf(y)))]
-        fit = fit_probit_line(pairs, clip_alpha=1e-7)
+        fit = fit_probit_line(normal_cdf(x), normal_cdf(y), clip_alpha=1e-7)
         ref = stats.linregress(x, y)
         worst = max(worst,
                     abs(fit.slope - ref.slope),
@@ -309,9 +303,9 @@ def test_cmnist_four_panel_structure():
                             4000, sigmas, 2, seed=17)
     lo = cmnist_model_table(spec, 0, tuple(np.round(np.linspace(0.01, 0.2, 8), 4)),
                             4000, sigmas, 2, seed=17)
-    hi_rs = [fit_probit_line(pairwise_pairs(hi, "env_id", env)).pearson_r
+    hi_rs = [fit_probit_line(*pairwise_pairs(hi, "env_id", env)).pearson_r
              for env in hi.env_names[1:]]
-    lo_rs = [fit_probit_line(pairwise_pairs(lo, "env_id", env)).pearson_r
+    lo_rs = [fit_probit_line(*pairwise_pairs(lo, "env_id", env)).pearson_r
              for env in lo.env_names[1:]]
     ok = min(hi_rs) > 0.9 and max(lo_rs) < -0.9
     report("figure 7 sign structure", ok,

@@ -1,38 +1,33 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from shiftspec import aline
-from shiftspec.aline import (AccuracyPair, Verdict, classify_split,
-                             correlation_epsilon, fit_probit_line,
-                             min_model_count, probit_points)
+from shiftspec.aline import (Verdict, classify_split, correlation_epsilon,
+                             fit_probit_line, min_model_count, probit_points)
 from shiftspec.analytic import normal_cdf
+from shiftspec.core import InputError
 from shiftspec.rng import RandomStream
 
 
 def pairs_from_probits(xs, ys):
-    xs = normal_cdf(np.asarray(xs, dtype=float))
-    ys = normal_cdf(np.asarray(ys, dtype=float))
-    return [AccuracyPair(model_id=f"m{i}", id_acc=float(a), ood_acc=float(b))
-            for i, (a, b) in enumerate(zip(xs, ys))]
+    return (normal_cdf(np.asarray(xs, dtype=float)),
+            normal_cdf(np.asarray(ys, dtype=float)))
 
 
 class TestFitProbitLine:
     def test_identity_line(self):
-        pairs = [AccuracyPair(f"m{i}", a, a)
-                 for i, a in enumerate((0.55, 0.7, 0.8, 0.9))]
-        fit = fit_probit_line(pairs)
+        accs = np.array([0.55, 0.7, 0.8, 0.9])
+        fit = fit_probit_line(accs, accs)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(0.0, abs=1e-12)
         assert fit.pearson_r == pytest.approx(1.0, abs=1e-12)
 
     def test_probit_table_example(self):
-        pairs = [AccuracyPair("a", 0.6915, 0.8413),
-                 AccuracyPair("b", 0.5, 0.6915),
-                 AccuracyPair("c", 0.3085, 0.5)]
-        fit = fit_probit_line(pairs)
+        fit = fit_probit_line([0.6915, 0.5, 0.3085], [0.8413, 0.6915, 0.5])
         assert fit.slope == pytest.approx(1.0, abs=1e-3)
         assert fit.intercept == pytest.approx(0.5, abs=1e-3)
         assert fit.pearson_r == pytest.approx(1.0, abs=1e-6)
@@ -48,7 +43,7 @@ class TestFitProbitLine:
         z /= z.std()
         r = 0.5
         y = r * x + math.sqrt(1 - r * r) * z
-        fit = fit_probit_line(pairs_from_probits(0.4 * x, 0.4 * y),
+        fit = fit_probit_line(*pairs_from_probits(0.4 * x, 0.4 * y),
                               clip_alpha=1e-6)
         assert fit.pearson_r == pytest.approx(0.5, abs=1e-9)
         assert fit.p_value == pytest.approx(0.0249, abs=5e-4)
@@ -60,7 +55,7 @@ class TestFitProbitLine:
             x = rng.uniform(-1.5, 1.5, n)
             y = rng.uniform(-1.5, 1.5, n)
             pairs = pairs_from_probits(x, y)
-            fit = fit_probit_line(pairs, clip_alpha=1e-6)
+            fit = fit_probit_line(*pairs, clip_alpha=1e-6)
             ref = stats.linregress(x, y)
             assert fit.slope == pytest.approx(ref.slope, abs=1e-10)
             assert fit.intercept == pytest.approx(ref.intercept, abs=1e-10)
@@ -72,7 +67,7 @@ class TestFitProbitLine:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, 40)
         y = 0.7 * x + rng.normal(0, 0.3, 40)
-        fit = fit_probit_line(pairs_from_probits(x, y), clip_alpha=1e-6)
+        fit = fit_probit_line(*pairs_from_probits(x, y), clip_alpha=1e-6)
         sx = np.std(x, ddof=1)
         sy = np.std(y, ddof=1)
         assert fit.slope == pytest.approx(fit.pearson_r * sy / sx, abs=1e-10)
@@ -81,28 +76,51 @@ class TestFitProbitLine:
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 30)
         y = x + rng.normal(0, 0.4, 30)
-        base = fit_probit_line(pairs_from_probits(x, y), clip_alpha=1e-9)
-        moved = fit_probit_line(pairs_from_probits(0.5 * x + 0.2, y),
+        base = fit_probit_line(*pairs_from_probits(x, y), clip_alpha=1e-9)
+        moved = fit_probit_line(*pairs_from_probits(0.5 * x + 0.2, y),
                                 clip_alpha=1e-9)
         assert moved.pearson_r == pytest.approx(base.pearson_r, abs=1e-12)
 
     def test_degenerate_sweep(self):
-        pairs = [AccuracyPair(f"m{i}", 0.7, v)
-                 for i, v in enumerate((0.5, 0.6, 0.7))]
         with pytest.raises(ValueError, match="degenerate sweep"):
-            fit_probit_line(pairs)
+            fit_probit_line([0.7, 0.7, 0.7], [0.5, 0.6, 0.7])
 
     def test_needs_three_pairs(self):
         with pytest.raises(ValueError):
-            fit_probit_line([AccuracyPair("a", 0.5, 0.5),
-                             AccuracyPair("b", 0.6, 0.6)])
+            fit_probit_line([0.5, 0.6], [0.5, 0.6])
 
     def test_boundary_accuracies_stay_finite(self):
-        pairs = [AccuracyPair("a", 0.0, 0.0), AccuracyPair("b", 0.5, 0.4),
-                 AccuracyPair("c", 1.0, 1.0), AccuracyPair("d", 0.8, 0.7)]
-        fit = fit_probit_line(pairs)
+        fit = fit_probit_line([0.0, 0.5, 1.0, 0.8], [0.0, 0.4, 1.0, 0.7])
         assert np.isfinite(fit.slope) and np.isfinite(fit.pearson_r)
         assert abs(fit.pearson_r) <= 1.0
+
+
+class TestProbitPointsInputs:
+    """Every accuracy passes probit_points, which holds the range check."""
+
+    GOOD = [0.2, 0.5, 0.9]
+
+    @pytest.mark.parametrize("bad", [-0.25, -1e-300, 1.0 + 2**-52, 1.5, math.nan])
+    @pytest.mark.parametrize("side", ["id_acc", "ood_acc"])
+    def test_rejects_out_of_range(self, bad, side):
+        accs = {"id_acc": list(self.GOOD), "ood_acc": list(self.GOOD)}
+        accs[side][1] = bad
+        with pytest.raises(InputError, match=rf"{side} must lie in \[0, 1\], "
+                                             rf"got {re.escape(repr(bad))}$"):
+            probit_points(accs["id_acc"], accs["ood_acc"], 1e-4)
+
+    @pytest.mark.parametrize("n_id,n_ood", [(3, 2), (2, 3), (0, 1)])
+    def test_rejects_unequal_lengths(self, n_id, n_ood):
+        with pytest.raises(InputError, match="equal length"):
+            probit_points(np.full(n_id, 0.5), np.full(n_ood, 0.5), 1e-4)
+
+    def test_callers_inherit_the_check(self):
+        with pytest.raises(InputError, match="ood_acc must lie in"):
+            fit_probit_line(self.GOOD, [0.2, 1.5, 0.9])
+        with pytest.raises(InputError, match="id_acc must lie in"):
+            correlation_epsilon([-0.1], [0.5], a=1.0)
+        with pytest.raises(InputError, match="equal length"):
+            min_model_count(np.full(20, 0.5), np.full(19, 0.5))
 
 
 class TestClassifySplit:
@@ -138,16 +156,14 @@ class TestCorrelationEpsilon:
     def test_exact_line_zero(self):
         xs = np.array([0.2, -0.1, 0.5])
         pairs = pairs_from_probits(2.0 * xs, xs)  # probit(id) = 2 probit(ood)
-        assert correlation_epsilon(pairs, a=2.0) == pytest.approx(0.0, abs=1e-9)
+        assert correlation_epsilon(*pairs, a=2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_centre_pair_is_zero(self):
-        pairs = [AccuracyPair("m", 0.5, 0.5)]
-        assert correlation_epsilon(pairs, a=123.0) == 0.0
+        assert correlation_epsilon([0.5], [0.5], a=123.0) == 0.0
 
     def test_swapped_pair_example(self):
-        pairs = [AccuracyPair("a", 0.8413, 0.5),
-                 AccuracyPair("b", 0.5, 0.8413)]
-        assert correlation_epsilon(pairs, a=1.0) == pytest.approx(1.0, abs=1e-3)
+        assert correlation_epsilon([0.8413, 0.5], [0.5, 0.8413],
+                                   a=1.0) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestMinModelCount:
@@ -158,7 +174,7 @@ class TestMinModelCount:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 300)
         y = 0.8 * x + 0.05 + rng.normal(0, 1e-6, 300)
-        assert min_model_count(self.make_pairs(x, y), resamples=150) == 10
+        assert min_model_count(*self.make_pairs(x, y), resamples=150) == 10
 
     def test_drifting_stream_exceeds_structured_block(self):
         # first 500 pairs R ~ 0.9 (with internal drift), remainder R ~ 0
@@ -181,7 +197,7 @@ class TestMinModelCount:
         r_2010 = np.corrcoef(probit_x[:2010], probit_y[:2010])[0, 1]
         assert r_510 > 0.85
         assert r_2010 < r_510 - 0.05
-        result = min_model_count(stream, resamples=150)
+        result = min_model_count(*stream, resamples=150)
         assert result is not None
         assert result > 500
         assert result % 100 == 10
@@ -190,7 +206,7 @@ class TestMinModelCount:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, 800)
         y = x + rng.normal(0, 0.2, 800)
-        result = min_model_count(self.make_pairs(x, y), resamples=150)
+        result = min_model_count(*self.make_pairs(x, y), resamples=150)
         if result is not None:
             assert result % 100 == 10
 
@@ -198,27 +214,27 @@ class TestMinModelCount:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, 400)
         y = x + rng.normal(0, 0.2, 400)
-        assert min_model_count(self.make_pairs(x, y), rel_tol=1e-12,
+        assert min_model_count(*self.make_pairs(x, y), rel_tol=1e-12,
                                resamples=150) is None
 
     def test_too_few_pairs(self):
         with pytest.raises(ValueError, match="need at least"):
-            min_model_count([AccuracyPair("a", 0.5, 0.5)] * 5, resamples=150)
+            min_model_count([0.5] * 5, [0.5] * 5, resamples=150)
 
     def test_preconditions(self):
-        pairs = [AccuracyPair(str(i), 0.5, 0.5) for i in range(200)]
+        pairs = (np.full(200, 0.5), np.full(200, 0.5))
         with pytest.raises(ValueError):
-            min_model_count(pairs, rel_tol=0.0)
+            min_model_count(*pairs, rel_tol=0.0)
         with pytest.raises(ValueError):
-            min_model_count(pairs, resamples=10)
+            min_model_count(*pairs, resamples=10)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
         # a nan or inf tolerance would reach the JSON report, which cannot
         # hold it
-        pairs = [AccuracyPair(str(i), 0.5, 0.5) for i in range(200)]
+        pairs = (np.full(200, 0.5), np.full(200, 0.5))
         with pytest.raises(ValueError, match="rel_tol"):
-            min_model_count(pairs, rel_tol=rel_tol)
+            min_model_count(*pairs, rel_tol=rel_tol)
 
 
 def _scalar_pearson(x, y):
@@ -233,7 +249,7 @@ def _scalar_pearson(x, y):
 def reference_quantile(pairs, size, step, resamples, confidence=0.95,
                        seed=0, clip_alpha=1e-4):
     """Bootstrap quantile at one prefix, one draw at a time."""
-    x, y = probit_points(pairs, clip_alpha)
+    x, y = probit_points(*pairs, clip_alpha)
     stream = RandomStream(seed)
     deltas = []
     for b in range(resamples):
@@ -269,9 +285,9 @@ class TestBootstrapPinnedToReference:
         q = reference_quantile(pairs, size, 100, resamples)
         assert 0.0 < q < math.inf
         kwargs = dict(resamples=resamples, start=size, step=100)
-        assert min_model_count(pairs, rel_tol=np.nextafter(q, math.inf),
+        assert min_model_count(*pairs, rel_tol=np.nextafter(q, math.inf),
                                **kwargs) == size
-        assert min_model_count(pairs, rel_tol=q, **kwargs) != size
+        assert min_model_count(*pairs, rel_tol=q, **kwargs) != size
 
 
 class TestBootstrapPinnedForMaskedSeeds:
@@ -289,9 +305,9 @@ class TestBootstrapPinnedForMaskedSeeds:
         q = reference_quantile(pairs, size, 100, resamples, seed=seed)
         assert 0.0 < q < math.inf
         kwargs = dict(resamples=resamples, start=size, step=100, seed=seed)
-        assert min_model_count(pairs, rel_tol=np.nextafter(q, math.inf),
+        assert min_model_count(*pairs, rel_tol=np.nextafter(q, math.inf),
                                **kwargs) == size
-        assert min_model_count(pairs, rel_tol=q, **kwargs) != size
+        assert min_model_count(*pairs, rel_tol=q, **kwargs) != size
 
 
 def test_bootstrap_builds_a_fixed_number_of_generators(monkeypatch):
@@ -310,7 +326,7 @@ def test_bootstrap_builds_a_fixed_number_of_generators(monkeypatch):
     counts = []
     for resamples in (100, 400):
         built.clear()
-        assert min_model_count(pairs, rel_tol=1e-12, resamples=resamples,
+        assert min_model_count(*pairs, rel_tol=1e-12, resamples=resamples,
                                start=10, step=100) is None
         counts.append(len(built))
     assert counts[0] == counts[1] > 0

@@ -44,8 +44,9 @@ def inverse_table(tmp_path):
     models = classifier_sweep(spec, 600, seed=3,
                               reliance_grid=np.geomspace(1e-3, 1e3, 9),
                               n_seeds=2)
-    pairs = sweep_pairs(models, spec, LinearShift(-np.eye(2)))
-    rows = tuple(TableRow(p.model_id, (p.id_acc, p.ood_acc)) for p in pairs)
+    id_acc, ood_acc = sweep_pairs(models, spec, LinearShift(-np.eye(2)))
+    rows = tuple(TableRow(f"model_{i:04d}", pair) for i, pair
+                 in enumerate(zip(id_acc.tolist(), ood_acc.tolist())))
     table = AccuracyTable(env_names=("env_id", "env_ood"), rows=rows)
     path = tmp_path / "inverse.csv"
     save_accuracy_table(table, path)
@@ -425,6 +426,16 @@ class TestCmnist:
         rc = main(["cmnist", "--test-grid", "0.5",
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    @pytest.mark.parametrize("grid", ["0.8,0.8000001,0.9", "0.8,0.9,0.8"])
+    def test_colliding_grid_columns(self, grid, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["cmnist", "--test-grid", grid, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: test grid names column 'p_0.8' twice")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_probability(self, tmp_path):
         rc = main(["cmnist", "--train-pe", "1.4",

@@ -137,7 +137,9 @@ def test_audit_exit_code_contract(accs, bad_cell, mode, ood_env, id_env,
        clip_alpha=_CLIP_ALPHAS, threshold=_THRESHOLDS)
 def test_cmnist_exit_code_contract(train_pe, label_noise, grid,
                                    seeds_per_sigma, clip_alpha, threshold):
+    # grid values are columns p_{p:g}; two that print alike collide
     invalid = (any(not 0.0 <= p <= 1.0 for p in [train_pe, label_noise, *grid])
+               or len({f"{p:g}" for p in grid}) < len(grid)
                or seeds_per_sigma < 1 or not _clip_alpha_ok(clip_alpha)
                or not _threshold_ok(threshold))
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,7 @@ from shiftspec.cmnist import (CmnistSpec, cmnist_model_table,
                               color_classifier_accuracy,
                               digit_classifier_accuracy, generate_cmnist,
                               linear_rule_accuracy)
-from shiftspec.core import Dataset, Mask
+from shiftspec.core import Dataset, InputError, Mask
 from shiftspec.ingest import pairwise_pairs
 from shiftspec.trainer import evaluate_accuracy, fit_logistic
 
@@ -119,9 +119,9 @@ def test_sweep_sign_structure_small():
     hi = cmnist_model_table(spec, 0, (0.8, 0.9, 0.99), 2000, sigmas, 1, seed=8)
     lo = cmnist_model_table(spec, 0, (0.01, 0.1, 0.2), 2000, sigmas, 1, seed=8)
     from shiftspec.aline import fit_probit_line
-    hi_rs = [fit_probit_line(pairwise_pairs(hi, "env_id", env)).pearson_r
+    hi_rs = [fit_probit_line(*pairwise_pairs(hi, "env_id", env)).pearson_r
              for env in hi.env_names[1:]]
-    lo_rs = [fit_probit_line(pairwise_pairs(lo, "env_id", env)).pearson_r
+    lo_rs = [fit_probit_line(*pairwise_pairs(lo, "env_id", env)).pearson_r
              for env in lo.env_names[1:]]
     assert min(hi_rs) > 0.9
     assert max(lo_rs) < -0.9
@@ -130,6 +130,13 @@ def test_sweep_sign_structure_small():
 def test_model_table_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="degenerate sweep"):
         cmnist_model_table(CmnistSpec(), 0, (0.5,), 100, (0.5,), 1, seed=0)
+
+
+@pytest.mark.parametrize("grid", [(0.8, 0.8000001, 0.9), (0.8, 0.9, 0.8)])
+def test_model_table_rejects_colliding_column_names(grid):
+    # both grid values would be written as column p_0.8
+    with pytest.raises(InputError, match="'p_0.8' twice"):
+        cmnist_model_table(CmnistSpec(), 0, grid, 100, (0.5,), 1, seed=0)
 
 
 def test_dataset_exports_through_shared_csv_format():
