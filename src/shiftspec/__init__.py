@@ -4,9 +4,11 @@ from .aline import (AlineFit, Verdict, classify_split, correlation_epsilon,
                     fit_probit_line, min_model_count)
 from .analytic import (gaussian_accuracy, normal_cdf, normal_pdf,
                        normal_quantile, pearson_p_value, probit)
-from .conditions import (ConditionReport, Theorem2Result, TradeoffBound,
-                         ZeroMeasureResult, accuracy_under_shift, aotl_bound,
-                         classifier_sweep, condition_report, gaussian_kappa,
+from .conditions import (ConditionReport, ShiftStack, Theorem2Result,
+                         TradeoffBound, ZeroMeasureResult,
+                         accuracies_under_shifts, accuracy_under_shift,
+                         aotl_bound, classifier_sweep, condition_report,
+                         condition_reports, gaussian_kappa,
                          kappa_of_mixture, lipschitz_of_linear,
                          reflection_alpha_threshold, sweep_pairs,
                          theorem1_margin, theorem2_compare,

@@ -20,16 +20,17 @@ from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
                     check_threshold, classify_split, fit_probit_line,
                     fit_probit_points, min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
-from .conditions import accuracy_under_shift, condition_report
+from .conditions import (ShiftStack, accuracies_under_shifts, condition_reports,
+                         require_finite)
 from .config import default_config, load_config
-from .core import IdentityShift, InputError, LinearShift, Mask, MixtureShift
+from .core import IdentityShift, InputError, Mask, MixtureShift
 from .ingest import (dump_accuracy_table, leave_one_out_pairs,
                      load_accuracy_table, pairwise_pairs)
 from .report import write_json_report
+from .rng import seeded_uniforms
 from .svgplot import ScatterPlot
-from .synthgen import interpolation_mixture, random_shift, sample_domain
+from .synthgen import interpolation_mixture, sample_domain
 from .trainer import OptimizerSettings, fit_logistic
-from .util import parallel_map
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,7 +57,6 @@ def _fmt_row(values) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    out = _out_dir(args.out)
     seed = args.seed
 
     spec = cfg.domain
@@ -70,8 +70,6 @@ def cmd_simulate(args) -> int:
         if isinstance(spec.shift, IdentityShift):
             weight = 1.0 / len(components)
             spec = spec.with_shift(MixtureShift(tuple((weight, m) for m in components)))
-    else:
-        components = None
 
     opt = cfg.optimizer
     fit_opts = OptimizerSettings(tol=opt.tol, max_iters=opt.max_iters, bias=opt.bias)
@@ -79,47 +77,50 @@ def cmd_simulate(args) -> int:
     full = fit_logistic(train, Mask.FULL, opt.l2, fit_opts)
     dg = fit_logistic(train, Mask.DOMAIN_GENERAL, opt.l2, fit_opts)
 
-    def run_shift(index: int) -> dict:
-        shift_seed = seed * 31 + 1000 + index
-        if sweep.ood_mode == "interpolation":
-            ood_shift = interpolation_mixture(components, seed=shift_seed)
-        else:
-            ood_shift = LinearShift(random_shift(spec.l, sweep.shift_scale,
-                                                 seed=shift_seed))
-        rep = condition_report(full, spec, ood_shift, cfg.delta)
-        acc_dg, acc_full = accuracy_under_shift([dg, full], spec, ood_shift).tolist()
-        return {"index": index, "report": rep,
-                "acc_dg": acc_dg, "acc_full": acc_full}
-
-    results = parallel_map(run_shift, list(range(sweep.n_shifts)))
+    shift_seeds = [seed * 31 + 1000 + i for i in range(sweep.n_shifts)]
+    if sweep.ood_mode == "interpolation":
+        shifts = ShiftStack.of([interpolation_mixture(components, seed=s)
+                                for s in shift_seeds], spec.l)
+    else:
+        # random_shift(spec.l, sweep.shift_scale, s) for every shift seed s
+        shifts = ShiftStack.linear(seeded_uniforms(
+            shift_seeds, -sweep.shift_scale, sweep.shift_scale, (spec.l, spec.l)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = condition_reports(full, spec, shifts, cfg.delta)
+        acc = accuracies_under_shifts([dg, full], spec, shifts).T
+    for name, values in (("theorem1_margin", [r.theorem1_margin for r in reports]),
+                         ("snr_ood", [r.snr_ood for r in reports]),
+                         ("acc_ood_domain_general", acc[0]),
+                         ("acc_ood_full", acc[1])):
+        require_finite(name, values)
+    acc_dg, acc_full = acc.tolist()
+    gaps = [a - b for a, b in zip(acc_dg, acc_full)]
+    out = _out_dir(args.out)
 
     header = ["shift_index", "reversal_term", "theorem1_margin",
               "theorem1_well_specified", "snr_id", "snr_ood",
               "theorem2_well_specified", "acc_ood_domain_general",
               "acc_ood_full", "acc_gap"]
     lines = [",".join(header)]
-    for r in results:
-        rep = r["report"]
-        lines.append(_fmt_row([r["index"], rep.reversal_term, rep.theorem1_margin,
+    for i, rep in enumerate(reports):
+        lines.append(_fmt_row([i, rep.reversal_term, rep.theorem1_margin,
                                rep.theorem1_well_specified, rep.snr_id,
                                rep.snr_ood, rep.theorem2_well_specified,
-                               r["acc_dg"], r["acc_full"],
-                               r["acc_dg"] - r["acc_full"]]))
+                               acc_dg[i], acc_full[i], gaps[i]]))
     (out / "simulate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    margins_neg = [r for r in results if r["report"].theorem1_margin < 0.0]
-    dg_wins = sum(1 for r in margins_neg if r["acc_dg"] > r["acc_full"])
-    agreement = sum(1 for r in margins_neg if r["report"].theorem2_well_specified)
-    gaps = [abs(r["acc_dg"] - r["acc_full"]) for r in results]
+    negative = [i for i, rep in enumerate(reports) if rep.theorem1_margin < 0.0]
     payload = {
         "seed": seed,
         "n_shifts": sweep.n_shifts,
         "ood_mode": sweep.ood_mode,
         "delta": cfg.delta,
-        "mean_abs_gap": float(np.mean(gaps)),
-        "margin_negative_count": len(margins_neg),
-        "dg_wins_given_margin_negative": dg_wins,
-        "theorem2_agreement_count": agreement,
+        "mean_abs_gap": float(np.mean([abs(g) for g in gaps])),
+        "margin_negative_count": len(negative),
+        "dg_wins_given_margin_negative": sum(1 for i in negative
+                                             if acc_dg[i] > acc_full[i]),
+        "theorem2_agreement_count": sum(1 for i in negative
+                                        if reports[i].theorem2_well_specified),
     }
     write_json_report(payload, out / "simulate_report.json",
                       "simulate_report.schema.json")
@@ -127,18 +128,16 @@ def cmd_simulate(args) -> int:
     plot = ScatterPlot(title="OOD accuracy gap vs. spurious reversal term",
                        xlabel="w_e . M mu_e (dark points: reversal margin < 0)",
                        ylabel="OOD accuracy: domain-general minus full")
-    rest = [r for r in results if r["report"].theorem1_margin >= 0.0]
-    plot.add_points([r["report"].reversal_term for r in rest],
-                    [r["acc_dg"] - r["acc_full"] for r in rest])
-    plot.add_points([r["report"].reversal_term for r in margins_neg],
-                    [r["acc_dg"] - r["acc_full"] for r in margins_neg],
+    x_vals = [rep.reversal_term for rep in reports]
+    rest = [i for i, rep in enumerate(reports) if rep.theorem1_margin >= 0.0]
+    plot.add_points([x_vals[i] for i in rest], [gaps[i] for i in rest])
+    plot.add_points([x_vals[i] for i in negative], [gaps[i] for i in negative],
                     color="#7d2181")
     plot.add_line(0.0, -1.0, 0.0, 1.0, color="#888888", dash="4,3")
-    x_vals = [r["report"].reversal_term for r in results]
     plot.add_line(min(x_vals), 0.0, max(x_vals), 0.0, color="#888888", dash="4,3")
     (out / "simulate.svg").write_text(plot.render(), encoding="utf-8")
     print(f"simulate: wrote {out / 'simulate.csv'} "
-          f"({len(results)} shifts, {len(margins_neg)} with negative margin)")
+          f"({len(reports)} shifts, {len(negative)} with negative margin)")
     return EXIT_OK
 
 

@@ -11,7 +11,13 @@ shift_moments(spec.shift, mu_e, sigma_e).
 
 Every exact accuracy comes from one kernel, _accuracy_kernel, which takes
 stacked rules and a (C, l, l) stack of shift matrices: a mixture passes its
-components, and the zero-measure experiment passes all of its trials.
+components, the zero-measure experiment passes all of its trials, and
+simulate passes the components of all of its shifts at once (a ShiftStack,
+through accuracies_under_shifts and condition_reports). The shift constants
+M, Sigma_phi and L_phi of a whole stack come from one pass as well
+(_shift_constants, with one batched SVD). condition_report,
+accuracy_under_shift, shift_moments, aotl_bound and tradeoff_lower_bound
+are the one-shift case of these stacked helpers.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .core import (BoundParams, DomainSpec, LinearClassifier, LinearShift,
 from .rng import seeded_uniforms
 from .synthgen import sample_domain
 from .trainer import OptimizerSettings, fit_logistic
+from .util import parallel_map
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,12 @@ class ConditionReport:
                 "theorem2_well_specified": self.theorem2_well_specified}
 
 
+def _log_inv(delta: float) -> float:
+    """log(1/delta); -log(delta) where 1/delta overflows (a subnormal delta)."""
+    inv = 1.0 / delta
+    return math.log(inv) if inv < math.inf else -math.log(delta)
+
+
 def theorem1_margin(w_e, m_mu_e, l_phi: float, kappa: float, delta: float) -> float:
     """Reversal margin w_e.(M mu_e) + sqrt(2) L_phi kappa ||w_e|| sqrt(log 1/delta).
 
@@ -63,7 +76,7 @@ def theorem1_margin(w_e, m_mu_e, l_phi: float, kappa: float, delta: float) -> fl
     w_e = np.asarray(w_e, dtype=np.float64)
     m_mu_e = np.asarray(m_mu_e, dtype=np.float64)
     penalty = math.sqrt(2.0) * l_phi * kappa * float(np.linalg.norm(w_e))
-    return float(w_e @ m_mu_e) + penalty * math.sqrt(math.log(1.0 / delta))
+    return float(w_e @ m_mu_e) + penalty * math.sqrt(_log_inv(delta))
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,9 @@ def theorem2_compare(w_c, mu_c, sigma_c, w_e, m_mu_e, sigma_phi) -> Theorem2Resu
     w_e = np.asarray(w_e, dtype=np.float64)
     var_c = float(w_c @ np.asarray(sigma_c) @ w_c)
     var_e = float(w_e @ np.asarray(sigma_phi) @ w_e)
+    if not math.isfinite(var_e):
+        raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
+                         "moments overflow float64")
     if var_c <= 0.0 or var_c + var_e <= 0.0:
         raise ValueError("degenerate denominators in SNR comparison")
     signal_id = float(w_c @ np.asarray(mu_c))
@@ -115,23 +131,79 @@ def kappa_of_mixture(components: Sequence[tuple[float, np.ndarray, np.ndarray]])
     return kappa_comp + spread
 
 
+@dataclass(frozen=True)
+class ShiftStack:
+    """S shifts as one (C, l, l) stack of their component matrices.
+
+    Shift s owns counts[s] consecutive rows of mats, in its own component
+    order, with their mixture weights beside them in weights; a linear or
+    identity shift is one component of weight 1.
+    """
+
+    mats: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, shifts: Sequence[ShiftSpec | np.ndarray], l: int) -> "ShiftStack":
+        """Stack the shifts; a bare l x l matrix is a LinearShift."""
+        shifts = [s if isinstance(s, ShiftSpec) else LinearShift(s) for s in shifts]
+        return cls(mats=np.stack([m for s in shifts for m in s.matrices(l)]),
+                   weights=np.concatenate([s.weights() for s in shifts]),
+                   counts=np.array([len(s.weights()) for s in shifts]))
+
+    @classmethod
+    def linear(cls, mats: np.ndarray) -> "ShiftStack":
+        """An (S, l, l) array as S linear shifts."""
+        mats = np.asarray(mats, dtype=np.float64)
+        return cls(mats=mats, weights=np.ones(len(mats)),
+                   counts=np.ones(len(mats), dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def starts(self) -> np.ndarray:
+        """(S,) row of each shift's first component in mats."""
+        return np.cumsum(self.counts) - self.counts
+
+    def weighted_sums(self, terms: np.ndarray) -> np.ndarray:
+        """(S, ...) sum over each shift's components of weight * term.
+
+        terms holds one (...) term per component. Each sum starts from zero
+        and adds float(w) * term in component order, as a loop over one
+        shift's components does, so the doubles are the same.
+        """
+        starts = self.starts()
+        total = np.zeros((len(self),) + terms.shape[1:])
+        for j in range(int(self.counts.max(initial=0))):
+            rows = np.flatnonzero(self.counts > j)
+            comps = starts[rows] + j
+            weights = self.weights[comps].reshape((-1,) + (1,) * (terms.ndim - 1))
+            total[rows] += weights * terms[comps]
+        return total
+
+
+def _stacked_moments(stack: ShiftStack, mu_e, sigma_e
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(S, l, l) mean matrices and covariances of every shift (shift_moments)."""
+    mu_e = np.asarray(mu_e, dtype=np.float64)
+    sigma_e = np.asarray(sigma_e, dtype=np.float64)
+    mats = stack.mats
+    m_mean = stack.weighted_sums(mats)
+    dev = mats @ mu_e - np.repeat(m_mean @ mu_e, stack.counts, axis=0)
+    spread = (mats @ sigma_e @ np.swapaxes(mats, -1, -2)
+              + dev[:, :, None] * dev[:, None, :])
+    return m_mean, stack.weighted_sums(spread)
+
+
 def shift_moments(shift: ShiftSpec, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
     """Mean matrix and class-conditional covariance of the shifted block.
 
     For a mixture the covariance picks up the between-component spread of
     the shifted means on top of the weighted within-component covariances.
     """
-    mu_e = np.asarray(mu_e, dtype=np.float64)
-    sigma_e = np.asarray(sigma_e, dtype=np.float64)
-    matrices = shift.matrices(len(mu_e))
-    weights = shift.weights()
-    m_mean = sum(float(w) * m for w, m in zip(weights, matrices))
-    mean_shifted = m_mean @ mu_e
-    sigma_phi = np.zeros_like(sigma_e)
-    for w, m in zip(weights, matrices):
-        comp_mean = m @ mu_e
-        dev = comp_mean - mean_shifted
-        sigma_phi += float(w) * (m @ sigma_e @ m.T + np.outer(dev, dev))
+    (m_mean,), (sigma_phi,) = _stacked_moments(
+        ShiftStack.of([shift], len(mu_e)), mu_e, sigma_e)
     return m_mean, sigma_phi
 
 
@@ -144,15 +216,67 @@ def _id_kappa(spec: DomainSpec) -> float:
     return gaussian_kappa(spec.sigma_e)
 
 
-def _shift_constants(spec: DomainSpec, shift: ShiftSpec | np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """M and Sigma_phi (shift_moments) and L_phi, the largest component
-    operator norm, of a shift; a bare l x l matrix is a LinearShift."""
-    if not isinstance(shift, ShiftSpec):
-        shift = LinearShift(shift)
-    m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
-    l_phi = max(lipschitz_of_linear(m) for m in shift.matrices(spec.l))
-    return m_mean, sigma_phi, l_phi
+def _stacked_l_phi(stack: ShiftStack) -> np.ndarray:
+    """(S,) L_phi: each shift's largest component operator norm, from one
+    batched SVD (the same doubles as lipschitz_of_linear)."""
+    norms = np.linalg.svd(stack.mats, compute_uv=False)[:, 0]
+    return np.maximum.reduceat(norms, stack.starts())
+
+
+def _shift_constants(spec: DomainSpec, stack: ShiftStack
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, l, l) M and Sigma_phi (shift_moments) and (S,) L_phi of every
+    shift in the stack."""
+    m_mean, sigma_phi = _stacked_moments(stack, spec.mu_e, spec.sigma_e)
+    return m_mean, sigma_phi, _stacked_l_phi(stack)
+
+
+def _one_shift(spec: DomainSpec, shift: ShiftSpec | np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """_shift_constants of one shift; a bare l x l matrix is a LinearShift."""
+    (m_mean,), (sigma_phi,), (l_phi,) = _shift_constants(
+        spec, ShiftStack.of([shift], spec.l))
+    return m_mean, sigma_phi, float(l_phi)
+
+
+def require_finite(name: str, values) -> None:
+    """A numeric error naming the first shift (row of values) that holds a
+    value that is not finite."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValueError(f"{name} is not finite at shift {int(bad[0])}: "
+                         f"the shifted moments overflow float64")
+
+
+def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
+                      stack: ShiftStack, delta: float) -> list[ConditionReport]:
+    """condition_report for every shift of the stack.
+
+    The shift constants come from one stacked pass, and a Sigma_phi that
+    overflows is a numeric error. The per-shift dot products of the margin
+    and the SNRs stay scalar, since batched BLAS rounds them differently.
+    """
+    m_mean, sigma_phi, l_phi = _shift_constants(spec, stack)
+    require_finite("Sigma_phi", sigma_phi)
+    m_mu_e = m_mean @ spec.mu_e
+    l_phi = l_phi.tolist()
+    kappa = _id_kappa(spec)
+    w_e = np.asarray(classifier.w_e)
+
+    def report(s: int) -> ConditionReport:
+        margin = theorem1_margin(w_e, m_mu_e[s], l_phi[s], kappa, delta)
+        t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
+                              w_e, m_mu_e[s], sigma_phi[s])
+        return ConditionReport(reversal_term=float(w_e @ m_mu_e[s]),
+                               theorem1_margin=margin,
+                               theorem1_well_specified=margin < 0.0,
+                               snr_id=t2.snr_id,
+                               snr_ood=t2.snr_ood,
+                               theorem2_well_specified=t2.well_specified)
+
+    return parallel_map(report, range(len(stack)))
 
 
 def condition_report(classifier: LinearClassifier, spec: DomainSpec,
@@ -160,20 +284,11 @@ def condition_report(classifier: LinearClassifier, spec: DomainSpec,
     """Evaluate both shift conditions for a full classifier under a shift.
 
     A bare l x l matrix is taken as a LinearShift; kappa comes from
-    _id_kappa and M, Sigma_phi, L_phi from _shift_constants.
+    _id_kappa and M, Sigma_phi, L_phi from _shift_constants. The one-shift
+    case of condition_reports.
     """
-    m_mean, sigma_phi, l_phi = _shift_constants(spec, shift)
-    m_mu_e = m_mean @ spec.mu_e
-    reversal = float(np.asarray(classifier.w_e) @ m_mu_e)
-    margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, _id_kappa(spec), delta)
-    t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
-                          classifier.w_e, m_mu_e, sigma_phi)
-    return ConditionReport(reversal_term=reversal,
-                           theorem1_margin=margin,
-                           theorem1_well_specified=margin < 0.0,
-                           snr_id=t2.snr_id,
-                           snr_ood=t2.snr_ood,
-                           theorem2_well_specified=t2.well_specified)
+    return condition_reports(classifier, spec, ShiftStack.of([shift], spec.l),
+                             delta)[0]
 
 
 def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
@@ -192,7 +307,7 @@ def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
         raise ValueError("invalid params: " + "; ".join(problems))
     w_e = np.asarray(w_e, dtype=np.float64)
     w_norm = float(np.linalg.norm(w_e))
-    m_mean, sigma_phi, l_phi = _shift_constants(spec, shift)
+    m_mean, sigma_phi, l_phi = _one_shift(spec, shift)
     m_id, sigma_id = shift_moments(spec.shift, spec.mu_e, spec.sigma_e)
     eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
     eps2 = abs(float(w_e @ sigma_phi @ w_e) - float(w_e @ sigma_id @ w_e))
@@ -201,7 +316,7 @@ def aotl_bound(params: BoundParams, w_e, spec: DomainSpec,
     c_const = params.lemma_c * _id_kappa(spec) * max(w_norm, l_phi * w_norm)
     zeta = abs(1.0 - params.slope_a) * float(normal_quantile(1.0 - params.clip_alpha))
     core = (w_norm * eps1
-            + c_const * math.sqrt(math.log(1.0 / params.delta))
+            + c_const * math.sqrt(_log_inv(params.delta))
             + math.sqrt(eps2))
     return lip * params.tsybakov_b * core + zeta
 
@@ -238,12 +353,12 @@ def tradeoff_lower_bound(params: BoundParams, w_e, spec: DomainSpec,
     if problems:
         raise ValueError("invalid params: " + "; ".join(problems))
     w_e = np.asarray(w_e, dtype=np.float64)
-    m_mean, _, _ = _shift_constants(spec, shift)
+    m_mean, _, _ = _one_shift(spec, shift)
     m_id, _ = shift_moments(spec.shift, spec.mu_e, spec.sigma_e)
     w_norm = float(np.linalg.norm(w_e))
     mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
     zeta = abs(1.0 - params.slope_a) * float(normal_quantile(1.0 - params.clip_alpha))
-    bound = (params.lemma_c * w_norm * math.sqrt(math.log(1.0 / params.delta))
+    bound = (params.lemma_c * w_norm * math.sqrt(_log_inv(params.delta))
              * mean_shift - zeta)
     margin_sum = params.gamma + float(w_e @ spec.mu_e)
     lower = margin_sum / w_norm if w_norm > 0.0 else 0.0
@@ -260,7 +375,7 @@ def reflection_alpha_threshold(w_e, mu_e, sigma_e, delta: float) -> float:
     if signal <= 0.0:
         raise ValueError("w_e . mu_e must be positive")
     var = float(w_e @ np.asarray(sigma_e) @ w_e)
-    return math.sqrt(2.0 * var * math.log(1.0 / delta)) / signal
+    return math.sqrt(2.0 * var * _log_inv(delta)) / signal
 
 
 def _stacked_weights(models: Sequence[LinearClassifier], spec: DomainSpec
@@ -297,6 +412,17 @@ def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
     return prior * cdf[0] + (1.0 - prior) * cdf[1]
 
 
+def accuracies_under_shifts(models: Sequence[LinearClassifier],
+                            spec: DomainSpec, stack: ShiftStack) -> np.ndarray:
+    """(S, n) exact accuracies of n linear rules under each shift of the stack.
+
+    One _accuracy_kernel call gives every component's closed form; a
+    shift's accuracy is their weighted sum, accumulated in component order.
+    """
+    rows = _accuracy_kernel(*_stacked_weights(models, spec), spec, stack.mats)
+    return stack.weighted_sums(rows)
+
+
 def accuracy_under_shift(
         classifier_or_classifiers: LinearClassifier | Sequence[LinearClassifier],
         spec: DomainSpec, shift: ShiftSpec | None = None) -> float | np.ndarray:
@@ -305,20 +431,15 @@ def accuracy_under_shift(
     Takes one classifier (returns a float) or a sequence of them (returns
     an array, one accuracy per classifier). The two classes are weighted
     by the spec's label_prior: pi P(correct | y = +1) + (1 - pi)
-    P(correct | y = -1). Mixtures decompose into their Gaussian components:
-    one _accuracy_kernel call gives every component's closed form, and the
-    result is their weighted sum, accumulated in component order.
+    P(correct | y = -1). Mixtures decompose into their Gaussian components
+    (the one-shift case of accuracies_under_shifts).
     """
     shift = spec.shift if shift is None else shift
     single = isinstance(classifier_or_classifiers, LinearClassifier)
     models = ([classifier_or_classifiers] if single
               else list(classifier_or_classifiers))
-    w_c, w_e, bias = _stacked_weights(models, spec)
-    rows = _accuracy_kernel(w_c, w_e, bias, spec,
-                            np.stack(shift.matrices(spec.l)))
-    total = np.zeros(len(models))
-    for weight, row in zip(shift.weights(), rows):
-        total += float(weight) * row
+    (total,) = accuracies_under_shifts(models, spec,
+                                       ShiftStack.of([shift], spec.l))
     return float(total[0]) if single else total
 
 
@@ -425,7 +546,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     mats = seeded_uniforms([seed * 7_919 + t for t in range(trials)],
                            -shift_scale, shift_scale, (spec.l, spec.l))
     m_mu_e = mats @ spec.mu_e
-    l_phi = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    l_phi = _stacked_l_phi(ShiftStack.linear(mats))
     margins = np.array([theorem1_margin(reference.w_e, m_mu_e[t], l_phi[t],
                                         kappa, delta)
                         for t in range(trials)])

@@ -95,14 +95,18 @@ class ScatterPlot:
         def axis_ticks(lo: float, hi: float) -> list[tuple[float, str, str]]:
             span = hi - lo
             step = 10.0 ** round(_log10_floor(span / 4.0))
+            if step == 0.0:  # a subnormal span: no decimal step fits
+                return []
             if span / step > 8:
                 step *= 2.0
-            first = step * round(lo / step)
             out = []
-            t = first
-            while t <= hi + 1e-9:
-                if t >= lo - 1e-9:
-                    out.append((t, f"{t:g}", ""))
+            t = step * round(lo / step)
+            # the caller keeps the ticks in [lo, hi]; a step too small to
+            # move t ends the loop
+            while t <= hi:
+                out.append((t, f"{t:g}", ""))
+                if t + step == t:
+                    break
                 t += step
             return out
 

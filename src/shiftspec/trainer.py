@@ -34,21 +34,31 @@ class OptimizerSettings:
     spurious_l2_scale: float = 1.0
 
 
-def _objective_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray,
-                        penalty: np.ndarray) -> tuple[float, np.ndarray]:
+def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                            penalty: np.ndarray
+                            ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective, gradient and sigmoid(-y w.x) at w; the Newton step at an
+    accepted w reuses the sigmoid."""
     margins = y * (x @ w)
     # log(1 + exp(-m)) computed stably for both signs of m.
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
     sig = 0.5 * (1.0 - np.tanh(0.5 * margins))  # sigmoid(-m), overflow-safe
     grad = -(x.T @ (y * sig)) / len(y) + penalty * w
-    return loss + 0.5 * float(penalty @ (w * w)), grad
+    return loss + 0.5 * float(penalty @ (w * w)), grad, sig
 
 
-def _newton_direction(w: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      penalty: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H d = -grad by Cholesky; -grad if H is not positive definite
-    or d is not a descent direction."""
-    sig = 0.5 * (1.0 - np.tanh(0.5 * (y * (x @ w))))
+def _objective_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        penalty: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective and its gradient at w."""
+    obj, grad, _ = _objective_grad_sigmoid(w, x, y, penalty)
+    return obj, grad
+
+
+def _newton_direction(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
+                      grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Solve H d = -grad by Cholesky, with sig the sigmoid(-y w.x) that
+    _objective_grad_sigmoid gave at w; -grad if H is not positive definite or
+    d is not a descent direction."""
     hess = (x.T @ ((sig * (1.0 - sig))[:, None] * x)) / len(y) + np.diag(penalty)
     try:
         chol = np.linalg.cholesky(hess)
@@ -84,7 +94,7 @@ def fit_logistic(data: Dataset, mask: Mask, l2: float,
         penalty[-1] = 0.0  # intercept is conventionally unpenalized
 
     w = np.zeros(x.shape[1])
-    obj, grad = _objective_and_grad(w, x, y, penalty)
+    obj, grad, sig = _objective_grad_sigmoid(w, x, y, penalty)
     steps = 0
     while True:
         gnorm = float(np.linalg.norm(grad))
@@ -95,20 +105,21 @@ def fit_logistic(data: Dataset, mask: Mask, l2: float,
         if steps == opts.max_iters:
             raise ValueError(f"not converged: gradient norm {gnorm:.3g} is still "
                              f"above tol {opts.tol:g} at max_iters = {steps}")
-        direction = _newton_direction(w, x, y, penalty, grad)
+        direction = _newton_direction(x, y, penalty, grad, sig)
         slope = float(grad @ direction)
         # Backtracking line search with the Armijo condition from the full
         # Newton step, which is accepted as is near the optimum.
         step = 1.0
         while True:
             w_new = w + step * direction
-            obj_new, grad_new = _objective_and_grad(w_new, x, y, penalty)
+            obj_new, grad_new, sig_new = _objective_grad_sigmoid(
+                w_new, x, y, penalty)
             if obj_new <= obj + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-20:
                 raise ValueError("diverged: line search failed")
-        w, obj, grad = w_new, obj_new, grad_new
+        w, obj, grad, sig = w_new, obj_new, grad_new, sig_new
         steps += 1
 
     bias = float(w[-1]) if opts.bias else 0.0

@@ -1,7 +1,8 @@
 """In-order task map, run in the calling thread.
 
-The benchmark tracer (perfbench/tracer.py) wraps parallel_map and reads
-thread_count, so both names stay until it stops using them.
+conditions.condition_reports maps its per-shift scalar tail through
+parallel_map. The benchmark tracer (perfbench/tracer.py) wraps parallel_map
+and reads thread_count, so both names stay until it stops using them.
 """
 
 from __future__ import annotations

@@ -124,6 +124,95 @@ class TestSimulate:
         csv = (out / "simulate.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == digest
 
+    @pytest.mark.parametrize("n_shifts, n_per_domain, digests", [
+        (None, None,
+         {"simulate.csv": "d40e6d3fdd90af744a519b74e60d958cfbffd2fab2f8401a458c74442206fb75",
+          "simulate_report.json": "66d4f3c1101ba076a135cda580a25971bdc57b8baceaab3ceb067205c63ebd96",
+          "simulate.svg": "3fc7e73ecd69d1e1fa2b3b3a527d43fbd933f29430283d8635ff57f001d65605"}),
+        (200, 5000,
+         {"simulate.csv": "72bee502e93e9d7f5b3a3987257af80253993df04afc354e5a4d55687893ce8b",
+          "simulate_report.json": "33c99d0458ae25f8fbec4a6a2bb33e7a2dd9697c6bb59f37f56a779cba59e258",
+          "simulate.svg": "1acb991d44f7434d563b4dacb6e148715e1926e6b95b4a73dfc90fcfd3a7f750"}),
+    ], ids=["readme_example", "200_shifts"])
+    def test_random_mode_bytes_pinned(self, n_shifts, n_per_domain, digests,
+                                      tmp_path):
+        # the README example (default config) and the 200 x 5000 sweep, seed 11
+        argv = ["simulate", "--seed", "11", "--out", str(tmp_path / "out")]
+        if n_shifts is not None:
+            cfg = default_config()
+            cfg = replace(cfg, sweep=replace(cfg.sweep, n_shifts=n_shifts,
+                                             n_per_domain=n_per_domain))
+            path = tmp_path / "random.ini"
+            path.write_text(dumps_config(cfg), encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+                .hexdigest() for name in digests} == digests
+
+    @staticmethod
+    def _scaled_config(tmp_path, shift_scale, n_shifts=50):
+        cfg = default_config()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, shift_scale=shift_scale,
+                                         n_shifts=n_shifts, n_per_domain=300))
+        path = tmp_path / "scaled.ini"
+        path.write_text(dumps_config(cfg), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("shift_scale", [1e-300, 5e-324])
+    def test_tiny_shift_scale_plots_few_ticks(self, shift_scale, tmp_path):
+        # the axis spans ~1e-300 (or a subnormal) around zero
+        out = tmp_path / "out"
+        assert main(["simulate", "--config",
+                     str(self._scaled_config(tmp_path, shift_scale)),
+                     "--out", str(out)]) == 0
+        svg = (out / "simulate.svg").read_text()
+        x_ticks = svg.count('y1="410.00" x2=')
+        y_ticks = svg.count('<line x1="65.00"')
+        assert x_ticks <= 20 and y_ticks <= 20
+        assert y_ticks > 0
+
+    @pytest.mark.parametrize("shift_scale", [1e154, 1e160, 1e200])
+    def test_overflowing_shift_scale_is_numeric_error(self, shift_scale,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--config",
+                       str(self._scaled_config(tmp_path, shift_scale)),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not finite" in err and "overflow float64" in err
+        assert not (out / "simulate.csv").exists()
+
+    @pytest.mark.parametrize("ood_mode", ["random", "interpolation"])
+    def test_one_kernel_and_svd_call_for_all_shifts(self, ood_mode, tmp_path,
+                                                    monkeypatch):
+        from shiftspec import conditions
+        calls = {"kernel": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(conditions, "_accuracy_kernel",
+                            counted("kernel", conditions._accuracy_kernel))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for n_shifts in (10, 100):
+            calls.update(kernel=0, svd=0)
+            cfg = default_config()
+            cfg = replace(cfg, sweep=replace(cfg.sweep, n_shifts=n_shifts,
+                                             n_per_domain=300,
+                                             ood_mode=ood_mode))
+            path = tmp_path / f"{n_shifts}.ini"
+            path.write_text(dumps_config(cfg), encoding="utf-8")
+            assert main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / f"out{n_shifts}")]) == 0
+            assert calls == {"kernel": 1, "svd": 1}
+
     @pytest.mark.parametrize("text", [
         "k = 2\n",
         "[domain]\nk = 2\nk = 3\n",

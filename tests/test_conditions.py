@@ -50,6 +50,13 @@ class TestTheorem1Margin:
         assert margin == pytest.approx(4.0 + 2.0 * math.sqrt(LOG10), abs=1e-12)
         assert margin == pytest.approx(7.03485, abs=1e-4)
 
+    def test_subnormal_delta_is_finite(self):
+        # 1 / 5e-324 overflows; log(1/delta) = -log(delta) = 744.44
+        margin = theorem1_margin(np.ones(2), np.array([-2.0, -2.0]),
+                                 l_phi=1.0, kappa=1.0, delta=5e-324)
+        assert margin == pytest.approx(
+            -4.0 + 2.0 * math.sqrt(-math.log(5e-324)), rel=1e-15)
+
     def test_delta_domain(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -759,3 +766,78 @@ def test_zero_measure_rejects_bad_input_before_fitting(kwargs, monkeypatch):
     with pytest.raises(ValueError):
         zero_measure_experiment(default_spec(), **args)
     assert fits == []
+
+
+def _loop_moments(shift, mu_e, sigma_e):
+    """shift_moments as a loop over one shift's components."""
+    matrices, weights = shift.matrices(len(mu_e)), shift.weights()
+    m_mean = sum(float(w) * m for w, m in zip(weights, matrices))
+    mean_shifted = m_mean @ mu_e
+    sigma_phi = np.zeros_like(sigma_e)
+    for w, m in zip(weights, matrices):
+        dev = m @ mu_e - mean_shifted
+        sigma_phi += float(w) * (m @ sigma_e @ m.T + np.outer(dev, dev))
+    return m_mean, sigma_phi
+
+
+def _loop_report(classifier, spec, shift, delta):
+    """condition_report for one shift, from the per-shift loop constants."""
+    m_mean, sigma_phi = _loop_moments(shift, spec.mu_e, spec.sigma_e)
+    l_phi = max(lipschitz_of_linear(m) for m in shift.matrices(spec.l))
+    m_mu_e = m_mean @ spec.mu_e
+    margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, _id_kappa(spec),
+                             delta)
+    t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
+                          classifier.w_e, m_mu_e, sigma_phi)
+    return ConditionReport(reversal_term=float(classifier.w_e @ m_mu_e),
+                           theorem1_margin=margin,
+                           theorem1_well_specified=margin < 0.0,
+                           snr_id=t2.snr_id, snr_ood=t2.snr_ood,
+                           theorem2_well_specified=t2.well_specified)
+
+
+def _loop_accuracy(models, spec, shift):
+    """accuracy_under_shift as one kernel call per component, summed in
+    component order."""
+    total = np.zeros(len(models))
+    for w, m in zip(shift.weights(), shift.matrices(spec.l)):
+        total += float(w) * _per_shift_accuracy(models, spec, m)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), l=st.integers(1, 4),
+       id_shift=st.sampled_from([None, False, True]),
+       sizes=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_helpers_equal_per_shift_calls(k, l, id_shift, sizes, seed):
+    # sizes: 0 is a linear OOD shift, c > 0 a c-component mixture
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, k, l, id_shift)
+    models = _random_models(rng, spec, 3)
+    shifts = [LinearShift(rng.uniform(-2.0, 2.0, (l, l))) if c == 0 else
+              MixtureShift(tuple((float(w), rng.uniform(-2.0, 2.0, (l, l)))
+                                 for w in rng.dirichlet(np.ones(c))))
+              for c in sizes]
+    stack = conditions.ShiftStack.of(shifts, l)
+    delta = float(rng.uniform(0.05, 0.95))
+    reports = conditions.condition_reports(models[0], spec, stack, delta)
+    accs = conditions.accuracies_under_shifts(models, spec, stack)
+    assert accs.shape == (len(shifts), len(models))
+    for shift, rep, acc in zip(shifts, reports, accs):
+        assert rep == condition_report(models[0], spec, shift, delta)
+        assert rep == _loop_report(models[0], spec, shift, delta)
+        assert np.array_equal(acc, accuracy_under_shift(models, spec, shift))
+        assert np.array_equal(acc, _loop_accuracy(models, spec, shift))
+        m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
+        loop_mean, loop_sigma = _loop_moments(shift, spec.mu_e, spec.sigma_e)
+        assert np.array_equal(m_mean, loop_mean)
+        assert np.array_equal(sigma_phi, loop_sigma)
+    # an (S, l, l) array of linear shifts stacks like the LinearShifts
+    mats = rng.uniform(-2.0, 2.0, (len(sizes), l, l))
+    linear = conditions.ShiftStack.linear(mats)
+    assert conditions.condition_reports(models[0], spec, linear, delta) == \
+        [_loop_report(models[0], spec, LinearShift(m), delta) for m in mats]
+    assert np.array_equal(
+        conditions.accuracies_under_shifts(models, spec, linear),
+        [_loop_accuracy(models, spec, LinearShift(m)) for m in mats])
