@@ -90,16 +90,24 @@ def theorem2_compare(w_c, mu_c, sigma_c, w_e, m_mu_e, sigma_phi) -> Theorem2Resu
     """Exact SNR comparison: well-specified iff the shifted SNR drops."""
     w_c = np.asarray(w_c, dtype=np.float64)
     w_e = np.asarray(w_e, dtype=np.float64)
-    var_c = float(w_c @ np.asarray(sigma_c) @ w_c)
-    var_e = float(w_e @ np.asarray(sigma_phi) @ w_e)
+    return _snr_compare(float(w_c @ np.asarray(sigma_c) @ w_c),
+                        float(w_c @ np.asarray(mu_c)),
+                        float(w_e @ np.asarray(sigma_phi) @ w_e),
+                        float(w_e @ np.asarray(m_mu_e)))
+
+
+def _snr_compare(var_c: float, signal_id: float, var_e: float,
+                 signal_e: float) -> Theorem2Result:
+    """theorem2_compare from its four quadratic forms: var_c = w_c' Sigma_c w_c
+    and signal_id = w_c' mu_c, which no shift changes, and var_e =
+    w_e' Sigma_phi w_e and signal_e = w_e' M mu_e."""
     if not math.isfinite(var_e):
         raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
                          "moments overflow float64")
     if var_c <= 0.0 or var_c + var_e <= 0.0:
         raise ValueError("degenerate denominators in SNR comparison")
-    signal_id = float(w_c @ np.asarray(mu_c))
     snr_id = signal_id / math.sqrt(var_c)
-    snr_ood = (signal_id + float(w_e @ np.asarray(m_mu_e))) / math.sqrt(var_c + var_e)
+    snr_ood = (signal_id + signal_e) / math.sqrt(var_c + var_e)
     return Theorem2Result(snr_ood=snr_ood, snr_id=snr_id,
                           well_specified=snr_ood < snr_id)
 
@@ -256,20 +264,25 @@ def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
 
     The shift constants come from one stacked pass, and a Sigma_phi that
     overflows is a numeric error. The per-shift dot products of the margin
-    and the SNRs stay scalar, since batched BLAS rounds them differently.
+    and the SNRs stay scalar, since batched BLAS rounds them differently;
+    the ID terms of the SNRs are computed once.
     """
     m_mean, sigma_phi, l_phi = _shift_constants(spec, stack)
     require_finite("Sigma_phi", sigma_phi)
     m_mu_e = m_mean @ spec.mu_e
     l_phi = l_phi.tolist()
     kappa = _id_kappa(spec)
-    w_e = np.asarray(classifier.w_e)
+    w_c = np.asarray(classifier.w_c, dtype=np.float64)
+    w_e = np.asarray(classifier.w_e, dtype=np.float64)
+    var_c = float(w_c @ spec.sigma_c @ w_c)
+    signal_id = float(w_c @ spec.mu_c)
 
     def report(s: int) -> ConditionReport:
         margin = theorem1_margin(w_e, m_mu_e[s], l_phi[s], kappa, delta)
-        t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
-                              w_e, m_mu_e[s], sigma_phi[s])
-        return ConditionReport(reversal_term=float(w_e @ m_mu_e[s]),
+        reversal = float(w_e @ m_mu_e[s])
+        t2 = _snr_compare(var_c, signal_id, float(w_e @ sigma_phi[s] @ w_e),
+                          reversal)
+        return ConditionReport(reversal_term=reversal,
                                theorem1_margin=margin,
                                theorem1_well_specified=margin < 0.0,
                                snr_id=t2.snr_id,

@@ -13,6 +13,10 @@ A faulty table reports the first fault in file order, with its line: the
 record loop stops at the first arity, duplicate-id or CSV fault, and a bad
 cell in an earlier row takes precedence over it.
 
+A parsed table holds only columns: that matrix, the model ids and the
+``meta_*`` cells. Its ``rows`` are built from them on first read and then
+cached; a table built from rows keeps the rows it was given.
+
 A split is two equal-length float64 arrays ``(id_acc, ood_acc)`` in row
 order, which the ``aline`` functions take as they are.
 """
@@ -39,17 +43,50 @@ class TableRow:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
 class AccuracyTable:
-    env_names: tuple[str, ...]
-    rows: tuple[TableRow, ...]
+    """Per-model accuracies on named environments: ``AccuracyTable(env_names,
+    rows)``. Two tables are equal when their env names and rows are."""
+
+    def __init__(self, env_names: tuple[str, ...], rows: tuple[TableRow, ...]):
+        self.env_names = env_names
+        self.rows = rows  # seeds the cached property
+
+    @classmethod
+    def _from_columns(cls, env_names: tuple[str, ...], columns: np.ndarray,
+                      model_ids: tuple[str, ...],
+                      meta: dict[str, tuple[str, ...]]) -> AccuracyTable:
+        """A table whose rows are built from these columns on first read;
+        ``meta`` maps each ``meta_*`` name to its cells in row order."""
+        table = cls.__new__(cls)
+        table.env_names = env_names
+        table.columns = columns
+        table._model_ids = model_ids
+        table._meta = meta
+        return table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.env_names, self.rows) == (other.env_names, other.rows)
+
+    def __repr__(self) -> str:
+        return f"AccuracyTable(env_names={self.env_names!r}, rows={self.rows!r})"
 
     def env_index(self, env: str) -> int:
         try:
             return self.env_names.index(env)
         except ValueError:
-            raise InputError(f"unknown environment {env!r}; "
-                             f"available: {', '.join(self.env_names)}") from None
+            raise InputError(f"unknown environment {env!r}; available: "
+                             f"{', '.join(map(repr, self.env_names))}") from None
+
+    @cached_property
+    def rows(self) -> tuple[TableRow, ...]:
+        """One TableRow per model, each with its own metadata dict."""
+        names = tuple(self._meta)
+        return tuple(TableRow(model_id, accs, dict(zip(names, cells)))
+                     for (model_id, *cells), accs
+                     in zip(zip(self._model_ids, *self._meta.values()),
+                            zip(*self.columns.tolist())))
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -135,12 +172,10 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
     if fault is not None:
         raise fault
 
-    rows = tuple(TableRow(cells[0], accs, {h: cells[k] for k, h in meta_cols})
-                 for cells, accs in zip(records, zip(*values)))
-    table = AccuracyTable(env_names=tuple(header[k] for k in env_cols), rows=rows)
     acc.setflags(write=False)
-    table.__dict__["columns"] = acc  # seeds the cached property
-    return table
+    return AccuracyTable._from_columns(
+        tuple(header[k] for k in env_cols), acc, text_columns[0],
+        {h: text_columns[k] for k, h in meta_cols})
 
 
 def load_accuracy_table(path: str | Path) -> AccuracyTable:

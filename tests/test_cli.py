@@ -13,7 +13,8 @@ import pytest
 from shiftspec.cli import main
 from shiftspec.config import default_config, dumps_config
 from shiftspec.core import LinearShift, MixtureShift, default_spec
-from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
+from shiftspec.ingest import (AccuracyTable, TableRow, load_accuracy_table,
+                              save_accuracy_table)
 from shiftspec.report import load_schema, validate_schema
 
 
@@ -469,6 +470,43 @@ def test_duplicate_header_column_is_input_error(command, header, tmp_path,
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "duplicate column" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--mode", "loo"],
+    ["audit", "--mode", "pairwise", "--id-env", "env_id"],
+    ["mincount", "--resamples", "100"]])
+def test_table_commands_build_no_table_rows(argv, identity_table, tmp_path,
+                                            monkeypatch):
+    built = []
+    init = TableRow.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TableRow, "__init__", counting_init)
+    rc = main([*argv, "--table", str(identity_table), "--ood-env", "env_ood",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert built == []
+    # the counter sees rows that are read
+    assert len(load_accuracy_table(identity_table).rows) == len(built) == 12
+
+
+@pytest.mark.parametrize("command", ["audit", "mincount"])
+def test_unknown_env_lists_quoted_names(command, tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("model_id, e0,e1\nm1,0.5,0.25\nm2,0.75,0.5\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, "--table", str(path), "--ood-env", "e0",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("error: unknown environment 'e0'; "
+                   "available: ' e0', 'e1'\n")
     assert not out.exists()
 
 

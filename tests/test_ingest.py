@@ -263,6 +263,64 @@ def test_loo_mean_adds_columns_left_to_right(n_envs, n_rows, data):
             assert o.hex() == row[ood].hex()
 
 
+class TestLazyRows:
+    TEXT = ("model_id,env_0,meta_arch,env_1,meta_epoch\n"
+            "m1,0.1,vit,-0.0,3\n"
+            "m2,0.30000000000000004,cnn,1e-300,7\n"
+            "m3,1,vit,0.123456789012345678,9\n")
+
+    def test_parse_builds_no_rows_and_reading_builds_them_once(self, monkeypatch):
+        built = []
+        init = TableRow.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableRow, "__init__", counting_init)
+        table = parse_accuracy_table(self.TEXT)
+        leave_one_out_pairs(table, "env_1")
+        assert built == []
+        rows = table.rows
+        assert len(built) == 3
+        assert table.rows is rows
+        assert len(built) == 3
+
+    def test_row_accuracies_are_the_columns_bit_for_bit(self):
+        table = parse_accuracy_table(self.TEXT)
+        for i, row in enumerate(table.rows):
+            want = tuple(table.columns[:, i].tolist())
+            assert [a.hex() for a in row.accuracies] == [a.hex() for a in want]
+        assert table.rows[0].accuracies[1].hex() == "-0x0.0p+0"
+
+    def test_rows_match_the_file(self):
+        table = parse_accuracy_table(self.TEXT)
+        assert [r.model_id for r in table.rows] == ["m1", "m2", "m3"]
+        assert table.rows[1].metadata == {"meta_arch": "cnn", "meta_epoch": "7"}
+        assert list(table.rows[1].metadata) == ["meta_arch", "meta_epoch"]
+
+    @pytest.mark.parametrize("text", [TEXT, "model_id,e0\nm1,0.5\nm2,0.25\n"])
+    def test_each_row_has_its_own_metadata_dict(self, text):
+        rows = parse_accuracy_table(text).rows
+        assert len({id(r.metadata) for r in rows}) == len(rows)
+        rows[0].metadata["meta_note"] = "x"
+        assert "meta_note" not in rows[1].metadata
+
+    def test_table_from_rows_keeps_its_rows(self):
+        rows = (TableRow("m1", (0.5, 0.25)),)
+        table = AccuracyTable(("e0", "e1"), rows)
+        assert table.rows is rows
+        assert AccuracyTable(env_names=("e0", "e1"), rows=rows) == table
+        assert table.columns.tolist() == [[0.5], [0.25]]
+
+    def test_unknown_env_names_are_quoted(self):
+        table = parse_accuracy_table("model_id, e0,e1\nm1,0.5,0.25\n")
+        with pytest.raises(InputError) as exc:
+            table.env_index("e0")
+        assert str(exc.value) == ("unknown environment 'e0'; "
+                                  "available: ' e0', 'e1'")
+
+
 class TestLeaveOneOut:
     def table(self):
         return AccuracyTable(
