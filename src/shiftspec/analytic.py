@@ -174,12 +174,6 @@ def normal_cdf(x) -> np.ndarray | float:
     return res
 
 
-def normal_pdf(x) -> np.ndarray | float:
-    x_arr = np.asarray(x, dtype=np.float64)
-    res = np.exp(-0.5 * x_arr * x_arr) / _SQRT2PI
-    return float(res) if np.ndim(x) == 0 else res
-
-
 def _acklam(p: np.ndarray) -> np.ndarray:
     """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5.
 

@@ -93,6 +93,9 @@ def _parse_shift(section) -> ShiftSpec:
     if variant == "mixture":
         comps = []
         for item in section["components"].split("|"):
+            if ":" not in item:
+                raise InputError(f"mixture component {item.strip()!r} is not "
+                                 "of the form 'weight : matrix'")
             weight_text, matrix_text = item.split(":", 1)
             comps.append((float(weight_text), parse_matrix(matrix_text)))
         return MixtureShift(tuple(comps))

@@ -258,61 +258,3 @@ class LinearClassifier:
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.w + self.bias
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.score(x) > 0.0, 1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Bound-evaluator constants that a (spec, shift) does not fix."""
-
-    delta: float = 0.1
-    tsybakov_b: float = 1.0
-    lemma_c: float = 1.0
-    slope_a: float = 1.0
-    clip_alpha: float = 0.1
-    gamma: float = 0.1
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not 0.0 < self.delta < 1.0:
-            problems.append("delta must lie in (0, 1)")
-        if self.tsybakov_b <= 0:
-            problems.append("tsybakov_b must be > 0")
-        if self.lemma_c <= 0:
-            problems.append("lemma_c must be > 0")
-        if not 0.0 < self.clip_alpha < 0.5:
-            problems.append("clip_alpha must lie in (0, 0.5)")
-        if self.gamma <= 0:
-            problems.append("gamma must be > 0")
-        return problems
-
-
-def spec_allclose(a: DomainSpec, b: DomainSpec, tol: float = 1e-12) -> bool:
-    """Field-by-field equality within tol; used by the config round trip."""
-    if (a.k, a.l) != (b.k, b.l):
-        return False
-    for fa, fb in ((a.mu_c, b.mu_c), (a.sigma_c, b.sigma_c),
-                   (a.mu_e, b.mu_e), (a.sigma_e, b.sigma_e)):
-        if fa.shape != fb.shape or not np.allclose(fa, fb, rtol=0.0, atol=tol):
-            return False
-    if abs(a.label_prior - b.label_prior) > tol:
-        return False
-    return _shift_allclose(a.shift, b.shift, tol)
-
-
-def _shift_allclose(a: ShiftSpec, b: ShiftSpec, tol: float) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, LinearShift):
-        return a.m.shape == b.m.shape and np.allclose(a.m, b.m, rtol=0.0, atol=tol)
-    if isinstance(a, MixtureShift):
-        if len(a.components) != len(b.components):
-            return False
-        for (wa, ma), (wb, mb) in zip(a.components, b.components):
-            if abs(wa - wb) > tol or ma.shape != mb.shape:
-                return False
-            if not np.allclose(ma, mb, rtol=0.0, atol=tol):
-                return False
-    return True

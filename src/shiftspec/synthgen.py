@@ -28,9 +28,15 @@ def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
     chol_c = psd_cholesky(spec.sigma_c, "sigma_c")
     matrices = spec.shift.matrices(spec.l)
     weights = spec.shift.weights()
-    shifted_means = [m @ spec.mu_e for m in matrices]
-    shifted_chols = [psd_cholesky(m @ spec.sigma_e @ m.T, "shifted sigma_e")
-                     for m in matrices]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted_means = [m @ spec.mu_e for m in matrices]
+        shifted_covs = [m @ spec.sigma_e @ m.T for m in matrices]
+    for name, values in (("shifted mu_e", shifted_means),
+                         ("shifted sigma_e", shifted_covs)):
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError(f"{name} is not finite: the ID shift "
+                             "overflows float64")
+    shifted_chols = [psd_cholesky(c, "shifted sigma_e") for c in shifted_covs]
 
     stream = RandomStream(seed)
     y = stream.bernoulli_signs(spec.label_prior, size=n)
@@ -91,28 +97,3 @@ def reflection_shift(w_e: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("alpha must be positive")
     v = w / norm
     return alpha * (np.eye(len(w)) - 2.0 * np.outer(v, v))
-
-
-def dataset_to_csv(data: Dataset) -> str:
-    """CSV text: header y,zc_1..zc_k,ze_1..ze_l and 17-significant-digit floats."""
-    header = ",".join(["y"]
-                      + [f"zc_{i + 1}" for i in range(data.k)]
-                      + [f"ze_{i + 1}" for i in range(data.l)])
-    lines = [header]
-    for yi, row in zip(data.y, data.x):
-        cells = [f"{int(yi):d}"] + [f"{v:.17g}" for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "y":
-        raise ValueError("first column must be y")
-    k = sum(1 for h in header if h.startswith("zc_"))
-    l = sum(1 for h in header if h.startswith("ze_"))
-    rows = [ln.split(",") for ln in lines[1:]]
-    y = np.array([float(r[0]) for r in rows])
-    x = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Dataset(x=x, y=y, k=k, l=l)

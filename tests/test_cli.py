@@ -187,6 +187,21 @@ class TestSimulate:
         assert "is not finite" in err and "overflow float64" in err
         assert not (out / "simulate.csv").exists()
 
+    def test_overflowing_id_shift_is_one_numeric_error_line(self, tmp_path):
+        # m sigma_e m' overflows while the training rows are sampled
+        text = dumps_config(default_config()).replace(
+            "variant = identity", "variant = linear\nmatrix = 1e160, 0; 0, 1")
+        path = tmp_path / "id_shift.ini"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "shiftspec.cli", "simulate",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: shifted sigma_e is not finite: "
+                               "the ID shift overflows float64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ood_mode", ["random", "interpolation"])
     def test_one_kernel_and_svd_call_for_all_shifts(self, ood_mode, tmp_path,
                                                     monkeypatch):

@@ -139,14 +139,6 @@ def test_model_table_rejects_colliding_column_names(grid):
         cmnist_model_table(CmnistSpec(), 0, grid, 100, (0.5,), 1, seed=0)
 
 
-def test_dataset_exports_through_shared_csv_format():
-    from shiftspec.synthgen import dataset_from_csv, dataset_to_csv
-    data = generate_cmnist(CmnistSpec(), env=0, n=25, seed=0)
-    again = dataset_from_csv(dataset_to_csv(data))
-    assert np.array_equal(data.x, again.x)
-    assert np.array_equal(data.y, again.y)
-    assert (again.k, again.l) == (1, 1)
-
 
 def test_linear_rule_accuracy_array_matches_scalar_calls():
     rng = np.random.default_rng(11)

@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from shiftspec import conditions
 from shiftspec.analytic import gaussian_accuracy, normal_cdf, normal_quantile
 from shiftspec.conditions import (DEFAULT_RELIANCE_GRID, ConditionReport,
                                   _accuracy_kernel, _id_kappa,
                                   _stacked_weights, accuracy_under_shift,
-                                  aotl_bound, classifier_sweep,
-                                  condition_report, gaussian_kappa,
-                                  kappa_of_mixture, lipschitz_of_linear,
-                                  probit_lipschitz,
+                                  classifier_sweep, condition_report,
+                                  gaussian_kappa, kappa_of_mixture,
+                                  lipschitz_of_linear,
                                   reflection_alpha_threshold, shift_moments,
                                   theorem1_margin, theorem2_compare,
-                                  tradeoff_lower_bound,
                                   zero_measure_experiment)
-from shiftspec.core import (BoundParams, DomainSpec, IdentityShift,
-                            LinearClassifier, LinearShift, Mask,
-                            MixtureShift, default_spec)
+from shiftspec.core import (DomainSpec, IdentityShift, LinearClassifier,
+                            LinearShift, Mask, MixtureShift, default_spec)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 reflection_shift, sample_domain)
 from shiftspec.trainer import fit_logistic
@@ -125,103 +121,6 @@ class TestKappa:
     def test_empty(self):
         with pytest.raises(ValueError):
             kappa_of_mixture([])
-
-
-class TestAotlBound:
-    def test_slope_one_kills_zeta(self):
-        params = BoundParams(slope_a=1.0, clip_alpha=0.1, delta=0.1)
-        bound_a1 = aotl_bound(params, np.ones(2), default_spec(), np.eye(2))
-        # zeta would add |1-a| * probit(0.9); with a=1 the bound is the core
-        lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
-        c_const = 1.0 * 1.0 * math.sqrt(2.0)
-        expected = lip * (c_const * math.sqrt(LOG10))
-        assert bound_a1 == pytest.approx(expected, rel=1e-9)
-
-    def test_identity_shift_drops_eps_terms(self):
-        params = BoundParams(slope_a=1.0, clip_alpha=0.1, delta=0.1)
-        w_e = np.array([1.0, 0.0])
-        bound = aotl_bound(params, w_e, default_spec(), IdentityShift())
-        lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
-        assert bound == pytest.approx(lip * math.sqrt(LOG10), rel=1e-9)
-
-    def test_worked_example(self):
-        params = BoundParams(delta=0.1, tsybakov_b=1.0, lemma_c=1.0,
-                             slope_a=1.0, clip_alpha=0.1)
-        bound = aotl_bound(params, np.array([1.0]), default_spec(k=1, l=1),
-                           np.eye(1))
-        lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.9))
-        assert lip == pytest.approx(5.69797, abs=1e-4)
-        assert bound == pytest.approx(8.646, abs=1e-3)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            aotl_bound(BoundParams(clip_alpha=0.9), np.ones(1),
-                       default_spec(k=1, l=1), np.eye(1))
-
-    def test_mixture_shift_matches_hand_computation(self):
-        spec = default_spec().with_shift(MIXTURE_ID)
-        shift = interpolation_mixture(BASES, seed=3)
-        params = BoundParams(delta=0.2, tsybakov_b=1.5, lemma_c=0.7,
-                             slope_a=0.8, clip_alpha=0.05)
-        w_e = np.array([0.6, -1.3])
-        m_mean, sigma_phi = shift_moments(shift, spec.mu_e, spec.sigma_e)
-        m_id, sigma_id = shift_moments(MIXTURE_ID, spec.mu_e, spec.sigma_e)
-        eps1 = float(np.linalg.norm(m_mean @ spec.mu_e - m_id @ spec.mu_e))
-        eps2 = abs(float(w_e @ (sigma_phi - sigma_id) @ w_e))
-        l_phi = max(float(np.linalg.svd(m, compute_uv=False)[0])
-                    for _, m in shift.components)
-        kappa = kappa_of_mixture([(w, m @ spec.mu_e, m @ m.T)
-                                  for w, m in MIXTURE_ID.components])
-        w_norm = float(np.linalg.norm(w_e))
-        lip = 1.0 / stats.norm.pdf(stats.norm.ppf(0.95))
-        core = (w_norm * eps1
-                + 0.7 * kappa * max(1.0, l_phi) * w_norm
-                * math.sqrt(math.log(5.0))
-                + math.sqrt(eps2))
-        expected = lip * 1.5 * core + 0.2 * stats.norm.ppf(0.95)
-        assert eps1 > 0.0 and eps2 > 0.0
-        assert aotl_bound(params, w_e, spec, shift) == \
-            pytest.approx(expected, rel=1e-9)
-
-
-class TestTradeoffLowerBound:
-    def test_no_shift_is_vacuous(self):
-        params = BoundParams(slope_a=0.5, clip_alpha=0.1)
-        res = tradeoff_lower_bound(params, np.ones(2), default_spec(),
-                                   np.eye(2))
-        assert res.mean_shift == 0.0
-        assert res.bound <= 0.0
-
-    def test_reversal_gives_positive_bound(self):
-        params = BoundParams(slope_a=1.0, delta=0.1, gamma=0.5)
-        w_e = np.array([1.0, 1.0])
-        m = reflection_shift(w_e, alpha=1.0)
-        res = tradeoff_lower_bound(params, w_e, default_spec(), m)
-        assert res.bound > 0.0
-        assert res.reversal_condition_positive
-        assert res.mean_shift >= res.mean_shift_lower - 1e-12
-
-    def test_worked_example(self):
-        params = BoundParams(lemma_c=1.0, delta=0.1, slope_a=1.0)
-        w_e = np.array([1.0, 1.0])
-        res = tradeoff_lower_bound(params, w_e, default_spec(), -np.eye(2))
-        assert res.mean_shift == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-        assert res.bound == pytest.approx(4.0 * math.sqrt(LOG10), abs=1e-9)
-        assert res.bound == pytest.approx(6.0697, abs=1e-3)
-
-    def test_mixture_mean_shift_matches_hand_computation(self):
-        spec = default_spec()
-        shift = interpolation_mixture(BASES, seed=8)
-        params = BoundParams(lemma_c=1.3, delta=0.25, slope_a=0.9,
-                             clip_alpha=0.05)
-        w_e = np.array([1.0, 0.5])
-        m_mean = sum(w * m for w, m in shift.components)
-        mean_shift = float(np.linalg.norm(m_mean @ spec.mu_e - spec.mu_e))
-        res = tradeoff_lower_bound(params, w_e, spec, shift)
-        assert res.mean_shift == pytest.approx(mean_shift, rel=1e-12)
-        assert res.bound == pytest.approx(
-            1.3 * float(np.linalg.norm(w_e)) * math.sqrt(math.log(4.0))
-            * mean_shift - 0.1 * stats.norm.ppf(0.95), rel=1e-9)
 
 
 class TestReflectionThreshold:
@@ -629,38 +528,6 @@ def test_kernel_for_one_classifier_is_within_an_ulp(k, l, c, seed):
     single = np.array([accuracy_under_shift(model, spec, LinearShift(m))
                        for m in mats])
     assert np.max(np.abs(stacked - single)) <= 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 3), l=st.integers(1, 4), mixture_id=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_ood_shift_equal_to_id_shift_has_no_eps(k, l, mixture_id, seed):
-    rng = np.random.default_rng(seed)
-    spec = _random_spec(rng, k, l, mixture_id)
-    w_e = rng.standard_normal(l)
-    params = BoundParams(delta=0.2, tsybakov_b=1.5, lemma_c=0.7,
-                         slope_a=0.8, clip_alpha=0.05)
-    assert tradeoff_lower_bound(params, w_e, spec, spec.shift).mean_shift == 0.0
-    # with eps1 = eps2 = 0 only the concentration term is left in the core
-    l_phi = max(lipschitz_of_linear(m) for m in spec.shift.matrices(l))
-    w_norm = float(np.linalg.norm(w_e))
-    core = 0.7 * _id_kappa(spec) * max(w_norm, l_phi * w_norm) \
-        * math.sqrt(math.log(5.0))
-    expected = (probit_lipschitz(0.05) * 1.5 * core
-                + 0.2 * float(normal_quantile(0.95)))
-    assert aotl_bound(params, w_e, spec, spec.shift) == \
-        pytest.approx(expected, rel=1e-12)
-
-
-def test_eps_measured_from_a_linear_id_shift():
-    m = np.array([[-1.0, 0.3], [0.2, -0.5]])
-    spec = default_spec().with_shift(LinearShift(m))
-    res = tradeoff_lower_bound(BoundParams(), np.array([1.0, 0.5]), spec, m)
-    assert res.mean_shift == 0.0
-    moved = tradeoff_lower_bound(BoundParams(), np.array([1.0, 0.5]), spec,
-                                 IdentityShift())
-    assert moved.mean_shift == pytest.approx(
-        float(np.linalg.norm(spec.mu_e - m @ spec.mu_e)), rel=1e-12)
 
 
 def _reference_zero_measure(spec, eps_grid, trials, n_per_domain, seed, delta):

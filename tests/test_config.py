@@ -7,15 +7,21 @@ import pytest
 from shiftspec.config import (OptimizerConfig, RunConfig, SweepConfig,
                               default_config, dumps_config, load_config,
                               parse_config)
-from shiftspec.core import (DomainSpec, LinearShift, MixtureShift,
-                            default_spec, spec_allclose)
+from shiftspec.core import (DomainSpec, InputError, LinearShift, MixtureShift,
+                            default_spec)
 from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
+
+
+def _domain_text(spec: DomainSpec) -> str:
+    """The config text of a spec. Every float is written as its repr, so
+    two specs give the same text exactly when their fields are equal."""
+    return dumps_config(RunConfig(domain=spec))
 
 
 def test_default_round_trip():
     cfg = default_config()
     again = parse_config(dumps_config(cfg))
-    assert spec_allclose(cfg.domain, again.domain)
+    assert _domain_text(again.domain) == _domain_text(cfg.domain)
     assert again.delta == cfg.delta
     assert again.optimizer == cfg.optimizer
     assert again.sweep == cfg.sweep
@@ -35,7 +41,7 @@ def test_round_trip_with_awkward_floats():
                     sweep=SweepConfig(n_shifts=7, shift_scale=0.5,
                                       n_per_domain=333, ood_mode="interpolation"))
     again = parse_config(dumps_config(cfg))
-    assert spec_allclose(cfg.domain, again.domain, tol=0.0)  # exact repr round trip
+    assert _domain_text(again.domain) == _domain_text(cfg.domain)
     assert again.delta == cfg.delta
     assert again.optimizer == cfg.optimizer
     assert again.sweep == cfg.sweep
@@ -46,7 +52,7 @@ def test_mixture_round_trip():
     shift = MixtureShift(((0.25, mats[0]), (0.75, mats[1])))
     cfg = RunConfig(domain=default_spec().with_shift(shift))
     again = parse_config(dumps_config(cfg))
-    assert spec_allclose(cfg.domain, again.domain, tol=0.0)
+    assert _domain_text(again.domain) == _domain_text(cfg.domain)
 
 
 def test_base_components_round_trip():
@@ -84,7 +90,7 @@ def test_random_specs_round_trip_exactly():
                           label_prior=float(rng.uniform(0.05, 0.95)),
                           **({"shift": shift} if shift is not None else {}))
         again = parse_config(dumps_config(RunConfig(domain=spec)))
-        assert spec_allclose(spec, again.domain, tol=1e-12)
+        assert _domain_text(again.domain) == _domain_text(spec)
 
 
 def test_crlf_config_file_reads_like_lf(tmp_path):
@@ -114,6 +120,15 @@ def test_unknown_shift_variant():
         parse_config(text)
 
 
+def test_mixture_component_without_colon_is_quoted():
+    text = dumps_config(default_config()).replace(
+        "variant = identity", "variant = mixture\ncomponents = abc")
+    with pytest.raises(InputError,
+                       match="mixture component 'abc' is not of the form "
+                             "'weight : matrix'"):
+        parse_config(text)
+
+
 def test_bad_ood_mode():
     text = dumps_config(default_config()).replace("ood_mode = random",
                                                   "ood_mode = sideways")
@@ -125,7 +140,7 @@ def test_omitted_sections_and_keys_take_default_config_values():
     text = dumps_config(default_config())
     cfg = default_config()
     domain_only = parse_config(text[:text.index("[bounds]")])
-    assert spec_allclose(domain_only.domain, cfg.domain, tol=0.0)
+    assert _domain_text(domain_only.domain) == _domain_text(cfg.domain)
     assert (domain_only.delta, domain_only.optimizer, domain_only.sweep) == \
         (cfg.delta, cfg.optimizer, cfg.sweep)
     assert "delta = 0.5\n" in text and "l2 = 0.001\n" in text

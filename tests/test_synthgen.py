@@ -1,13 +1,13 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from shiftspec.core import DomainSpec, LinearShift, MixtureShift, default_spec
-from shiftspec.synthgen import (dataset_from_csv, dataset_to_csv,
-                                interpolation_mixture, random_shift,
+from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 reflection_shift, sample_domain)
 
 
@@ -36,6 +36,17 @@ class TestSampleDomain:
                           mu_e=np.ones(2), sigma_e=np.eye(2))
         with pytest.raises(ValueError, match="sigma_c"):
             sample_domain(spec, 10, seed=0)
+
+    @pytest.mark.parametrize("mu_e, factor, name", [
+        (1.0, 1e160, "shifted sigma_e"), (1e200, 1e200, "shifted mu_e")])
+    def test_overflowing_shift_names_the_moment(self, mu_e, factor, name):
+        spec = DomainSpec(k=2, l=2, mu_c=np.ones(2), sigma_c=np.eye(2),
+                          mu_e=np.full(2, mu_e), sigma_e=np.eye(2),
+                          shift=LinearShift(np.diag([factor, 1.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} is not finite"):
+                sample_domain(spec, 10, seed=0)
 
     def test_shifted_covariance_converges(self):
         m = np.array([[1.5, 0.4], [-0.3, 0.8]])
@@ -146,10 +157,3 @@ class TestReflectionShift:
         with pytest.raises(ValueError):
             reflection_shift(np.zeros(2), alpha=1.0)
 
-
-def test_csv_round_trip():
-    data = sample_domain(default_spec(), 20, seed=2)
-    again = dataset_from_csv(dataset_to_csv(data))
-    assert np.array_equal(data.x, again.x)
-    assert np.array_equal(data.y, again.y)
-    assert (again.k, again.l) == (2, 2)
