@@ -2,15 +2,13 @@
 
 from .aline import (AlineFit, Verdict, classify_split, correlation_epsilon,
                     fit_probit_line, min_model_count)
-from .analytic import (gaussian_accuracy, normal_cdf, normal_quantile,
-                       pearson_p_value, probit)
-from .conditions import (ConditionReport, ShiftStack, Theorem2Result,
-                         ZeroMeasureResult, accuracies_under_shifts,
-                         accuracy_under_shift, classifier_sweep,
-                         condition_report, condition_reports, gaussian_kappa,
-                         kappa_of_mixture, lipschitz_of_linear,
-                         reflection_alpha_threshold, sweep_pairs,
-                         theorem1_margin, theorem2_compare,
+from .analytic import normal_cdf, normal_quantile, pearson_p_value, probit
+from .conditions import (ConditionReport, ShiftStack, ZeroMeasureResult,
+                         accuracies_under_shifts, accuracy_under_shift,
+                         classifier_sweep, condition_report,
+                         condition_reports, gaussian_kappa, kappa_of_mixture,
+                         lipschitz_of_linear, reflection_alpha_threshold,
+                         sweep_pairs, theorem1_margin,
                          zero_measure_experiment)
 from .core import (Dataset, DomainSpec, IdentityShift, LinearClassifier,
                    LinearShift, Mask, MixtureShift, ShiftSpec, default_spec,

@@ -262,21 +262,6 @@ def probit(p) -> np.ndarray | float:
     return normal_quantile(p)
 
 
-def gaussian_accuracy(w, mu, sigma) -> float:
-    """Accuracy of sign(w.x) when x | y ~ N(y mu, sigma), y = ±1.
-
-    Equals Phi(r) with r = w.mu / sqrt(w' sigma w). Each class is correct
-    with probability Phi(r), so the label prior does not enter.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    var = float(w @ sigma @ w)
-    if var <= 0.0:
-        raise ValueError("degenerate projection: w' sigma w must be positive")
-    return float(normal_cdf(float(w @ mu) / math.sqrt(var)))
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (Lentz's method)."""
     max_iter = 300

@@ -18,7 +18,7 @@ from .analytic import normal_cdf
 from .core import Dataset, InputError, Mask
 from .ingest import AccuracyTable, TableRow
 from .rng import RandomStream
-from .trainer import OptimizerSettings, fit_logistic
+from .trainer import DEFAULT_L2, OptimizerSettings, fit_logistic
 
 DEFAULT_ENV_P = (0.1, 0.2, 0.9)
 
@@ -105,7 +105,7 @@ def linear_rule_accuracy(w_c: float, w_e: float, label_noise: float,
 def cmnist_model_table(spec: CmnistSpec, train_env: int,
                        test_grid: tuple[float, ...], n_train: int,
                        noise_sigmas: tuple[float, ...], seeds_per_sigma: int,
-                       seed: int, l2: float = 1e-3) -> AccuracyTable:
+                       seed: int) -> AccuracyTable:
     """Train a quality ladder of full classifiers and tabulate accuracies.
 
     Each model trains on feature-noised samples of the training environment
@@ -136,7 +136,7 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
             noise_stream = RandomStream(seed * 1_000_003 + task, stream_id=1)
             x_noisy = data.x + sigma * noise_stream.standard_normal(size=data.x.shape)
             noisy = Dataset(x=x_noisy, y=data.y, k=1, l=1)
-            model = fit_logistic(noisy, Mask.FULL, l2, OptimizerSettings())
+            model = fit_logistic(noisy, Mask.FULL, DEFAULT_L2, OptimizerSettings())
             w_c = float(model.w_c[0])
             w_e = float(model.w_e[0])
             accs = linear_rule_accuracy(w_c, w_e, spec.label_noise,

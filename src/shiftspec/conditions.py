@@ -4,7 +4,7 @@ Two layers live here: scalar condition checks (reversal margin, SNR
 comparison) and the zero-measure experiment that measures how often a
 random shift is simultaneously well-specified and on the accuracy line.
 Every evaluator takes the theorem constants kappa (_id_kappa) and M,
-Sigma_phi, L_phi (_shift_constants) from the (spec, shift) it is given.
+Sigma_phi, L_phi (_stacked_margins) from the (spec, shift) it is given.
 The paper's deviation bounds are not evaluated.
 
 Theorem 2's verdict (theorem2_well_specified) is the SNR comparison: the
@@ -20,19 +20,19 @@ gaps up to 0.045.
 
 Every exact accuracy comes from one kernel, _accuracy_kernel, which takes
 stacked rules and a (C, l, l) stack of shift matrices: a mixture passes its
-components, the zero-measure experiment passes all of its trials, and
-simulate passes the components of all of its shifts at once (a ShiftStack,
-through accuracies_under_shifts and condition_reports). The shift constants
-M, Sigma_phi and L_phi of a whole stack come from one pass as well
-(_shift_constants, with one batched SVD). condition_report,
-accuracy_under_shift and shift_moments are the one-shift case of these
-stacked helpers.
+components, and simulate and the zero-measure experiment pass all of their
+shifts at once (a ShiftStack, through accuracies_under_shifts). The shift
+constants M, Sigma_phi and L_phi of a whole stack, and the theorem-1
+margins they give, come from one pass as well (_stacked_margins, with one
+batched SVD): condition_reports and the zero-measure experiment both call
+it. condition_report, accuracy_under_shift and shift_moments are the
+one-shift case of these stacked helpers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .core import (DomainSpec, LinearClassifier, LinearShift, Mask,
                    MixtureShift, ShiftSpec)
 from .rng import seeded_uniforms
 from .synthgen import sample_domain
-from .trainer import OptimizerSettings, fit_logistic
+from .trainer import DEFAULT_L2, OptimizerSettings, fit_logistic
 from .util import parallel_map
 
 
@@ -56,14 +56,6 @@ class ConditionReport:
     snr_id: float
     snr_ood: float
     theorem2_well_specified: bool
-
-    def to_dict(self) -> dict:
-        return {"reversal_term": self.reversal_term,
-                "theorem1_margin": self.theorem1_margin,
-                "theorem1_well_specified": self.theorem1_well_specified,
-                "snr_id": self.snr_id,
-                "snr_ood": self.snr_ood,
-                "theorem2_well_specified": self.theorem2_well_specified}
 
 
 def _log_inv(delta: float) -> float:
@@ -88,37 +80,18 @@ def theorem1_margin(w_e, m_mu_e, l_phi: float, kappa: float, delta: float) -> fl
     return float(w_e @ m_mu_e) + penalty * math.sqrt(_log_inv(delta))
 
 
-@dataclass(frozen=True)
-class Theorem2Result:
-    snr_ood: float
-    snr_id: float
-    well_specified: bool
-
-
-def theorem2_compare(w_c, mu_c, sigma_c, w_e, m_mu_e, sigma_phi) -> Theorem2Result:
-    """Exact SNR comparison: well-specified iff the shifted SNR drops."""
-    w_c = np.asarray(w_c, dtype=np.float64)
-    w_e = np.asarray(w_e, dtype=np.float64)
-    return _snr_compare(float(w_c @ np.asarray(sigma_c) @ w_c),
-                        float(w_c @ np.asarray(mu_c)),
-                        float(w_e @ np.asarray(sigma_phi) @ w_e),
-                        float(w_e @ np.asarray(m_mu_e)))
-
-
 def _snr_compare(var_c: float, signal_id: float, var_e: float,
-                 signal_e: float) -> Theorem2Result:
-    """theorem2_compare from its four quadratic forms: var_c = w_c' Sigma_c w_c
-    and signal_id = w_c' mu_c, which no shift changes, and var_e =
-    w_e' Sigma_phi w_e and signal_e = w_e' M mu_e."""
+                 signal_e: float) -> tuple[float, float]:
+    """Theorem 2's (snr_id, snr_ood), well-specified iff snr_ood < snr_id,
+    from var_c = w_c' Sigma_c w_c and signal_id = w_c' mu_c, which no shift
+    changes, and var_e = w_e' Sigma_phi w_e and signal_e = w_e' M mu_e."""
     if not math.isfinite(var_e):
         raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
                          "moments overflow float64")
     if var_c <= 0.0 or var_c + var_e <= 0.0:
         raise ValueError("degenerate denominators in SNR comparison")
     snr_id = signal_id / math.sqrt(var_c)
-    snr_ood = (signal_id + signal_e) / math.sqrt(var_c + var_e)
-    return Theorem2Result(snr_ood=snr_ood, snr_id=snr_id,
-                          well_specified=snr_ood < snr_id)
+    return snr_id, (signal_id + signal_e) / math.sqrt(var_c + var_e)
 
 
 def lipschitz_of_linear(m) -> float:
@@ -233,21 +206,6 @@ def _id_kappa(spec: DomainSpec) -> float:
     return gaussian_kappa(spec.sigma_e)
 
 
-def _stacked_l_phi(stack: ShiftStack) -> np.ndarray:
-    """(S,) L_phi: each shift's largest component operator norm, from one
-    batched SVD (the same doubles as lipschitz_of_linear)."""
-    norms = np.linalg.svd(stack.mats, compute_uv=False)[:, 0]
-    return np.maximum.reduceat(norms, stack.starts())
-
-
-def _shift_constants(spec: DomainSpec, stack: ShiftStack
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, l, l) M and Sigma_phi (shift_moments) and (S,) L_phi of every
-    shift in the stack."""
-    m_mean, sigma_phi = _stacked_moments(stack, spec.mu_e, spec.sigma_e)
-    return m_mean, sigma_phi, _stacked_l_phi(stack)
-
-
 def require_finite(name: str, values) -> None:
     """A numeric error naming the first shift (row of values) that holds a
     value that is not finite."""
@@ -259,36 +217,45 @@ def require_finite(name: str, values) -> None:
                          f"the shifted moments overflow float64")
 
 
-def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
-                      stack: ShiftStack, delta: float) -> list[ConditionReport]:
-    """condition_report for every shift of the stack.
-
-    The shift constants come from one stacked pass, and a Sigma_phi that
-    overflows is a numeric error. The per-shift dot products of the margin
-    and the SNRs stay scalar, since batched BLAS rounds them differently;
-    the ID terms of the SNRs are computed once.
-    """
-    m_mean, sigma_phi, l_phi = _shift_constants(spec, stack)
+def _stacked_margins(w_e: np.ndarray, spec: DomainSpec, stack: ShiftStack,
+                     delta: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(S, l) M mu_e, (S, l, l) Sigma_phi and the theorem-1 margin of w_e
+    under every shift of the stack, with L_phi from one batched SVD. A
+    Sigma_phi that overflows is a numeric error, raised without a warning;
+    the margins' dot products stay scalar, since batched BLAS rounds them
+    differently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_mean, sigma_phi = _stacked_moments(stack, spec.mu_e, spec.sigma_e)
+    norms = np.linalg.svd(stack.mats, compute_uv=False)[:, 0]
+    l_phi = np.maximum.reduceat(norms, stack.starts()).tolist()
     require_finite("Sigma_phi", sigma_phi)
     m_mu_e = m_mean @ spec.mu_e
-    l_phi = l_phi.tolist()
     kappa = _id_kappa(spec)
+    margins = [theorem1_margin(w_e, m_mu_e[s], l_phi[s], kappa, delta)
+               for s in range(len(stack))]
+    return m_mu_e, sigma_phi, margins
+
+
+def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
+                      stack: ShiftStack, delta: float) -> list[ConditionReport]:
+    """condition_report for every shift of the stack: the margins from
+    _stacked_margins, then the SNRs, whose ID terms are computed once."""
     w_c = np.asarray(classifier.w_c, dtype=np.float64)
     w_e = np.asarray(classifier.w_e, dtype=np.float64)
+    m_mu_e, sigma_phi, margins = _stacked_margins(w_e, spec, stack, delta)
     var_c = float(w_c @ spec.sigma_c @ w_c)
     signal_id = float(w_c @ spec.mu_c)
 
     def report(s: int) -> ConditionReport:
-        margin = theorem1_margin(w_e, m_mu_e[s], l_phi[s], kappa, delta)
         reversal = float(w_e @ m_mu_e[s])
-        t2 = _snr_compare(var_c, signal_id, float(w_e @ sigma_phi[s] @ w_e),
-                          reversal)
+        snr_id, snr_ood = _snr_compare(var_c, signal_id,
+                                       float(w_e @ sigma_phi[s] @ w_e), reversal)
         return ConditionReport(reversal_term=reversal,
-                               theorem1_margin=margin,
-                               theorem1_well_specified=margin < 0.0,
-                               snr_id=t2.snr_id,
-                               snr_ood=t2.snr_ood,
-                               theorem2_well_specified=t2.well_specified)
+                               theorem1_margin=margins[s],
+                               theorem1_well_specified=margins[s] < 0.0,
+                               snr_id=snr_id,
+                               snr_ood=snr_ood,
+                               theorem2_well_specified=snr_ood < snr_id)
 
     return parallel_map(report, range(len(stack)))
 
@@ -298,7 +265,7 @@ def condition_report(classifier: LinearClassifier, spec: DomainSpec,
     """Evaluate both shift conditions for a full classifier under a shift.
 
     A bare l x l matrix is taken as a LinearShift; kappa comes from
-    _id_kappa and M, Sigma_phi, L_phi from _shift_constants. The one-shift
+    _id_kappa and M, Sigma_phi, L_phi from _stacked_margins. The one-shift
     case of condition_reports.
     """
     return condition_reports(classifier, spec, ShiftStack.of([shift], spec.l),
@@ -383,9 +350,7 @@ def accuracy_under_shift(
 
 def classifier_sweep(spec: DomainSpec, n: int, seed: int,
                      reliance_grid: Sequence[float],
-                     l2: float = 1e-3,
-                     n_seeds: int = 3,
-                     opts: OptimizerSettings = OptimizerSettings()) -> list[LinearClassifier]:
+                     n_seeds: int = 3) -> list[LinearClassifier]:
     """Family of full classifiers spanning the spurious-reliance path.
 
     Each entry is a full logistic fit on a fresh sample of n points with the
@@ -399,8 +364,8 @@ def classifier_sweep(spec: DomainSpec, n: int, seed: int,
     for rho in reliance_grid:
         for _ in range(n_seeds):
             data = sample_domain(spec, n, seed * 1_000_003 + task)
-            fit_opts = replace(opts, spurious_l2_scale=float(rho))
-            models.append(fit_logistic(data, Mask.FULL, l2, fit_opts))
+            opts = OptimizerSettings(spurious_l2_scale=float(rho))
+            models.append(fit_logistic(data, Mask.FULL, DEFAULT_L2, opts))
             task += 1
     return models
 
@@ -425,14 +390,6 @@ class ZeroMeasureResult:
     residuals: tuple[float, ...]
     trials: int
 
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.eps_grid, self.fractions))
-
-    def to_csv(self) -> str:
-        lines = ["eps,fraction_well_specified_on_line"]
-        lines += [f"{eps:.17g},{frac:.17g}" for eps, frac in self.rows()]
-        return "\n".join(lines) + "\n"
-
 
 def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
                             trials: int, n_per_domain: int, seed: int,
@@ -447,14 +404,14 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     smallest eps the shift supports. Fractions are nondecreasing in eps by
     construction because every trial shares one (margin, residual) pair.
     Each margin equals condition_report's for the reference fit and that
-    trial's shift.
+    trial's shift: both come from _stacked_margins, so a shift_scale whose
+    Sigma_phi overflows float64 is the same numeric error.
 
     All trials run in one pass: the random_shift draws (one seed per trial,
-    seed * 7919 + t, through one re-keyed generator) are stacked, one
-    _accuracy_kernel call and one normal_quantile call cover the (trial x
-    model) grid, and one batched SVD gives every trial's L_phi. The
-    per-trial dot products of the margin and the slope stay scalar, since
-    batched BLAS rounds them differently.
+    seed * 7919 + t, through one re-keyed generator) are one ShiftStack for
+    accuracies_under_shifts and _stacked_margins. The per-trial dot
+    products of the slope stay scalar, since batched BLAS rounds them
+    differently.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
@@ -468,8 +425,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     models = classifier_sweep(spec, n_per_domain, seed, reliance_grid,
                               n_seeds=n_seeds)
     reference = fit_logistic(sample_domain(spec, n_per_domain, seed ^ 0x5EED),
-                             Mask.FULL, 1e-3)
-    kappa = _id_kappa(spec)
+                             Mask.FULL, DEFAULT_L2)
 
     acc_id = accuracy_under_shift(models, spec)
     if float(np.ptp(acc_id)) < 1e-12:
@@ -481,24 +437,19 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
         raise ValueError("degenerate sweep: zero probit variance")
 
     # random_shift(spec.l, shift_scale, seed * 7919 + t) for every trial t
-    mats = seeded_uniforms([seed * 7_919 + t for t in range(trials)],
-                           -shift_scale, shift_scale, (spec.l, spec.l))
-    m_mu_e = mats @ spec.mu_e
-    l_phi = _stacked_l_phi(ShiftStack.linear(mats))
-    margins = np.array([theorem1_margin(reference.w_e, m_mu_e[t], l_phi[t],
-                                        kappa, delta)
-                        for t in range(trials)])
-    acc_ood = _accuracy_kernel(*_stacked_weights(models, spec), spec, mats)
+    stack = ShiftStack.linear(seeded_uniforms(
+        [seed * 7_919 + t for t in range(trials)],
+        -shift_scale, shift_scale, (spec.l, spec.l)))
+    margins = np.array(_stacked_margins(reference.w_e, spec, stack, delta)[2])
+    acc_ood = accuracies_under_shifts(models, spec, stack)
     probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
     slopes = np.array([float(row @ probit_id) / sxx for row in probit_ood])
     residuals = np.max(np.abs(probit_ood - slopes[:, None] * probit_id), axis=1)
 
-    fractions = []
-    for eps in eps_grid:
-        inside = (margins < 0.0) & (residuals <= eps)
-        fractions.append(float(np.mean(inside)))
+    fractions = tuple(float(np.mean((margins < 0.0) & (residuals <= eps)))
+                      for eps in eps_grid)
     return ZeroMeasureResult(eps_grid=tuple(float(e) for e in eps_grid),
-                             fractions=tuple(fractions),
+                             fractions=fractions,
                              margins=tuple(margins.tolist()),
                              residuals=tuple(residuals.tolist()),
                              trials=trials)

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (DomainSpec, IdentityShift, InputError, LinearShift,
                    MixtureShift, ShiftSpec, default_spec, read_input_text,
                    validate_spec)
-from .trainer import OptimizerSettings
+from .trainer import DEFAULT_L2, OptimizerSettings
 
 DEFAULT_MIXTURE_FACTORS = (1.5, 0.5, -0.5, -1.5)
 
@@ -26,7 +26,7 @@ DEFAULT_MIXTURE_FACTORS = (1.5, 0.5, -0.5, -1.5)
 class OptimizerConfig:
     tol: float = OptimizerSettings.tol
     max_iters: int = OptimizerSettings.max_iters
-    l2: float = 1e-3
+    l2: float = DEFAULT_L2
     bias: bool = OptimizerSettings.bias
 
 
@@ -65,13 +65,42 @@ def format_matrix(m: np.ndarray) -> str:
 
 
 def parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")], dtype=np.float64)
+    try:
+        return np.array([float(tok) for tok in text.split(",")], dtype=np.float64)
+    except ValueError:
+        raise ValueError("expected numbers separated by ','") from None
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in (row.strip() for row in text.split(";")) if r]
-    return np.array([[float(tok) for tok in row.split(",")] for row in rows],
-                    dtype=np.float64)
+    rows = [parse_vector(r) for r in (row.strip() for row in text.split(";")) if r]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must have equal length")
+    return np.array(rows, dtype=np.float64)
+
+
+def _parse_components(text: str) -> tuple:
+    comps = []
+    for item in text.split("|"):
+        if ":" not in item:
+            raise ValueError(f"mixture component {item.strip()!r} is not "
+                             "of the form 'weight : matrix'")
+        weight_text, matrix_text = item.split(":", 1)
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ValueError(f"mixture weight {weight_text.strip()!r} "
+                             "is not a number") from None
+        comps.append((weight, parse_matrix(matrix_text)))
+    return tuple(comps)
+
+
+def _value(section, key: str, parse):
+    """parse(section[key]); a ValueError names the section, key and value."""
+    text = section[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InputError(f"[{section.name}] {key} = {text!r}: {exc}") from None
 
 
 def _format_shift(shift: ShiftSpec) -> dict[str, str]:
@@ -89,16 +118,9 @@ def _parse_shift(section) -> ShiftSpec:
     if variant == "identity":
         return IdentityShift()
     if variant == "linear":
-        return LinearShift(parse_matrix(section["matrix"]))
+        return LinearShift(_value(section, "matrix", parse_matrix))
     if variant == "mixture":
-        comps = []
-        for item in section["components"].split("|"):
-            if ":" not in item:
-                raise InputError(f"mixture component {item.strip()!r} is not "
-                                 "of the form 'weight : matrix'")
-            weight_text, matrix_text = item.split(":", 1)
-            comps.append((float(weight_text), parse_matrix(matrix_text)))
-        return MixtureShift(tuple(comps))
+        return MixtureShift(_value(section, "components", _parse_components))
     raise InputError(f"unknown shift variant {variant!r}")
 
 
@@ -183,10 +205,10 @@ def _parse_config(text: str) -> RunConfig:
     spec = DomainSpec(
         k=dom.getint("k"),
         l=dom.getint("l"),
-        mu_c=parse_vector(dom["mu_c"]),
-        sigma_c=parse_matrix(dom["sigma_c"]),
-        mu_e=parse_vector(dom["mu_e"]),
-        sigma_e=parse_matrix(dom["sigma_e"]),
+        mu_c=_value(dom, "mu_c", parse_vector),
+        sigma_c=_value(dom, "sigma_c", parse_matrix),
+        mu_e=_value(dom, "mu_e", parse_vector),
+        sigma_e=_value(dom, "sigma_e", parse_matrix),
         label_prior=dom.getfloat("label_prior"),
         shift=_parse_shift(cp["domain.shift"]),
     )
@@ -206,7 +228,8 @@ def _parse_config(text: str) -> RunConfig:
     sec = cp["sweep"]
     base = ()
     if "base_components" in sec:
-        base = tuple(parse_matrix(part) for part in sec["base_components"].split("|"))
+        base = _value(sec, "base_components", lambda text: tuple(
+            parse_matrix(part) for part in text.split("|")))
     sweep = SweepConfig(
         n_shifts=sec.getint("n_shifts"),
         shift_scale=sec.getfloat("shift_scale"),

@@ -9,7 +9,8 @@ H d = -g by Cholesky, with H = X' diag(s(1 - s)) X / n + diag(penalty),
 falls back to d = -g when H is not positive definite or d is not a
 descent direction, and backtracks from the full step until the Armijo
 condition holds. A fit whose gradient norm is still at or above tol after
-max_iters Newton steps raises ValueError rather than returning weights.
+max_iters Newton steps, or whose products overflow float64, raises
+ValueError rather than returning weights.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, LinearClassifier, Mask
+
+# the ridge penalty l2 of every fit the package makes, and the config default
+DEFAULT_L2 = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,13 +51,6 @@ def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     return loss + 0.5 * float(penalty @ (w * w)), grad, sig
 
 
-def _objective_and_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray,
-                        penalty: np.ndarray) -> tuple[float, np.ndarray]:
-    """The objective and its gradient at w."""
-    obj, grad, _ = _objective_grad_sigmoid(w, x, y, penalty)
-    return obj, grad
-
-
 def _newton_direction(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
                       grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Solve H d = -grad by Cholesky, with sig the sigmoid(-y w.x) that
@@ -70,6 +67,11 @@ def _newton_direction(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
     return direction
 
 
+def _overflow(kind: str, flag: int) -> None:
+    raise ValueError("diverged: the fit's products overflow float64")
+
+
+@np.errstate(over="call", call=_overflow)
 def fit_logistic(data: Dataset, mask: Mask, l2: float,
                  opts: OptimizerSettings = OptimizerSettings()) -> LinearClassifier:
     """Fit the masked logistic objective; w_e is pinned to zero under

@@ -353,50 +353,6 @@ def test_erfc_and_cdf_match_reference(name, reference, x):
     _assert_same_bits(getattr(analytic, name)(x), reference(x))
 
 
-class TestGaussianAccuracy:
-    def test_orthogonal_gives_half(self):
-        acc = analytic.gaussian_accuracy([1.0, 0.0], [0.0, 3.0], np.eye(2))
-        assert acc == pytest.approx(0.5, abs=1e-15)
-
-    def test_two_dim_monte_carlo(self):
-        # frozen from a 1e7-sample Monte Carlo of the generative model
-        acc = analytic.gaussian_accuracy([1.0, 1.0], [1.0, 1.0], np.eye(2))
-        assert acc == pytest.approx(0.9213503964748575, abs=1e-12)
-        rng = np.random.default_rng(7)
-        hits = 0
-        n = 10_000_000
-        for _ in range(10):
-            y = rng.choice([-1.0, 1.0], size=n // 10)
-            x = y[:, None] + rng.standard_normal((n // 10, 2))
-            hits += int(np.sum((x @ np.ones(2)) * y > 0))
-        assert acc == pytest.approx(hits / n, abs=1e-3)
-
-    def test_four_dim_value(self):
-        acc = analytic.gaussian_accuracy(np.ones(4), np.ones(4), np.eye(4))
-        assert acc == pytest.approx(0.9772498680518208, abs=1e-12)
-
-    def test_monotone_in_snr(self):
-        w = np.array([1.0, 2.0])
-        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        scales = np.linspace(0.1, 3.0, 15)
-        accs = [analytic.gaussian_accuracy(w, s * np.array([1.0, 0.5]), sigma)
-                for s in scales]
-        assert all(a < b for a, b in zip(accs, accs[1:]))
-
-    def test_symmetry(self):
-        w = np.array([0.3, -1.2, 0.7])
-        mu = np.array([0.5, 0.1, -0.4])
-        sigma = np.diag([1.0, 2.0, 0.5])
-        a_pos = analytic.gaussian_accuracy(w, mu, sigma)
-        a_neg = analytic.gaussian_accuracy(w, -mu, sigma)
-        assert a_pos + a_neg == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_projection(self):
-        with pytest.raises(ValueError, match="degenerate projection"):
-            analytic.gaussian_accuracy([1.0, 0.0], [1.0, 1.0],
-                                       np.diag([0.0, 1.0]))
-
-
 class TestPValue:
     def test_example_r_half_n20(self):
         # t = 2.449490, df = 18 -> two-sided p ~ 0.0249

@@ -18,13 +18,11 @@ PACKAGE = ROOT / "src" / "shiftspec"
 KEPT = {
     "color_classifier_accuracy": "library API",
     "digit_classifier_accuracy": "library API",
-    "gaussian_accuracy": "test oracle",
     "probit": "library API",
     "reflection_alpha_threshold": "library API",
     "reflection_shift": "library API",
     "save_accuracy_table": "library API",
     "sweep_pairs": "library API",
-    "theorem2_compare": "library API",
 }
 
 

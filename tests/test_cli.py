@@ -202,6 +202,21 @@ class TestSimulate:
                                "the ID shift overflows float64\n")
         assert not out.exists()
 
+    def test_overflowing_fit_is_one_numeric_error_line(self, tmp_path):
+        # the sampled rows are finite, but X' X overflows in the fit
+        text = dumps_config(default_config()).replace(
+            "variant = identity", "variant = linear\nmatrix = 1e154, 0; 0, 1")
+        path = tmp_path / "fit_overflow.ini"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "shiftspec.cli", "simulate",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: diverged: the fit's products overflow "
+                               "float64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ood_mode", ["random", "interpolation"])
     def test_one_kernel_and_svd_call_for_all_shifts(self, ood_mode, tmp_path,
                                                     monkeypatch):
@@ -279,6 +294,32 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("variant = identity", "variant = linear\nmatrix = 1,0;0",
+         "[domain.shift] matrix = '1,0;0': rows must have equal length"),
+        ("mu_c = 1.0, 1.0", "mu_c = 1, x",
+         "[domain] mu_c = '1, x': expected numbers separated by ','"),
+        ("sigma_e = 1.0, 0.0; 0.0, 1.0", "sigma_e = 1, 0; 0, one",
+         "[domain] sigma_e = '1, 0; 0, one': expected numbers separated by ','"),
+        ("variant = identity", "variant = mixture\ncomponents = x : 1,0;0,1",
+         "[domain.shift] components = 'x : 1,0;0,1': mixture weight 'x' is "
+         "not a number"),
+        ("ood_mode = random", "ood_mode = interpolation\n"
+         "base_components = 1,0;0,1 | 1,0;0",
+         "[sweep] base_components = '1,0;0,1 | 1,0;0': rows must have equal "
+         "length"),
+    ], ids=["ragged_matrix", "vector_word", "matrix_word", "mixture_weight",
+            "ragged_base_component"])
+    def test_bad_config_value_names_its_key(self, old, new, message, tmp_path,
+                                            capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(dumps_config(default_config()).replace(old, new),
+                        encoding="utf-8")
+        rc = main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unconverged_fit_is_numeric_error(self, tmp_path, capsys):
         text = dumps_config(default_config()).replace("max_iters = 10000",

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftspec import conditions
-from shiftspec.analytic import gaussian_accuracy, normal_cdf, normal_quantile
+from shiftspec.analytic import normal_cdf, normal_quantile
 from shiftspec.conditions import (DEFAULT_RELIANCE_GRID, ConditionReport,
                                   _accuracy_kernel, _id_kappa,
                                   _stacked_weights, accuracy_under_shift,
@@ -13,8 +14,7 @@ from shiftspec.conditions import (DEFAULT_RELIANCE_GRID, ConditionReport,
                                   gaussian_kappa, kappa_of_mixture,
                                   lipschitz_of_linear,
                                   reflection_alpha_threshold, shift_moments,
-                                  theorem1_margin, theorem2_compare,
-                                  zero_measure_experiment)
+                                  theorem1_margin, zero_measure_experiment)
 from shiftspec.core import (DomainSpec, IdentityShift, LinearClassifier,
                             LinearShift, Mask, MixtureShift, default_spec)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
@@ -59,26 +59,36 @@ class TestTheorem1Margin:
                 theorem1_margin(np.ones(1), np.ones(1), 1.0, 1.0, bad)
 
 
+def _scalar_report(m, sigma_e=1.0, w_c=1.0, w_e=1.0):
+    """condition_report on a k = l = 1 spec with unit means and sigma_c = 1,
+    so M mu_e = m and Sigma_phi = m^2 sigma_e."""
+    spec = DomainSpec(k=1, l=1, mu_c=np.ones(1), sigma_c=np.eye(1),
+                      mu_e=np.ones(1), sigma_e=np.full((1, 1), sigma_e))
+    rule = LinearClassifier(w_c=np.full(1, w_c), w_e=np.full(1, w_e),
+                            trained_on=Mask.FULL)
+    return condition_report(rule, spec, np.full((1, 1), m), delta=0.5)
+
+
 class TestTheorem2Compare:
     def test_reversal_example(self):
-        res = theorem2_compare([1.0], [1.0], [[1.0]], [1.0], [-1.0], [[1.0]])
+        res = _scalar_report(-1.0)
         assert res.snr_ood == pytest.approx(0.0, abs=1e-15)
         assert res.snr_id == pytest.approx(1.0, abs=1e-15)
-        assert res.well_specified
+        assert res.theorem2_well_specified
 
     def test_aligned_example(self):
-        res = theorem2_compare([1.0], [1.0], [[1.0]], [1.0], [1.0], [[1.0]])
+        res = _scalar_report(1.0)
         assert res.snr_ood == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert not res.well_specified
+        assert not res.theorem2_well_specified
 
     def test_large_variance_branch(self):
-        res = theorem2_compare([1.0], [1.0], [[1.0]], [1.0], [1.0], [[100.0]])
+        res = _scalar_report(1.0, sigma_e=100.0)
         assert res.snr_ood == pytest.approx(2.0 / math.sqrt(101.0), abs=1e-15)
-        assert res.well_specified
+        assert res.theorem2_well_specified
 
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError, match="degenerate"):
-            theorem2_compare([1.0], [1.0], [[0.0]], [0.0], [0.0], [[0.0]])
+            _scalar_report(0.0, w_c=0.0, w_e=0.0)
 
 
 class TestLipschitz:
@@ -162,17 +172,14 @@ class TestTheoremAgreement:
                 continue
             w_e = rng.standard_normal(l)
             m = rng.uniform(-2, 2, (l, l))
-            mu_e = rng.standard_normal(l)
-            sigma_e = np.eye(l)
-            margin = theorem1_margin(w_e, m @ mu_e,
-                                     l_phi=lipschitz_of_linear(m),
-                                     kappa=gaussian_kappa(sigma_e),
-                                     delta=float(rng.uniform(0.05, 0.9)))
-            if margin >= 0:
+            spec = DomainSpec(k=k, l=l, mu_c=mu_c, sigma_c=np.eye(k),
+                              mu_e=rng.standard_normal(l), sigma_e=np.eye(l))
+            rule = LinearClassifier(w_c=w_c, w_e=w_e, trained_on=Mask.FULL)
+            res = condition_report(rule, spec, m,
+                                   delta=float(rng.uniform(0.05, 0.9)))
+            if res.theorem1_margin >= 0:
                 continue
-            res = theorem2_compare(w_c, mu_c, np.eye(k), w_e, m @ mu_e,
-                                   m @ sigma_e @ m.T)
-            assert res.well_specified
+            assert res.theorem2_well_specified
             checked += 1
 
 
@@ -192,8 +199,8 @@ def test_verdict_matches_behavior_across_shifts():
             [np.eye(2), np.zeros((2, 2))],
             [np.zeros((2, 2)), m @ m.T]])
         mu_ood = np.concatenate([np.ones(2), m @ np.ones(2)])
-        acc_full = gaussian_accuracy(full.w, mu_ood, sigma_ood)
-        acc_dg = gaussian_accuracy(w_dg, mu_ood, sigma_ood)
+        acc_full, acc_dg = (normal_cdf(w @ mu_ood / math.sqrt(w @ sigma_ood @ w))
+                            for w in (full.w, w_dg))
         if rep.theorem2_well_specified != (acc_full < acc_dg):
             disagreements += 1
     assert disagreements <= 2
@@ -210,15 +217,16 @@ class TestConditionReport:
             assert rep.theorem1_well_specified == (rep.theorem1_margin < 0)
             assert rep.theorem2_well_specified == (rep.snr_ood < rep.snr_id)
 
-    def test_json_fields(self):
-        spec = default_spec()
-        train = sample_domain(spec, 500, seed=2)
-        full = fit_logistic(train, Mask.FULL, l2=1e-3)
-        rep = condition_report(full, spec, np.eye(2), delta=0.5)
-        d = rep.to_dict()
-        assert set(d) == {"reversal_term", "theorem1_margin",
-                          "theorem1_well_specified", "snr_id", "snr_ood",
-                          "theorem2_well_specified"}
+
+def _snrs(classifier, spec, m_mu_e, sigma_phi):
+    """Theorem 2's (snr_id, snr_ood) from the quadratic forms w_c' mu_c,
+    w_c' Sigma_c w_c, w_e' M mu_e and w_e' Sigma_phi w_e."""
+    w_c, w_e = classifier.w_c, classifier.w_e
+    signal_id = float(w_c @ spec.mu_c)
+    var_c = float(w_c @ spec.sigma_c @ w_c)
+    signal_ood = signal_id + float(w_e @ m_mu_e)
+    var_ood = var_c + float(w_e @ sigma_phi @ w_e)
+    return signal_id / math.sqrt(var_c), signal_ood / math.sqrt(var_ood)
 
 
 def _reference_report(classifier, spec, shift, delta):
@@ -237,13 +245,12 @@ def _reference_report(classifier, spec, shift, delta):
         l_phi = lipschitz_of_linear(m_mean)
     m_mu_e = m_mean @ spec.mu_e
     margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, kappa, delta)
-    t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
-                          classifier.w_e, m_mu_e, sigma_phi)
+    snr_id, snr_ood = _snrs(classifier, spec, m_mu_e, sigma_phi)
     return ConditionReport(reversal_term=float(classifier.w_e @ m_mu_e),
                            theorem1_margin=margin,
                            theorem1_well_specified=margin < 0.0,
-                           snr_id=t2.snr_id, snr_ood=t2.snr_ood,
-                           theorem2_well_specified=t2.well_specified)
+                           snr_id=snr_id, snr_ood=snr_ood,
+                           theorem2_well_specified=snr_ood < snr_id)
 
 
 class TestConditionReportConstants:
@@ -316,14 +323,16 @@ class TestZeroMeasure:
                     for t in range(100)]
         assert list(res.margins) == expected
 
-    def test_csv_export(self):
-        res = zero_measure_experiment(default_spec(), [0.0, 1.0], trials=100,
-                                      n_per_domain=300, seed=4, delta=0.5,
-                                      reliance_grid=(1e-3, 1.0, 1e3), n_seeds=1)
-        lines = res.to_csv().strip().splitlines()
-        assert lines[0] == "eps,fraction_well_specified_on_line"
-        assert len(lines) == 3
-        assert lines[1].startswith("0,")
+    def test_overflowing_shift_scale_is_one_numeric_error(self):
+        # the draws' Sigma_phi overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Sigma_phi is not finite"):
+                zero_measure_experiment(default_spec(), [0.0, 1.0],
+                                        trials=100, n_per_domain=300, seed=4,
+                                        delta=0.5, shift_scale=1e160,
+                                        reliance_grid=(1e-3, 1.0, 1e3),
+                                        n_seeds=1)
 
 
 def test_classifier_sweep_spans_reliance():
@@ -654,13 +663,12 @@ def _loop_report(classifier, spec, shift, delta):
     m_mu_e = m_mean @ spec.mu_e
     margin = theorem1_margin(classifier.w_e, m_mu_e, l_phi, _id_kappa(spec),
                              delta)
-    t2 = theorem2_compare(classifier.w_c, spec.mu_c, spec.sigma_c,
-                          classifier.w_e, m_mu_e, sigma_phi)
+    snr_id, snr_ood = _snrs(classifier, spec, m_mu_e, sigma_phi)
     return ConditionReport(reversal_term=float(classifier.w_e @ m_mu_e),
                            theorem1_margin=margin,
                            theorem1_well_specified=margin < 0.0,
-                           snr_id=t2.snr_id, snr_ood=t2.snr_ood,
-                           theorem2_well_specified=t2.well_specified)
+                           snr_id=snr_id, snr_ood=snr_ood,
+                           theorem2_well_specified=snr_ood < snr_id)
 
 
 def _loop_accuracy(models, spec, shift):

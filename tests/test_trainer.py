@@ -53,7 +53,7 @@ class TestFitLogistic:
         assert np.all(model.w_e == 0.0)
 
     def test_gradient_matches_finite_differences(self):
-        from shiftspec.trainer import _objective_and_grad
+        from shiftspec.trainer import _objective_grad_sigmoid
         rng = np.random.default_rng(4)
         x = rng.standard_normal((60, 3))
         y = np.where(rng.standard_normal(60) > 0, 1.0, -1.0)
@@ -61,12 +61,12 @@ class TestFitLogistic:
         h = 1e-6
         for _ in range(10):
             w = rng.standard_normal(3)
-            _, grad = _objective_and_grad(w, x, y, penalty)
+            _, grad = _objective_grad_sigmoid(w, x, y, penalty)[:2]
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                hi, _ = _objective_and_grad(w + e, x, y, penalty)
-                lo, _ = _objective_and_grad(w - e, x, y, penalty)
+                hi, _ = _objective_grad_sigmoid(w + e, x, y, penalty)[:2]
+                lo, _ = _objective_grad_sigmoid(w - e, x, y, penalty)[:2]
                 fd = (hi - lo) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -84,7 +84,10 @@ def _scipy_check(data, mask, l2, opts, model):
     where BFGS stops early on precision loss."""
     from scipy.optimize import minimize
     from scipy.special import expit
-    from shiftspec.trainer import _objective_and_grad
+    from shiftspec.trainer import _objective_grad_sigmoid
+
+    def objective_and_grad(w, x, y, penalty):
+        return _objective_grad_sigmoid(w, x, y, penalty)[:2]
 
     def hessian(w, x, y, penalty):
         s = expit(x @ w)
@@ -99,10 +102,10 @@ def _scipy_check(data, mask, l2, opts, model):
         x = np.hstack([x, np.ones((data.n, 1))])
         w = np.append(w, model.bias)
         penalty = np.append(penalty, 0.0)
-    res = minimize(_objective_and_grad, np.zeros(x.shape[1]),
+    res = minimize(objective_and_grad, np.zeros(x.shape[1]),
                    args=(x, data.y, penalty), jac=True, hess=hessian,
                    method="trust-exact", options={"gtol": 1e-12, "maxiter": 10_000})
-    _, oracle_grad = _objective_and_grad(res.x, x, data.y, penalty)
+    _, oracle_grad = objective_and_grad(res.x, x, data.y, penalty)
     assert float(np.linalg.norm(oracle_grad)) < 1e-9
     return float(np.max(np.abs(res.x - w)))
 
@@ -155,11 +158,12 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(model, data) == 0.0
 
     def test_matches_analytic_on_large_sample(self):
-        from shiftspec.analytic import gaussian_accuracy
+        from shiftspec.analytic import normal_cdf
         data = sample_domain(default_spec(), 1_000_000, seed=6)
         model = LinearClassifier(w_c=np.ones(2), w_e=np.ones(2),
                                  trained_on=Mask.FULL)
-        expected = gaussian_accuracy(np.ones(4), np.ones(4), np.eye(4))
+        w = mu = np.ones(4)
+        expected = float(normal_cdf(w @ mu / np.sqrt(w @ np.eye(4) @ w)))
         assert expected == pytest.approx(0.97725, abs=1e-5)
         assert evaluate_accuracy(model, data) == pytest.approx(expected, abs=0.002)
 
