@@ -42,12 +42,6 @@ class AlineFit:
     n: int
     clip_alpha: float
 
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "pearson_r": self.pearson_r, "p_value": self.p_value,
-                "std_err": self.std_err, "n": self.n,
-                "clip_alpha": self.clip_alpha}
-
 
 class Verdict(enum.Enum):
     WELL_SPECIFIED = "well_specified"

@@ -10,6 +10,7 @@ main() alone maps exceptions to these codes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
-                    check_threshold, classify_split, fit_probit_line,
-                    fit_probit_points, min_model_count, probit_points)
+                    check_threshold, classify_split, fit_probit_points,
+                    min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import (ShiftStack, accuracies_under_shifts, condition_reports,
                          require_finite)
@@ -169,7 +170,7 @@ def cmd_audit(args) -> int:
         "ood_env": args.ood_env,
         "threshold": args.threshold,
         "n_models": len(x),
-        "fit": fit.to_dict(),
+        "fit": dataclasses.asdict(fit),
         "verdict": verdict.value,
         "definition6": {"a": a6, "epsilon": eps6},
     }
@@ -250,9 +251,15 @@ def cmd_cmnist(args) -> int:
                                           encoding="utf-8")
 
     splits = [pairwise_pairs(table, "env_id", env) for env in table.env_names[1:]]
+    # pooled split: the per-env arrays (one entry per model each) concatenated
+    # in env order; each env is fit on its own slice of the pooled probits
+    id_acc, ood_acc = map(np.concatenate, zip(*splits))
+    x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     per_env = []
-    for env, p_test, split in zip(table.env_names[1:], grid, splits):
-        fit = fit_probit_line(*split, clip_alpha=args.clip_alpha)
+    for env, p_test, env_x, env_y in zip(table.env_names[1:], grid,
+                                         np.split(x, len(splits)),
+                                         np.split(y, len(splits))):
+        fit = fit_probit_points(env_x, env_y, clip_alpha=args.clip_alpha)
         per_env.append({
             "env": env,
             "test_p_e": p_test,
@@ -260,9 +267,6 @@ def cmd_cmnist(args) -> int:
             "slope": fit.slope,
             "verdict": classify_split(fit, args.threshold).value,
         })
-    # pooled split: the per-env arrays concatenated in env order
-    id_acc, ood_acc = map(np.concatenate, zip(*splits))
-    x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     pooled_fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
 
     payload = {

@@ -400,9 +400,11 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
 
     For each sampled shift the reversal margin is tested on the reference
     full fit and the per-sweep slope is fit by zero-intercept least squares
-    on the probit scale; the max probit residual over the sweep is the
-    smallest eps the shift supports. Fractions are nondecreasing in eps by
-    construction because every trial shares one (margin, residual) pair.
+    on the probit scale, probit(OOD) ≈ a·probit(ID) (audit's definition6
+    fits the other direction, probit(ID) ≈ a·probit(OOD)); the max probit
+    residual over the sweep is the smallest eps the shift supports.
+    Fractions are nondecreasing in eps by construction because every trial
+    shares one (margin, residual) pair.
     Each margin equals condition_report's for the reference fit and that
     trial's shift: both come from _stacked_margins, so a shift_scale whose
     Sigma_phi overflows float64 is the same numeric error.

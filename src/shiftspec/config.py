@@ -3,6 +3,9 @@
 Vectors are comma-separated, matrices use ";" between rows, and mixture
 components are "weight : matrix" items joined with "|". Floats are written
 with repr so a dump/parse round trip reproduces every value exactly.
+_TABLE gives each key's parse, range check included, and format; a bad
+value is one InputError "[section] key = 'text': reason". In [domain.shift]
+the variant reads its own key only (linear: matrix, mixture: components).
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DomainSpec, IdentityShift, InputError, LinearShift,
-                   MixtureShift, ShiftSpec, default_spec, read_input_text,
-                   validate_spec)
+                   MixtureShift, default_spec, read_input_text, validate_spec)
 from .trainer import DEFAULT_L2, OptimizerSettings
 
 DEFAULT_MIXTURE_FACTORS = (1.5, 0.5, -0.5, -1.5)
@@ -94,6 +96,74 @@ def _parse_components(text: str) -> tuple:
     return tuple(comps)
 
 
+def _format_float(x) -> str:
+    return repr(float(x))
+
+
+def _scalar(convert, expected: str = "", ok=lambda v: True, reason: str = ""):
+    """The parse convert(text), which says 'expected ...' for a text that
+    does not convert and gives reason for a value that fails ok."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}") from None
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return parse
+
+
+_COUNT = (_scalar(int, "an integer", lambda n: n >= 1, "must be at least 1"), str)
+_POSITIVE = (_scalar(float, "a number", lambda x: 0.0 < x < math.inf,
+                     "must be positive and finite"), _format_float)
+_BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
+_VECTOR = (parse_vector, format_vector)
+_MATRIX = (parse_matrix, format_matrix)
+
+# shift variant -> its class and the keys of the class's fields, in order
+_SHIFTS = {
+    "identity": (IdentityShift, {}),
+    "linear": (LinearShift, {"matrix": _MATRIX}),
+    "mixture": (MixtureShift, {"components": (
+        _parse_components, lambda comps: " | ".join(
+            f"{repr(float(w))} : {format_matrix(m)}" for w, m in comps))}),
+}
+
+# section -> key -> (parse, format), in file order; a key names a field of
+# its section's dataclass. parse raises a ValueError that says why a text
+# is not a value, range included. [domain.shift] opens with the variant,
+# which reads its own keys in _SHIFTS and no other.
+_TABLE = {
+    "domain": {"k": _COUNT, "l": _COUNT, "mu_c": _VECTOR, "sigma_c": _MATRIX,
+               "mu_e": _VECTOR, "sigma_e": _MATRIX,
+               "label_prior": (_scalar(float, "a number"), _format_float)},
+    "domain.shift": {
+        "variant": (_scalar(lambda text: text.strip().lower(),
+                            ok=_SHIFTS.__contains__,
+                            reason="must be 'identity', 'linear' or 'mixture'"),
+                    str),
+        **{key: pair for _, keys in _SHIFTS.values()
+           for key, pair in keys.items()}},
+    "bounds": {"delta": (_scalar(float, "a number", lambda x: 0.0 < x < 1.0,
+                                 "must lie in (0, 1)"), _format_float)},
+    "optimizer": {
+        "tol": _POSITIVE, "max_iters": _COUNT,
+        "l2": (_scalar(float, "a number", lambda x: 0.0 <= x < math.inf,
+                       "must be nonnegative and finite"), _format_float),
+        "bias": (_scalar(lambda text: _BOOLEAN[text.lower()], "true or false"),
+                 lambda b: str(b).lower())},
+    "sweep": {
+        "n_shifts": _COUNT, "shift_scale": _POSITIVE, "n_per_domain": _COUNT,
+        "ood_mode": (_scalar(str, ok=("random", "interpolation").__contains__,
+                             reason="must be 'random' or 'interpolation'"), str),
+        "base_components": (
+            lambda text: tuple(parse_matrix(p) for p in text.split("|")),
+            lambda comps: " | ".join(map(format_matrix, comps)))},
+}
+_VARIANT_KEY = next(iter(_TABLE["domain.shift"]))
+
+
 def _value(section, key: str, parse):
     """parse(section[key]); a ValueError names the section, key and value."""
     text = section[key]
@@ -103,60 +173,27 @@ def _value(section, key: str, parse):
         raise InputError(f"[{section.name}] {key} = {text!r}: {exc}") from None
 
 
-def _format_shift(shift: ShiftSpec) -> dict[str, str]:
-    if isinstance(shift, IdentityShift):
-        return {"variant": "identity"}
-    if isinstance(shift, LinearShift):
-        return {"variant": "linear", "matrix": format_matrix(shift.m)}
-    parts = [f"{repr(float(w))} : {format_matrix(m)}"
-             for w, m in shift.components]
-    return {"variant": "mixture", "components": " | ".join(parts)}
-
-
-def _parse_shift(section) -> ShiftSpec:
-    variant = section["variant"].strip().lower()
-    if variant == "identity":
-        return IdentityShift()
-    if variant == "linear":
-        return LinearShift(_value(section, "matrix", parse_matrix))
-    if variant == "mixture":
-        return MixtureShift(_value(section, "components", _parse_components))
-    raise InputError(f"unknown shift variant {variant!r}")
+def _values(cfg: RunConfig) -> dict[str, dict]:
+    """cfg's values by section and key. A shift key that the variant does
+    not read is absent, and so is an empty base_components tuple."""
+    shift = cfg.domain.shift
+    variant = next(name for name, (cls, _) in _SHIFTS.items()
+                   if isinstance(shift, cls))
+    shift_values = dict(zip(_SHIFTS[variant][1], vars(shift).values()))
+    sections = {"domain": vars(cfg.domain),
+                "domain.shift": {_VARIANT_KEY: variant, **shift_values},
+                "bounds": vars(cfg), "optimizer": vars(cfg.optimizer),
+                "sweep": vars(cfg.sweep)}
+    return {name: {key: value for key, value in sections[name].items()
+                   if not (isinstance(value, tuple) and not value)}
+            for name in _TABLE}
 
 
 def dumps_config(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    spec = cfg.domain
-    cp["domain"] = {
-        "k": str(spec.k),
-        "l": str(spec.l),
-        "mu_c": format_vector(spec.mu_c),
-        "sigma_c": format_matrix(spec.sigma_c),
-        "mu_e": format_vector(spec.mu_e),
-        "sigma_e": format_matrix(spec.sigma_e),
-        "label_prior": repr(float(spec.label_prior)),
-    }
-    cp["domain.shift"] = _format_shift(spec.shift)
-    cp["bounds"] = {"delta": repr(float(cfg.delta))}
-    o = cfg.optimizer
-    cp["optimizer"] = {
-        "tol": repr(float(o.tol)),
-        "max_iters": str(o.max_iters),
-        "l2": repr(float(o.l2)),
-        "bias": str(o.bias).lower(),
-    }
-    s = cfg.sweep
-    sweep_section = {
-        "n_shifts": str(s.n_shifts),
-        "shift_scale": repr(float(s.shift_scale)),
-        "n_per_domain": str(s.n_per_domain),
-        "ood_mode": s.ood_mode,
-    }
-    if s.base_components:
-        parts = [format_matrix(m) for m in s.base_components]
-        sweep_section["base_components"] = " | ".join(parts)
-    cp["sweep"] = sweep_section
+    cp = _new_parser()
+    for name, values in _values(cfg).items():
+        cp[name] = {key: fmt(values[key])
+                    for key, (_, fmt) in _TABLE[name].items() if key in values}
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
@@ -165,7 +202,8 @@ def dumps_config(cfg: RunConfig) -> str:
 def parse_config(text: str) -> RunConfig:
     """Parse an INI config. [domain] is required; every section or key the
     text omits takes its value from default_config(). An unknown section or
-    key, an unparsable value and an invalid spec or setting are InputErrors."""
+    key, a shift key that its variant does not read, a value that does not
+    parse or lies outside its range, and an invalid spec are InputErrors."""
     try:
         return _parse_config(text)
     except KeyError as exc:
@@ -180,84 +218,44 @@ def _new_parser() -> configparser.ConfigParser:
     return cp
 
 
-# keys that dumps_config writes only for some values
-_OPTIONAL_KEYS = {"domain.shift": {"matrix", "components"},
-                  "sweep": {"base_components"}}
-
-
 def _parse_config(text: str) -> RunConfig:
     given = _new_parser()
     given.read_string(text)
     if "domain" not in given:
         raise InputError("config must have a [domain] section")
+    for name in given.sections():
+        if name not in _TABLE:
+            raise InputError(f"unknown config section [{name}]")
+        for key in given[name]:
+            if key not in _TABLE[name]:
+                raise InputError(f"unknown config key {key!r} in [{name}]")
     cp = _new_parser()
     cp.read_string(dumps_config(default_config()))
-    for name in given.sections():
-        if name not in cp:
-            raise InputError(f"unknown config section [{name}]")
-        allowed = set(cp[name]) | _OPTIONAL_KEYS.get(name, set())
-        for key in given[name]:
-            if key not in allowed:
-                raise InputError(f"unknown config key {key!r} in [{name}]")
     cp.read_dict(given)
+    values = {name: {key: _value(cp[name], key, parse)
+                     for key, (parse, _) in keys.items() if key in cp[name]}
+              for name, keys in _TABLE.items()}
 
-    dom = cp["domain"]
-    spec = DomainSpec(
-        k=dom.getint("k"),
-        l=dom.getint("l"),
-        mu_c=_value(dom, "mu_c", parse_vector),
-        sigma_c=_value(dom, "sigma_c", parse_matrix),
-        mu_e=_value(dom, "mu_e", parse_vector),
-        sigma_e=_value(dom, "sigma_e", parse_matrix),
-        label_prior=dom.getfloat("label_prior"),
-        shift=_parse_shift(cp["domain.shift"]),
-    )
+    shift_values = values["domain.shift"]
+    variant = shift_values.pop(_VARIANT_KEY)
+    cls, keys = _SHIFTS[variant]
+    for key in shift_values:
+        if key not in keys:
+            raise InputError(f"[domain.shift] {key} is not read by "
+                             f"variant {variant!r}")
+    spec = DomainSpec(**values["domain"],
+                      shift=cls(*(shift_values[key] for key in keys)))
     problems = validate_spec(spec)
     if problems:
         raise InputError("invalid spec: " + "; ".join(problems))
-    delta = cp["bounds"].getfloat("delta")
-
-    sec = cp["optimizer"]
-    optimizer = OptimizerConfig(
-        tol=sec.getfloat("tol"),
-        max_iters=sec.getint("max_iters"),
-        l2=sec.getfloat("l2"),
-        bias=sec.getboolean("bias"),
-    )
-
-    sec = cp["sweep"]
-    base = ()
-    if "base_components" in sec:
-        base = _value(sec, "base_components", lambda text: tuple(
-            parse_matrix(part) for part in text.split("|")))
-    sweep = SweepConfig(
-        n_shifts=sec.getint("n_shifts"),
-        shift_scale=sec.getfloat("shift_scale"),
-        n_per_domain=sec.getint("n_per_domain"),
-        ood_mode=sec["ood_mode"],
-        base_components=base,
-    )
-    if not 0.0 < delta < 1.0:
-        raise InputError("delta must lie in (0, 1)")
-    if not 0.0 < optimizer.tol < math.inf:
-        raise InputError("tol must be positive and finite")
-    if not 0.0 <= optimizer.l2 < math.inf:
-        raise InputError("l2 must be nonnegative and finite")
-    if optimizer.max_iters < 1:
-        raise InputError("max_iters must be at least 1")
-    if sweep.ood_mode not in ("random", "interpolation"):
-        raise InputError("ood_mode must be 'random' or 'interpolation'")
-    if sweep.n_shifts < 1:
-        raise InputError("n_shifts must be at least 1")
-    if not 0.0 < sweep.shift_scale < math.inf:
-        raise InputError("shift_scale must be positive and finite")
-    if sweep.n_per_domain < 1:
-        raise InputError("n_per_domain must be at least 1")
+    sweep = SweepConfig(**values["sweep"])
+    base = sweep.base_components
     if any(m.shape != (spec.l, spec.l) for m in base):
         raise InputError(f"base_components must be {spec.l}x{spec.l} matrices")
     if not all(np.all(np.isfinite(m)) for m in base):
         raise InputError("base_components must be finite")
-    return RunConfig(domain=spec, delta=delta, optimizer=optimizer, sweep=sweep)
+    return RunConfig(domain=spec, sweep=sweep, **values["bounds"],
+                     optimizer=OptimizerConfig(**values["optimizer"]))
 
 
 def load_config(path) -> RunConfig:

@@ -59,12 +59,11 @@ def validate_schema(instance, schema, path: str = "$") -> list[str]:
     return problems
 
 
-def write_json_report(payload: dict, path: Path, schema_name: str | None = None) -> None:
-    if schema_name is not None:
-        problems = validate_schema(payload, load_schema(schema_name))
-        if problems:
-            raise ValueError("report does not conform to its schema: "
-                             + "; ".join(problems))
+def write_json_report(payload: dict, path: Path, schema_name: str) -> None:
+    problems = validate_schema(payload, load_schema(schema_name))
+    if problems:
+        raise ValueError("report does not conform to its schema: "
+                         + "; ".join(problems))
     # NaN and infinities are not JSON; refuse them rather than write them
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n", encoding="utf-8")

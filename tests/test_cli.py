@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from shiftspec.cli import main
-from shiftspec.config import default_config, dumps_config
+from shiftspec.config import _TABLE, default_config, dumps_config
 from shiftspec.core import LinearShift, MixtureShift, default_spec
 from shiftspec.ingest import (AccuracyTable, TableRow, load_accuracy_table,
                               save_accuracy_table)
@@ -320,6 +322,99 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # (section, key, text, reason, other keys the case sets): one text per
+    # key that does not parse and, where the key has a range, one outside it
+    BAD_VALUES = [
+        ("domain", "k", "two", "expected an integer", {}),
+        ("domain", "k", "0", "must be at least 1", {}),
+        ("domain", "l", "2.0", "expected an integer", {}),
+        ("domain", "l", "-1", "must be at least 1", {}),
+        ("domain", "mu_c", "1, one", "expected numbers separated by ','", {}),
+        ("domain", "sigma_c", "1, 0; 0", "rows must have equal length", {}),
+        ("domain", "mu_e", "", "expected numbers separated by ','", {}),
+        ("domain", "sigma_e", "1, 0; x, 1", "expected numbers separated by ','",
+         {}),
+        ("domain", "label_prior", "half", "expected a number", {}),
+        ("domain.shift", "variant", "quadratic",
+         "must be 'identity', 'linear' or 'mixture'", {}),
+        ("domain.shift", "matrix", "1,0;0", "rows must have equal length",
+         {"variant": "linear"}),
+        ("domain.shift", "components", "1,0;0,1",
+         "mixture component '1,0;0,1' is not of the form 'weight : matrix'",
+         {"variant": "mixture"}),
+        ("bounds", "delta", "half", "expected a number", {}),
+        ("bounds", "delta", "1.5", "must lie in (0, 1)", {}),
+        ("optimizer", "tol", "tiny", "expected a number", {}),
+        ("optimizer", "tol", "nan", "must be positive and finite", {}),
+        ("optimizer", "max_iters", "1.5", "expected an integer", {}),
+        ("optimizer", "max_iters", "0", "must be at least 1", {}),
+        ("optimizer", "l2", "1e-3x", "expected a number", {}),
+        ("optimizer", "l2", "-1", "must be nonnegative and finite", {}),
+        ("optimizer", "bias", "maybe", "expected true or false", {}),
+        ("sweep", "n_shifts", "fifty", "expected an integer", {}),
+        ("sweep", "n_shifts", "-3", "must be at least 1", {}),
+        ("sweep", "shift_scale", "2,0", "expected a number", {}),
+        ("sweep", "shift_scale", "inf", "must be positive and finite", {}),
+        ("sweep", "n_per_domain", "1e3", "expected an integer", {}),
+        ("sweep", "n_per_domain", "0", "must be at least 1", {}),
+        ("sweep", "ood_mode", "sideways", "must be 'random' or 'interpolation'",
+         {}),
+        ("sweep", "base_components", "1,0;0,1 | 1,0;0",
+         "rows must have equal length", {}),
+    ]
+
+    @staticmethod
+    def _config_with(section, values) -> str:
+        """The default config text with section's keys set to values."""
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(dumps_config(default_config()))
+        for key, text in values.items():
+            cp[section][key] = text
+        out = io.StringIO()
+        cp.write(out)
+        return out.getvalue()
+
+    def _simulate_text(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    def test_bad_values_cover_every_config_key(self):
+        covered = {(section, key) for section, key, *_ in self.BAD_VALUES}
+        assert covered == {(section, key) for section, keys in _TABLE.items()
+                           for key in keys}
+
+    @pytest.mark.parametrize("section, key, text, reason, others", BAD_VALUES,
+                             ids=[f"{key}={text}" for _, key, text, *_
+                                  in BAD_VALUES])
+    def test_bad_value_is_one_line_naming_its_key(self, section, key, text,
+                                                  reason, others, tmp_path,
+                                                  capsys):
+        config = self._config_with(section, {**others, key: text})
+        rc, err = self._simulate_text(config, tmp_path, capsys)
+        assert rc == 2
+        assert err == f"error: [{section}] {key} = {text!r}: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("values, key", [
+        ({"variant": "identity", "matrix": "1, 0; 0, 1"}, "matrix"),
+        ({"variant": "linear", "matrix": "-1, 0; 0, -1",
+          "components": "1.0 : 1, 0; 0, 1"}, "components"),
+        ({"variant": "mixture", "components": "1.0 : -1, 0; 0, -1",
+          "matrix": "1, 0; 0, 1"}, "matrix"),
+    ], ids=["identity_matrix", "linear_components", "mixture_matrix"])
+    def test_shift_key_its_variant_does_not_read_is_named(self, values, key,
+                                                          tmp_path, capsys):
+        config = self._config_with("domain.shift", values)
+        rc, err = self._simulate_text(config, tmp_path, capsys)
+        assert rc == 2
+        assert err == (f"error: [domain.shift] {key} is not read by variant "
+                       f"{values['variant']!r}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unconverged_fit_is_numeric_error(self, tmp_path, capsys):
         text = dumps_config(default_config()).replace("max_iters = 10000",
