@@ -7,8 +7,7 @@ from .conditions import (ConditionReport, ShiftStack, ZeroMeasureResult,
                          accuracies_under_shifts, accuracy_under_shift,
                          classifier_sweep, condition_report,
                          condition_reports, gaussian_kappa, kappa_of_mixture,
-                         lipschitz_of_linear, reflection_alpha_threshold,
-                         sweep_pairs, theorem1_margin,
+                         lipschitz_of_linear, sweep_pairs, theorem1_margin,
                          zero_measure_experiment)
 from .core import (Dataset, DomainSpec, IdentityShift, LinearClassifier,
                    LinearShift, Mask, MixtureShift, ShiftSpec, default_spec,

@@ -118,13 +118,19 @@ def classify_split(fit: AlineFit, threshold: float = DEFAULT_THRESHOLD) -> Verdi
     return Verdict.WELL_SPECIFIED if fit.pearson_r < threshold else Verdict.MISSPECIFIED
 
 
-def correlation_epsilon(id_acc: ArrayLike, ood_acc: ArrayLike, a: float,
-                        clip_alpha: float = DEFAULT_CLIP_ALPHA) -> float:
-    """Smallest eps such that |probit(id) - a probit(ood)| <= eps for all pairs."""
-    x, y = probit_points(id_acc, ood_acc, clip_alpha)
-    if not len(x):
-        raise InputError("need at least 1 accuracy pair")
-    return float(np.max(np.abs(x - a * y)))
+def correlation_epsilon(x: ArrayLike, y: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Definition 6 on probits: (T,) slopes a and epsilons eps, one per row.
+
+    x is (n,) or (T, n) and y is (n,). For each row of x, a is the
+    zero-intercept least-squares slope of x ≈ a·y (0 when y·y is 0) and
+    eps = max |x - a·y|, the smallest eps the row supports. Each row's dot
+    product stays scalar, since batched BLAS rounds it differently.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    syy = float(y @ y)
+    a = np.array([float(row @ y) / syy if syy > 0.0 else 0.0 for row in x])
+    return a, np.max(np.abs(x - a[:, None] * y), axis=1)
 
 
 def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:

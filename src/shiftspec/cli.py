@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
-                    check_threshold, classify_split, fit_probit_points,
-                    min_model_count, probit_points)
+                    check_threshold, classify_split, correlation_epsilon,
+                    fit_probit_points, min_model_count, probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import (ShiftStack, accuracies_under_shifts, condition_reports,
                          require_finite)
@@ -152,6 +152,8 @@ def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
 
 
 def cmd_audit(args) -> int:
+    """Probit fit, verdict and Definition 6 of one split; definition6 is
+    correlation_epsilon in the direction probit(ID) ≈ a·probit(OOD)."""
     check_clip_alpha(args.clip_alpha)
     check_threshold(args.threshold)
     id_acc, ood_acc, id_env = _audit_pairs(args)
@@ -160,10 +162,7 @@ def cmd_audit(args) -> int:
     x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
     verdict = classify_split(fit, threshold=args.threshold)
-    # Definition 6: least-squares a, then eps = max |x - a y|
-    syy = float(y @ y)
-    a6 = float(x @ y) / syy if syy > 0.0 else 0.0
-    eps6 = float(np.max(np.abs(x - a6 * y)))
+    a6, eps6 = (float(v[0]) for v in correlation_epsilon(x, y))
 
     payload = {
         "mode": args.mode,

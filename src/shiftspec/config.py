@@ -5,7 +5,8 @@ components are "weight : matrix" items joined with "|". Floats are written
 with repr so a dump/parse round trip reproduces every value exactly.
 _TABLE gives each key's parse, range check included, and format; a bad
 value is one InputError "[section] key = 'text': reason". In [domain.shift]
-the variant reads its own key only (linear: matrix, mixture: components).
+the variant reads its own key, which it needs, and no other (linear:
+matrix, mixture: components).
 """
 
 from __future__ import annotations
@@ -202,12 +203,11 @@ def dumps_config(cfg: RunConfig) -> str:
 def parse_config(text: str) -> RunConfig:
     """Parse an INI config. [domain] is required; every section or key the
     text omits takes its value from default_config(). An unknown section or
-    key, a shift key that its variant does not read, a value that does not
-    parse or lies outside its range, and an invalid spec are InputErrors."""
+    key, a shift key that its variant does not read or a missing one that
+    it does, a value that does not parse or lies outside its range, and an
+    invalid spec are InputErrors."""
     try:
         return _parse_config(text)
-    except KeyError as exc:
-        raise InputError(f"missing config key {exc}") from None
     except (configparser.Error, ValueError) as exc:
         raise InputError(str(exc)) from None
 
@@ -243,6 +243,10 @@ def _parse_config(text: str) -> RunConfig:
         if key not in keys:
             raise InputError(f"[domain.shift] {key} is not read by "
                              f"variant {variant!r}")
+    for key in keys:
+        if key not in shift_values:
+            raise InputError(f"[domain.shift] {key} is missing: variant "
+                             f"{variant!r} reads it")
     spec = DomainSpec(**values["domain"],
                       shift=cls(*(shift_values[key] for key in keys)))
     problems = validate_spec(spec)

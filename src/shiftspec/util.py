@@ -1,8 +1,9 @@
 """In-order task map, run in the calling thread.
 
-conditions.condition_reports maps its per-shift scalar tail through
-parallel_map. The benchmark tracer (perfbench/tracer.py) wraps parallel_map
-and reads thread_count, so both names stay until it stops using them.
+conditions.condition_reports maps its per-shift scalar tail, and
+aline.min_model_count its bootstrap draws, through parallel_map. The
+benchmark tracer (perfbench/tracer.py) wraps parallel_map and reads
+thread_count, so both names stay until it stops using them.
 """
 
 from __future__ import annotations

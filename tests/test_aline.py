@@ -117,8 +117,6 @@ class TestProbitPointsInputs:
     def test_callers_inherit_the_check(self):
         with pytest.raises(InputError, match="ood_acc must lie in"):
             fit_probit_line(self.GOOD, [0.2, 1.5, 0.9])
-        with pytest.raises(InputError, match="id_acc must lie in"):
-            correlation_epsilon([-0.1], [0.5], a=1.0)
         with pytest.raises(InputError, match="equal length"):
             min_model_count(np.full(20, 0.5), np.full(19, 0.5))
 
@@ -154,16 +152,21 @@ class TestClassifySplit:
 
 class TestCorrelationEpsilon:
     def test_exact_line_zero(self):
-        xs = np.array([0.2, -0.1, 0.5])
-        pairs = pairs_from_probits(2.0 * xs, xs)  # probit(id) = 2 probit(ood)
-        assert correlation_epsilon(*pairs, a=2.0) == pytest.approx(0.0, abs=1e-9)
+        ys = np.array([0.2, -0.1, 0.5])
+        (a,), (eps,) = correlation_epsilon(2.0 * ys, ys)  # x = 2 y
+        assert a == pytest.approx(2.0, abs=1e-12)
+        assert eps == pytest.approx(0.0, abs=1e-9)
 
     def test_centre_pair_is_zero(self):
-        assert correlation_epsilon([0.5], [0.5], a=123.0) == 0.0
+        # probit(0.5) = 0 on both sides: y . y = 0, so a = 0
+        (a,), (eps,) = correlation_epsilon([0.0], [0.0])
+        assert a == 0.0 and eps == 0.0
 
     def test_swapped_pair_example(self):
-        assert correlation_epsilon([0.8413, 0.5], [0.5, 0.8413],
-                                   a=1.0) == pytest.approx(1.0, abs=1e-3)
+        # probits of ([0.8413, 0.5], [0.5, 0.8413]): x . y = 0, so a = 0
+        (a,), (eps,) = correlation_epsilon([1.0, 0.0], [0.0, 1.0])
+        assert a == 0.0
+        assert eps == pytest.approx(1.0, abs=1e-3)
 
 
 class TestMinModelCount:

@@ -416,6 +416,17 @@ class TestSimulate:
                        f"{values['variant']!r}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("variant, key", [("linear", "matrix"),
+                                              ("mixture", "components")])
+    def test_shift_key_its_variant_reads_is_required(self, variant, key,
+                                                     tmp_path, capsys):
+        config = self._config_with("domain.shift", {"variant": variant})
+        rc, err = self._simulate_text(config, tmp_path, capsys)
+        assert rc == 2
+        assert err == (f"error: [domain.shift] {key} is missing: variant "
+                       f"{variant!r} reads it\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unconverged_fit_is_numeric_error(self, tmp_path, capsys):
         text = dumps_config(default_config()).replace("max_iters = 10000",
                                                       "max_iters = 1")
@@ -480,6 +491,40 @@ class TestAudit:
                    "--ood-env", "env_42", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "env_42" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "loo", "--ood-env", "e2"],
+        ["--mode", "loo", "--ood-env", "e3"],
+        ["--mode", "pairwise", "--id-env", "e0", "--ood-env", "e1"],
+        ["--mode", "pairwise", "--id-env", "e1", "--ood-env", "e2"],
+    ], ids=["loo_half", "loo", "pairwise", "pairwise_half"])
+    def test_definition6_matches_least_squares(self, argv, tmp_path):
+        from scipy.special import ndtri
+        rng = np.random.default_rng(5)
+        acc = np.column_stack([rng.uniform(0.3, 0.95, 12),
+                               np.r_[0.0, 1.0, rng.uniform(0.2, 0.9, 10)],
+                               np.full(12, 0.5), rng.uniform(0.1, 0.99, 12)])
+        names = ("e0", "e1", "e2", "e3")
+        path = tmp_path / "t.csv"
+        save_accuracy_table(AccuracyTable(names, tuple(
+            TableRow(f"m{i}", tuple(row)) for i, row in enumerate(acc.tolist()))),
+            path)
+        out = tmp_path / "out"
+        assert main(["audit", "--table", str(path), *argv,
+                     "--out", str(out)]) == 0
+        ood = names.index(argv[argv.index("--ood-env") + 1])
+        if "--id-env" in argv:
+            id_acc = acc[:, names.index(argv[argv.index("--id-env") + 1])]
+        else:
+            id_acc = np.delete(acc, ood, axis=1).mean(axis=1)
+        x, y = ndtri(np.clip([id_acc, acc[:, ood]], 1e-4, 1.0 - 1e-4))
+        a = np.linalg.lstsq(y[:, None], x, rcond=None)[0][0]
+        got = json.loads((out / "audit_report.json").read_text())["definition6"]
+        assert got["a"] == pytest.approx(a, rel=1e-12, abs=1e-12)
+        assert got["epsilon"] == pytest.approx(np.max(np.abs(x - a * y)),
+                                               rel=1e-12, abs=1e-12)
+        if ood == 2:
+            assert got["a"] == 0.0
 
     def test_degenerate_table_is_numeric_error(self, tmp_path):
         rows = tuple(TableRow(f"m{i}", (0.7, float(a)))

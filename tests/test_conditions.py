@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -8,18 +9,18 @@ from hypothesis import given, settings, strategies as st
 from shiftspec import conditions
 from shiftspec.analytic import normal_cdf, normal_quantile
 from shiftspec.conditions import (DEFAULT_RELIANCE_GRID, ConditionReport,
-                                  _accuracy_kernel, _id_kappa,
-                                  _stacked_weights, accuracy_under_shift,
-                                  classifier_sweep, condition_report,
+                                  ShiftStack, _accuracy_kernel, _id_kappa,
+                                  _stacked_weights, accuracies_under_shifts,
+                                  accuracy_under_shift, classifier_sweep,
+                                  condition_report, condition_reports,
                                   gaussian_kappa, kappa_of_mixture,
-                                  lipschitz_of_linear,
-                                  reflection_alpha_threshold, shift_moments,
+                                  lipschitz_of_linear, shift_moments,
                                   theorem1_margin, zero_measure_experiment)
 from shiftspec.core import (DomainSpec, IdentityShift, LinearClassifier,
                             LinearShift, Mask, MixtureShift, default_spec)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 reflection_shift, sample_domain)
-from shiftspec.trainer import fit_logistic
+from shiftspec.trainer import DEFAULT_L2, fit_logistic
 
 LOG10 = math.log(10.0)
 BASES = [np.diag([1.5, 1.5]), np.diag([-1.5, -1.5]),
@@ -133,29 +134,66 @@ class TestKappa:
             kappa_of_mixture([])
 
 
-class TestReflectionThreshold:
-    def test_margin_flips_negative_above_threshold(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 100:
-            l = int(rng.integers(2, 5))
-            w_e = rng.standard_normal(l)
-            mu_e = rng.standard_normal(l)
-            if w_e @ mu_e <= 1e-3:
-                continue
-            a = rng.standard_normal((l, l))
-            sigma_e = a @ a.T + 0.1 * np.eye(l)
-            delta = float(rng.uniform(0.05, 0.5))
-            threshold = reflection_alpha_threshold(w_e, mu_e, sigma_e, delta)
-            alpha = threshold * float(rng.uniform(1.001, 3.0))
-            m = reflection_shift(w_e, alpha)
-            # kappa along the w_e projection makes the certificate exact
-            kappa = math.sqrt(float(w_e @ sigma_e @ w_e)) / float(
-                np.linalg.norm(w_e))
-            margin = theorem1_margin(w_e, m @ mu_e, l_phi=1.0, kappa=kappa,
-                                     delta=delta)
-            assert margin < 0.0
-            checked += 1
+@functools.lru_cache(maxsize=None)
+def _seed3_fit(l: int = 2):
+    """default_spec(2, l) and the full fit simulate makes on its 1,000-row
+    sample with seed 3."""
+    spec = default_spec(2, l)
+    return spec, fit_logistic(sample_domain(spec, 1000, 3), Mask.FULL,
+                              DEFAULT_L2)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5])
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 2.0, 100.0])
+def test_reflection_margin_is_alpha_times_a_fixed_term(alpha, delta):
+    # w_e' M mu_e = -alpha w_e' mu_e and L_phi = alpha, so the sign of the
+    # margin never depends on alpha
+    spec, full = _seed3_fit()
+    w_e = full.w_e
+    kappa = gaussian_kappa(spec.sigma_e)
+    expected = alpha * (-float(w_e @ spec.mu_e)
+                        + math.sqrt(2.0) * kappa * float(np.linalg.norm(w_e))
+                        * math.sqrt(math.log(1.0 / delta)))
+    rep = condition_report(full, spec, reflection_shift(w_e, alpha), delta)
+    assert rep.theorem1_margin == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.sampled_from([2, 3]),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       alpha=st.floats(1e-3, 1e3))
+def test_margin_scales_with_a_linear_shift(l, entries, alpha):
+    # both margin terms scale with ||M||: margin(alpha M) = alpha margin(M)
+    spec, full = _seed3_fit(l)
+    m = np.array(entries[:l * l]).reshape(l, l)
+    base = condition_report(full, spec, m, 0.5)
+    scaled = condition_report(full, spec, alpha * m, 0.5)
+    size = alpha * (abs(base.reversal_term)
+                    + abs(base.theorem1_margin - base.reversal_term))
+    assert abs(scaled.theorem1_margin - alpha * base.theorem1_margin) \
+        <= 1e-13 * size
+
+
+def test_snr_verdict_agrees_with_exact_comparison_on_linear_shifts_only():
+    # the figures quoted in the conditions module docstring and the README
+    spec, full = _seed3_fit()
+    no_e = LinearClassifier(w_c=full.w_c, w_e=np.zeros(2),
+                            trained_on=Mask.FULL, bias=full.bias)
+    rng = np.random.default_rng(0)
+    shifts = [LinearShift(m) for m in rng.uniform(-2.0, 2.0, (2000, 2, 2))]
+    for _ in range(2000):
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        shifts.append(MixtureShift(tuple(
+            (float(w), rng.uniform(-2.0, 2.0, (2, 2))) for w in weights)))
+    stack = ShiftStack.of(shifts, 2)
+    snr = np.array([r.theorem2_well_specified
+                    for r in condition_reports(full, spec, stack, 0.5)])
+    acc = accuracies_under_shifts([full, no_e], spec, stack)
+    differ = snr != (acc[:, 0] < acc[:, 1])
+    gaps = np.abs(acc[:, 0] - acc[:, 1])[differ]
+    assert differ[:2000].sum() == 0
+    assert differ[2000:].sum() == 55
+    assert gaps.max() == pytest.approx(0.0368, abs=5e-5)
 
 
 class TestTheoremAgreement:
