@@ -157,12 +157,11 @@ def cmd_audit(args) -> int:
     check_clip_alpha(args.clip_alpha)
     check_threshold(args.threshold)
     id_acc, ood_acc, id_env = _audit_pairs(args)
-    out = _out_dir(args.out)
-
     x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
     fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
     verdict = classify_split(fit, threshold=args.threshold)
     a6, eps6 = (float(v[0]) for v in correlation_epsilon(x, y))
+    out = _out_dir(args.out)
 
     payload = {
         "mode": args.mode,
@@ -200,12 +199,12 @@ def cmd_audit(args) -> int:
 def cmd_mincount(args) -> int:
     id_acc, ood_acc = leave_one_out_pairs(load_accuracy_table(args.table),
                                           args.ood_env)
-    out = _out_dir(args.out)
     minimum = min_model_count(id_acc, ood_acc, rel_tol=args.rel_tol,
                               resamples=args.resamples,
                               confidence=args.confidence,
                               start=args.start, step=args.step,
                               clip_alpha=args.clip_alpha, seed=args.seed)
+    out = _out_dir(args.out)
 
     payload = {
         "ood_env": args.ood_env,

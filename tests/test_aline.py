@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from shiftspec import aline
@@ -333,3 +334,88 @@ def test_bootstrap_builds_a_fixed_number_of_generators(monkeypatch):
                                start=10, step=100) is None
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("confidence", [1e-9, 0.01, 0.05, 0.1, 0.25, 1 / 3, 0.5,
+                                        0.9, 0.95, 0.975, 0.99, 0.999,
+                                        1 - 1e-9])
+def test_failing_count_is_sound_and_minimal(confidence):
+    # m deltas at rel_tol fail the quantile test whatever the others are;
+    # m - 1 of them, with the rest at 0, pass it
+    rel_tol = 0.01
+    for resamples in range(100, 2001):
+        m = aline._failing_count(resamples, confidence)
+        deltas = np.zeros((2, resamples))
+        deltas[0, resamples - m:] = rel_tol
+        deltas[1, resamples - m + 1:] = rel_tol
+        q_m, q_fewer = np.quantile(deltas, confidence, axis=1)
+        assert q_m >= rel_tol > q_fewer
+
+
+def test_failing_count_at_the_defaults():
+    assert aline._failing_count(1000, 0.95) == 51
+    assert aline._failing_count(150, 0.95) == 9
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=st.integers(1, 40), step=st.integers(20, 100),
+       extra=st.integers(0, 110), resamples=st.integers(100, 150),
+       confidence=st.floats(0.01, 0.99), slope=st.floats(-1.0, 1.0),
+       noise=st.floats(0.0, 1.0), flat_ood=st.booleans(),
+       tol=st.one_of(st.floats(1e-4, 1.0), st.sampled_from(["q", "next"])),
+       data_seed=st.integers(0, 2**32 - 1), seed=st.integers(-5, 2**40))
+def test_early_exit_returns_the_reference_answer(start, step, extra,
+                                                 resamples, confidence, slope,
+                                                 noise, flat_ood, tol,
+                                                 data_seed, seed):
+    # min_model_count answers with the first prefix whose per-draw reference
+    # quantile falls below rel_tol, whether or not its draws stop early
+    n = start + step + extra
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(-1, 1, n)
+    y = np.full(n, 0.3) if flat_ood else slope * x + rng.normal(0, noise, n)
+    pairs = pairs_from_probits(x, y)
+    sizes = range(start, n - step + 1, step)
+    quantiles = {}
+
+    def q_at(size):
+        if size not in quantiles:
+            with np.errstate(invalid="ignore"):
+                quantiles[size] = reference_quantile(
+                    pairs, size, step, resamples, confidence, seed)
+        return quantiles[size]
+
+    if isinstance(tol, str):
+        finite = [s for s in sizes[:3] if 0.0 < q_at(s) < math.inf]
+        if not finite:
+            return
+        q = q_at(finite[-1])
+        tol = q if tol == "q" else float(np.nextafter(q, math.inf))
+    want = next((s for s in sizes if q_at(s) < tol), None)
+    got = min_model_count(*pairs, rel_tol=tol, resamples=resamples,
+                          confidence=confidence, start=start, step=step,
+                          seed=seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("rel_tol,n_prefixes,per_prefix", [
+    (1e-12, 3, 9),   # every prefix stops after m = 9 of 150 draws
+    (0.01, 1, 150),  # the first prefix is stable and pays every draw
+])
+def test_draws_stop_once_a_prefix_fails(rel_tol, n_prefixes, per_prefix,
+                                        monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, 400)
+    y = x + rng.normal(0, 1e-6 if rel_tol == 0.01 else 0.2, 400)
+    calls = []
+    draw = RandomStream.substream_uniform
+
+    def counting_draw(self, stream_id, size):
+        calls.append(stream_id)
+        return draw(self, stream_id, size)
+
+    monkeypatch.setattr(RandomStream, "substream_uniform", counting_draw)
+    result = min_model_count(*pairs_from_probits(x, y), rel_tol=rel_tol,
+                             resamples=150)
+    assert result == (10 if rel_tol == 0.01 else None)
+    assert len(calls) == n_prefixes * per_prefix

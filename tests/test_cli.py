@@ -706,6 +706,25 @@ def test_unknown_env_lists_quoted_names(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,n_rows,rc_want", [
+    ("audit", 8, 3),     # constant ID column: degenerate sweep
+    ("mincount", 3, 2),  # fewer pairs than --start
+])
+def test_failed_fit_or_scan_leaves_no_out_dir(command, n_rows, rc_want,
+                                              tmp_path, capsys):
+    rows = tuple(TableRow(f"m{i}", (0.7, float(a)))
+                 for i, a in enumerate(np.linspace(0.4, 0.9, n_rows)))
+    path = tmp_path / "t.csv"
+    save_accuracy_table(AccuracyTable(("e0", "e1"), rows), path)
+    argv = [command, "--table", str(path), "--ood-env", "e1"]
+    if command == "audit":
+        argv += ["--mode", "pairwise", "--id-env", "e0"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == rc_want
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit", "mincount", "cmnist"])
 def test_unwritable_out_is_input_error(command, identity_table, tmp_path,
                                        capsys):
