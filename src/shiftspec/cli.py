@@ -145,8 +145,10 @@ def cmd_simulate(args) -> int:
 def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
     table = load_accuracy_table(args.table)
     if args.mode == "loo":
+        if args.id_env is not None:
+            raise InputError("--id-env is read only in pairwise mode")
         return *leave_one_out_pairs(table, args.ood_env), None
-    if not args.id_env:
+    if args.id_env is None:
         raise InputError("pairwise mode requires --id-env")
     return *pairwise_pairs(table, args.id_env, args.ood_env), args.id_env
 
@@ -172,7 +174,7 @@ def cmd_audit(args) -> int:
         "verdict": verdict.value,
         "definition6": {"a": a6, "epsilon": eps6},
     }
-    if id_env:
+    if id_env is not None:
         payload["id_env"] = id_env
     write_json_report(payload, out / "audit_report.json", "audit_report.schema.json")
 
@@ -186,7 +188,7 @@ def cmd_audit(args) -> int:
                        xlabel="ID accuracy (probit)",
                        ylabel="OOD accuracy (probit)", probit_axes=True)
     plot.add_points(x, y)
-    plot.line_over_x(fit.slope, fit.intercept, color="#c23b22")
+    plot.line_over_x(fit.slope, fit.intercept)
     lo = float(min(x.min(), y.min()))
     hi = float(max(x.max(), y.max()))
     plot.add_line(lo, lo, hi, hi, color="#888888", dash="4,3")

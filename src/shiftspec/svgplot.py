@@ -1,11 +1,13 @@
 """Self-contained SVG scatter plots; no fonts, scripts, or external refs.
 
-Coordinates are written with fixed precision so identical inputs produce
-identical bytes.
+`_text` writes each label and `_line` each tick and each reference line, clipped
+to the frame. Fixed-precision coordinates make equal inputs equal bytes.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +20,14 @@ MARGIN_L = 70.0
 MARGIN_R = 20.0
 MARGIN_T = 40.0
 MARGIN_B = 70.0
+PLOT_W = WIDTH - MARGIN_L - MARGIN_R
+PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
+BASE = HEIGHT - MARGIN_B   # y of the x axis
 
 ACC_TICKS = (0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98)
+
+# what XML 1.0 forbids; a string, so re compiles it at first use, not at import
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _fmt(v: float) -> str:
@@ -27,9 +35,41 @@ def _fmt(v: float) -> str:
 
 
 def _xml_text(text: str) -> str:
-    """Text escaped for an SVG element or a double-quoted attribute."""
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+    """Text escaped for an SVG element or a double-quoted attribute: what XML
+    forbids becomes U+FFFD, and CR a reference (parsers read a bare CR as LF)."""
+    return (re.sub(_NOT_XML, "\ufffd", text).replace("&", "&amp;")
+            .replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\r", "&#13;"))
+
+
+def _text(x, y, anchor, size, text, extra=""):
+    """A <text> element; x and y are strings, so the caller picks the precision."""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{_xml_text(text)}</text>')
+
+
+def _line(x0, y0, x1, y1, stroke="#222222", width="1", extra=""):
+    return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _axis_ticks(lo: float, hi: float) -> list[tuple[float, str, str]]:
+    """Decimal ticks from about lo up to hi; the caller keeps those in [lo, hi]."""
+    span = hi - lo
+    step = 10.0 ** (0 if span / 4.0 <= 0 else math.floor(math.log10(span / 4.0)))
+    if step == 0.0:  # a subnormal span: no decimal step fits
+        return []
+    if span / step > 8:
+        step *= 2.0
+    out = []
+    t = step * round(lo / step)
+    # a step too small to move t ends the loop
+    while t <= hi:
+        out.append((t, f"{t:g}", ""))
+        if t + step == t:
+            break
+        t += step
+    return out
 
 
 @dataclass
@@ -38,8 +78,8 @@ class ScatterPlot:
     xlabel: str
     ylabel: str
     probit_axes: bool = False
-    points: list = field(default_factory=list)   # (x, y, css_color)
-    lines: list = field(default_factory=list)    # (x0, y0, x1, y1, color, dash)
+    points: list = field(default_factory=list, init=False)   # (x, y, css_color)
+    lines: list = field(default_factory=list, init=False)    # (x0, y0, x1, y1, color, dash)
 
     def add_points(self, xs, ys, color: str = "#1f6fb2") -> None:
         xs = np.asarray(xs, dtype=np.float64).tolist()
@@ -61,124 +101,65 @@ class ScatterPlot:
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._ranges()
-        plot_w = WIDTH - MARGIN_L - MARGIN_R
-        plot_h = HEIGHT - MARGIN_T - MARGIN_B
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
         def sx(x: float) -> float:
-            return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+            return MARGIN_L + (x - x_lo) / x_span * PLOT_W
 
         def sy(y: float) -> float:
-            return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
+            return BASE - (y - y_lo) / y_span * PLOT_H
 
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
             f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
             f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_xml_text(self.title)}</text>',
+            _text(f"{WIDTH / 2:.0f}", "24", "middle", 15, self.title),
+            f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" width="{_fmt(PLOT_W)}" '
+            f'height="{_fmt(PLOT_H)}" fill="none" stroke="#222222" stroke-width="1"/>',
         ]
 
-        # frame
-        parts.append(
-            f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" '
-            f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-            f'fill="none" stroke="#222222" stroke-width="1"/>')
-
-        # ticks: probit axes carry the probit value plus a secondary label
-        # giving the raw accuracy at that position
+        # a probit tick's second label is the raw accuracy at that position
         if self.probit_axes:
-            ticks = [(q, f"{q:.2f}", f"({a:g})") for q, a in
-                     zip(normal_quantile(np.array(ACC_TICKS)).tolist(), ACC_TICKS)]
+            qs = normal_quantile(np.array(ACC_TICKS)).tolist()
+            x_ticks = y_ticks = [(q, f"{q:.2f}", f"({a:g})") for q, a in zip(qs, ACC_TICKS)]
         else:
-            ticks = None
-
-        def axis_ticks(lo: float, hi: float) -> list[tuple[float, str, str]]:
-            span = hi - lo
-            step = 10.0 ** round(_log10_floor(span / 4.0))
-            if step == 0.0:  # a subnormal span: no decimal step fits
-                return []
-            if span / step > 8:
-                step *= 2.0
-            out = []
-            t = step * round(lo / step)
-            # the caller keeps the ticks in [lo, hi]; a step too small to
-            # move t ends the loop
-            while t <= hi:
-                out.append((t, f"{t:g}", ""))
-                if t + step == t:
-                    break
-                t += step
-            return out
-
-        x_ticks = [t for t in (ticks or axis_ticks(x_lo, x_hi)) if x_lo <= t[0] <= x_hi]
-        y_ticks = [t for t in (ticks or axis_ticks(y_lo, y_hi)) if y_lo <= t[0] <= y_hi]
-
+            x_ticks, y_ticks = _axis_ticks(x_lo, x_hi), _axis_ticks(y_lo, y_hi)
         for xv, label, sub_label in x_ticks:
-            px = sx(xv)
-            parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(HEIGHT - MARGIN_B)}" '
-                         f'x2="{_fmt(px)}" y2="{_fmt(HEIGHT - MARGIN_B + 5)}" '
-                         f'stroke="#222222" stroke-width="1"/>')
-            parts.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_B + 18)}" '
-                         f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="11">{_xml_text(label)}</text>')
-            if sub_label:
-                parts.append(f'<text x="{_fmt(px)}" '
-                             f'y="{_fmt(HEIGHT - MARGIN_B + 31)}" '
-                             f'text-anchor="middle" font-family="sans-serif" '
-                             f'font-size="9" fill="#777777">{_xml_text(sub_label)}</text>')
+            if x_lo <= xv <= x_hi:
+                px = sx(xv)
+                parts += [_line(px, BASE, px, BASE + 5),
+                          _text(_fmt(px), _fmt(BASE + 18), "middle", 11, label)]
+                if sub_label:
+                    parts.append(_text(_fmt(px), _fmt(BASE + 31), "middle", 9,
+                                       sub_label, ' fill="#777777"'))
         for yv, label, sub_label in y_ticks:
-            py = sy(yv)
-            parts.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(py)}" '
-                         f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(py)}" '
-                         f'stroke="#222222" stroke-width="1"/>')
-            parts.append(f'<text x="{_fmt(MARGIN_L - 9)}" y="{_fmt(py)}" '
-                         f'text-anchor="end" font-family="sans-serif" '
-                         f'font-size="11">{_xml_text(label)}</text>')
-            if sub_label:
-                parts.append(f'<text x="{_fmt(MARGIN_L - 9)}" y="{_fmt(py + 11)}" '
-                             f'text-anchor="end" font-family="sans-serif" '
-                             f'font-size="9" fill="#777777">{_xml_text(sub_label)}</text>')
+            if y_lo <= yv <= y_hi:
+                py = sy(yv)
+                parts += [_line(MARGIN_L - 5, py, MARGIN_L, py),
+                          _text(_fmt(MARGIN_L - 9), _fmt(py), "end", 11, label)]
+                if sub_label:
+                    parts.append(_text(_fmt(MARGIN_L - 9), _fmt(py + 11), "end", 9,
+                                       sub_label, ' fill="#777777"'))
 
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 18:.0f}" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="13">{_xml_text(self.xlabel)}</text>')
-        parts.append(f'<text x="18" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 18 {HEIGHT / 2:.0f})">{_xml_text(self.ylabel)}</text>')
+        parts += [_text(f"{WIDTH / 2:.0f}", f"{HEIGHT - 18:.0f}", "middle", 13, self.xlabel),
+                  _text("18", f"{HEIGHT / 2:.0f}", "middle", 13, self.ylabel,
+                        f' transform="rotate(-90 18 {HEIGHT / 2:.0f})"')]
 
-        def clip_segment(x0, y0, x1, y1):
-            # segments come from reference lines across the full range
-            return (max(min(x0, x_hi), x_lo), max(min(y0, y_hi), y_lo),
-                    max(min(x1, x_hi), x_lo), max(min(y1, y_hi), y_lo))
-
+        # a reference line may run past the frame; each end is clipped to it
         for x0, y0, x1, y1, color, dash in self.lines:
-            x0, y0, x1, y1 = clip_segment(x0, y0, x1, y1)
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-            parts.append(f'<line x1="{_fmt(sx(x0))}" y1="{_fmt(sy(y0))}" '
-                         f'x2="{_fmt(sx(x1))}" y2="{_fmt(sy(y1))}" '
-                         f'stroke="{color}" stroke-width="1.5"{dash_attr}/>')
+            x0, x1 = (max(min(x, x_hi), x_lo) for x in (x0, x1))
+            y0, y1 = (max(min(y, y_hi), y_lo) for y in (y0, y1))
+            parts.append(_line(sx(x0), sy(y0), sx(x1), sy(y1), color, "1.5",
+                               f' stroke-dasharray="{dash}"' if dash else ""))
 
-        # sx and sy written out: three calls per point cost more than the rest
-        # of the plot
-        x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        y_base = HEIGHT - MARGIN_B
-        parts += [f'<circle cx="{MARGIN_L + (x - x_lo) / x_span * plot_w:.2f}" '
-                  f'cy="{y_base - (y - y_lo) / y_span * plot_h:.2f}" r="3" '
+        # sx and sy written out: per-point calls cost more than the rest of the plot
+        parts += [f'<circle cx="{MARGIN_L + (x - x_lo) / x_span * PLOT_W:.2f}" '
+                  f'cy="{BASE - (y - y_lo) / y_span * PLOT_H:.2f}" r="3" '
                   f'fill="{color}" fill-opacity="0.75"/>'
                   for x, y, color in self.points]
+        return "\n".join(parts) + "\n</svg>\n"
 
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
-
-    def line_over_x(self, slope: float, intercept: float, color: str = "#c23b22",
-                    dash: str | None = None) -> None:
+    def line_over_x(self, slope: float, intercept: float) -> None:
         x_lo, x_hi, _, _ = self._ranges()
         self.add_line(x_lo, intercept + slope * x_lo,
-                      x_hi, intercept + slope * x_hi, color=color, dash=dash)
-
-
-def _log10_floor(v: float) -> int:
-    import math
-    if v <= 0:
-        return 0
-    return math.floor(math.log10(v))
+                      x_hi, intercept + slope * x_hi, color="#c23b22")

@@ -486,6 +486,32 @@ class TestAudit:
                    "--ood-env", "e2", "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    def test_id_env_in_loo_mode_is_input_error(self, identity_table, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        rc = main(["audit", "--table", str(identity_table), "--mode", "loo",
+                   "--id-env", "nonexistent", "--ood-env", "env_ood",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --id-env is read only in pairwise mode\n")
+        assert not out.exists()
+
+    def test_empty_id_env_in_pairwise_mode(self, tmp_path):
+        # a header may name a column "", and --id-env "" selects it
+        path = tmp_path / "t.csv"
+        path.write_text("model_id,,e1\n" + "".join(
+            f"m{i},{a!r},{a * a!r}\n" for i, a
+            in enumerate(np.linspace(0.55, 0.95, 12).tolist())), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["audit", "--table", str(path), "--mode", "pairwise",
+                   "--id-env", "", "--ood-env", "e1", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads((out / "audit_report.json").read_text())
+        assert validate_schema(payload, load_schema("audit_report.schema.json")) == []
+        assert payload["id_env"] == ""
+        assert payload["fit"]["pearson_r"] > 0.99
+
     def test_unknown_env_names_it(self, identity_table, tmp_path, capsys):
         rc = main(["audit", "--table", str(identity_table),
                    "--ood-env", "env_42", "--out", str(tmp_path / "out")])
@@ -537,10 +563,15 @@ class TestAudit:
         assert rc == 3
 
 
-@pytest.mark.parametrize("command", ["audit", "simulate"])
-def test_svg_is_well_formed_xml(command, small_config, tmp_path):
+@pytest.mark.parametrize("command, ood, shown", [
+    pytest.param("audit", 'R&D <v2> "b"', 'R&D <v2> "b"', id="audit"),
+    pytest.param("simulate", None, None, id="simulate"),
+    # XML 1.0 forbids these controls; the SVG draws each as U+FFFD
+    pytest.param("audit", "a\x0bb", "a\ufffdb", id="audit-vt"),
+    pytest.param("audit", "a\x01b", "a\ufffdb", id="audit-soh"),
+])
+def test_svg_is_well_formed_xml(command, ood, shown, small_config, tmp_path):
     # env names come from the user's header; simulate's x label holds a "<"
-    ood = 'R&D <v2> "b"'
     out = tmp_path / "out"
     if command == "audit":
         rows = tuple(TableRow(f"m{i}", (float(a), float(a) ** 2))
@@ -555,7 +586,7 @@ def test_svg_is_well_formed_xml(command, small_config, tmp_path):
     doc = minidom.parse(str(svg))
     texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
     if command == "audit":
-        assert texts[0] == f"ID vs OOD accuracy (probit scale), OOD={ood}"
+        assert texts[0] == f"ID vs OOD accuracy (probit scale), OOD={shown}"
     else:
         assert "w_e . M mu_e (dark points: reversal margin < 0)" in texts
 

@@ -113,7 +113,8 @@ def test_audit_exit_code_contract(accs, bad_cell, mode, ood_env, id_env,
                or not _clip_alpha_ok(clip_alpha)
                or not _threshold_ok(threshold) or ood_env == "e9"
                or (mode == "pairwise"
-                   and id_env in (None, "e9", ood_env)))
+                   and id_env in (None, "e9", ood_env))
+               or (mode == "loo" and id_env is not None))
     rows = tuple(TableRow(f"m{i}", acc) for i, acc in enumerate(accs))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
