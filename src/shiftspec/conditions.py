@@ -28,6 +28,12 @@ margins they give, come from one pass as well (_stacked_margins, with one
 batched SVD): condition_reports and the zero-measure experiment both call
 it. condition_report, accuracy_under_shift and shift_moments are the
 one-shift case of these stacked helpers.
+
+The classifier family of the zero-measure experiment (classifier_sweep,
+plus the reference fit as one more member) is sampled and fit as one stack
+as well: one synthgen.sample_domains call and one
+trainer.fit_logistic_stack call (_fit_family), whose weights are those of a
+sample_domain + fit_logistic call per member, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ from .analytic import normal_cdf, normal_quantile
 from .core import (DomainSpec, LinearClassifier, LinearShift, Mask,
                    MixtureShift, ShiftSpec)
 from .rng import seeded_uniforms
-from .synthgen import sample_domain
-from .trainer import DEFAULT_L2, OptimizerSettings, fit_logistic
+from .synthgen import sample_domains
+from .trainer import (DEFAULT_L2, OptimizerSettings, fit_logistic_stack,
+                      ridge_penalty)
 from .util import parallel_map
 
 
@@ -66,22 +73,31 @@ def _log_inv(delta: float) -> float:
     return math.log(inv) if inv < math.inf else -math.log(delta)
 
 
-def theorem1_margin(w_e, m_mu_e, l_phi: float, kappa: float, delta: float) -> float:
+def theorem1_margin(w_e, m_mu_e, l_phi, kappa: float,
+                    delta: float) -> float | np.ndarray:
     """Reversal margin w_e.(M mu_e) + sqrt(2) L_phi kappa ||w_e|| sqrt(log 1/delta).
 
     Negative values certify a well-specified shift with probability at
     least 1 - delta. For a linear shift M both terms scale with ||M||, so
     margin(alpha M) = alpha margin(M): shift_scale moves the theorem-2
     verdict and the zero-measure residuals, never this certificate.
+
+    One shift (m_mu_e of shape (l,), a scalar l_phi) gives a float; S shifts
+    ((S, l) and (S,)) give an (S,) array. Each dot product is spelled
+    (1, l) @ (l, 1), which rounds as the one-shift w_e @ m_mu_e does; the
+    gemv spelling (S, l) @ (l,) would not.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if kappa < 0.0 or l_phi < 0.0:
+    l_phi = np.asarray(l_phi, dtype=np.float64)
+    if kappa < 0.0 or np.any(l_phi < 0.0):
         raise ValueError("kappa and l_phi must be nonnegative")
     w_e = np.asarray(w_e, dtype=np.float64)
     m_mu_e = np.asarray(m_mu_e, dtype=np.float64)
     penalty = math.sqrt(2.0) * l_phi * kappa * float(np.linalg.norm(w_e))
-    return float(w_e @ m_mu_e) + penalty * math.sqrt(_log_inv(delta))
+    reversal = (m_mu_e[..., None, :] @ w_e[:, None])[..., 0, 0]
+    margin = reversal + penalty * math.sqrt(_log_inv(delta))
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def _snr_compare(var_c: float, signal_id: float, var_e: float,
@@ -222,21 +238,18 @@ def require_finite(name: str, values) -> None:
 
 
 def _stacked_margins(w_e: np.ndarray, spec: DomainSpec, stack: ShiftStack,
-                     delta: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """(S, l) M mu_e, (S, l, l) Sigma_phi and the theorem-1 margin of w_e
-    under every shift of the stack, with L_phi from one batched SVD. A
-    Sigma_phi that overflows is a numeric error, raised without a warning;
-    the margins' dot products stay scalar, since batched BLAS rounds them
-    differently."""
+                     delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, l) M mu_e, (S, l, l) Sigma_phi and the (S,) theorem-1 margins of
+    w_e under every shift of the stack, with L_phi from one batched SVD and
+    the margins from one theorem1_margin call. A Sigma_phi that overflows is
+    a numeric error, raised without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         m_mean, sigma_phi = _stacked_moments(stack, spec.mu_e, spec.sigma_e)
     norms = np.linalg.svd(stack.mats, compute_uv=False)[:, 0]
-    l_phi = np.maximum.reduceat(norms, stack.starts()).tolist()
+    l_phi = np.maximum.reduceat(norms, stack.starts())
     require_finite("Sigma_phi", sigma_phi)
     m_mu_e = m_mean @ spec.mu_e
-    kappa = _id_kappa(spec)
-    margins = [theorem1_margin(w_e, m_mu_e[s], l_phi[s], kappa, delta)
-               for s in range(len(stack))]
+    margins = theorem1_margin(w_e, m_mu_e, l_phi, _id_kappa(spec), delta)
     return m_mu_e, sigma_phi, margins
 
 
@@ -247,6 +260,7 @@ def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
     w_c = np.asarray(classifier.w_c, dtype=np.float64)
     w_e = np.asarray(classifier.w_e, dtype=np.float64)
     m_mu_e, sigma_phi, margins = _stacked_margins(w_e, spec, stack, delta)
+    margins = margins.tolist()
     var_c = float(w_c @ spec.sigma_c @ w_c)
     signal_id = float(w_c @ spec.mu_c)
 
@@ -341,6 +355,33 @@ def accuracy_under_shift(
     return float(total[0]) if single else total
 
 
+def _sweep_members(seed: int, reliance_grid: Sequence[float],
+                   n_seeds: int) -> tuple[list[int], list[float]]:
+    """Sample seeds and spurious ridge scales of classifier_sweep's members:
+    n_seeds members per grid value, in grid order, member t sampled with
+    seed * 1_000_003 + t."""
+    if len(reliance_grid) == 0:
+        raise ValueError("reliance grid must be nonempty")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be at least 1")
+    scales = [float(rho) for rho in reliance_grid for _ in range(n_seeds)]
+    return [seed * 1_000_003 + t for t in range(len(scales))], scales
+
+
+def _fit_family(spec: DomainSpec, n: int, seeds: Sequence[int],
+                scales: Sequence[float]) -> list[LinearClassifier]:
+    """Full fits at DEFAULT_L2, member b on sample_domain(spec, n, seeds[b])
+    with the spurious ridge scaled by scales[b]: one sample_domains call and
+    one fit_logistic_stack call, so the weights are those of fitting each
+    member alone. Every scale is checked before anything is sampled."""
+    penalty = np.array([ridge_penalty(spec.k, spec.l, Mask.FULL, DEFAULT_L2,
+                                      OptimizerSettings(spurious_l2_scale=s))
+                        for s in scales])
+    w = fit_logistic_stack(*sample_domains(spec, n, seeds), penalty)
+    return [LinearClassifier(w_c=row[:spec.k], w_e=row[spec.k:],
+                             trained_on=Mask.FULL) for row in w]
+
+
 def classifier_sweep(spec: DomainSpec, n: int, seed: int,
                      reliance_grid: Sequence[float],
                      n_seeds: int = 3) -> list[LinearClassifier]:
@@ -349,18 +390,9 @@ def classifier_sweep(spec: DomainSpec, n: int, seed: int,
     Each entry is a full logistic fit on a fresh sample of n points with the
     spurious block's ridge scaled by one grid value; large scales approach
     the domain-general fit, small scales lean harder on spurious features.
+    The family is sampled and fit as one stack (_fit_family).
     """
-    if len(reliance_grid) == 0:
-        raise ValueError("reliance grid must be nonempty")
-    models = []
-    task = 0
-    for rho in reliance_grid:
-        for _ in range(n_seeds):
-            data = sample_domain(spec, n, seed * 1_000_003 + task)
-            opts = OptimizerSettings(spurious_l2_scale=float(rho))
-            models.append(fit_logistic(data, Mask.FULL, DEFAULT_L2, opts))
-            task += 1
-    return models
+    return _fit_family(spec, n, *_sweep_members(seed, reliance_grid, n_seeds))
 
 
 def sweep_pairs(models: Sequence[LinearClassifier], spec: DomainSpec,
@@ -416,10 +448,10 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     if not all(0.0 <= e < math.inf for e in eps_grid):
         raise ValueError("eps grid must be finite and nonnegative")
 
-    models = classifier_sweep(spec, n_per_domain, seed, reliance_grid,
-                              n_seeds=n_seeds)
-    reference = fit_logistic(sample_domain(spec, n_per_domain, seed ^ 0x5EED),
-                             Mask.FULL, DEFAULT_L2)
+    seeds, scales = _sweep_members(seed, reliance_grid, n_seeds)
+    # the reference fit (plain objective, seed ^ 0x5EED) is one more member
+    *models, reference = _fit_family(spec, n_per_domain,
+                                     seeds + [seed ^ 0x5EED], scales + [1.0])
 
     acc_id = accuracy_under_shift(models, spec)
     if float(np.ptp(acc_id)) < 1e-12:
@@ -430,7 +462,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     stack = ShiftStack.linear(seeded_uniforms(
         [seed * 7_919 + t for t in range(trials)],
         -shift_scale, shift_scale, (spec.l, spec.l)))
-    margins = np.array(_stacked_margins(reference.w_e, spec, stack, delta)[2])
+    margins = _stacked_margins(reference.w_e, spec, stack, delta)[2]
     acc_ood = accuracies_under_shifts(models, spec, stack)
     probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
     residuals = correlation_epsilon(probit_ood, probit_id)[1]

@@ -12,8 +12,9 @@ without building one generator each: it re-keys a single cached Philox
 generator to (seed, substream id) with its counter at zero, which is the
 state a fresh `substream` starts from, so the doubles are the same. The
 cached generator makes a `RandomStream` unsafe to share between threads.
-`seeded_uniforms` does the same for many seeds at stream id 0, with one
-generator per call.
+`seeded_generators` does the same for many seeds at stream id 0, with one
+generator per call; `seeded_uniforms` and `synthgen.sample_domains` draw
+through it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ _ZEROS4 = (0, 0, 0, 0)
 def uniform_to_integers(u: np.ndarray, n) -> np.ndarray:
     """Integers on [0, n) as floor(u * n) of uniforms u; n may be an array."""
     return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def uniform_to_normal(u: np.ndarray) -> np.ndarray:
+    """Standard normals as the inverse CDF of uniforms u; u = 0 is nudged to
+    the smallest representable uniform so the quantile stays finite."""
+    return normal_quantile(np.maximum(u, _TINY_U))
+
+
+def uniform_to_signs(u: np.ndarray, p_plus: float) -> np.ndarray:
+    """±1 labels from uniforms u: +1 where u < p_plus."""
+    return np.where(u < p_plus, 1.0, -1.0)
 
 
 def _rekey(gen: np.random.Generator, seed: int,
@@ -51,17 +63,22 @@ def _rekey(gen: np.random.Generator, seed: int,
     return gen
 
 
+def seeded_generators(seeds):
+    """For each seed s in turn, a generator in the state of
+    ``RandomStream(s)``'s: one Philox generator, re-keyed per seed (see
+    `_rekey`), so each yielded generator is valid until the next one."""
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed in seeds:
+        yield _rekey(gen, seed, 0)
+
+
 def seeded_uniforms(seeds, low: float, high: float,
                     shape: tuple[int, ...]) -> np.ndarray:
-    """Stack of ``RandomStream(s).uniform(low, high, shape)`` over seeds s.
-
-    The same doubles, drawn through one generator re-keyed per seed; the
-    generator lives for this call only.
-    """
+    """Stack of ``RandomStream(s).uniform(low, high, shape)`` over seeds s,
+    drawn through `seeded_generators`."""
     out = np.empty((len(seeds),) + tuple(shape))
-    gen = np.random.Generator(np.random.Philox(0))
-    for row, seed in zip(out, seeds):
-        u = _rekey(gen, seed, 0).random(size=shape, dtype=np.float64)
+    for row, gen in zip(out, seeded_generators(seeds)):
+        u = gen.random(size=shape, dtype=np.float64)
         row[...] = low + (high - low) * u  # as RandomStream.uniform
     return out
 
@@ -106,11 +123,7 @@ class RandomStream:
         return low + (high - low) * u
 
     def standard_normal(self, size=None) -> np.ndarray:
-        # Inverse-CDF transform of the uniform stream; u=0 is nudged to the
-        # smallest representable uniform so the quantile stays finite.
-        u = self._gen.random(size=size, dtype=np.float64)
-        u = np.maximum(u, _TINY_U)
-        return normal_quantile(u)
+        return uniform_to_normal(self._gen.random(size=size, dtype=np.float64))
 
     def integers(self, n: int, size=None) -> np.ndarray:
         """Uniform integers on [0, n) via floor(u * n)."""
@@ -120,8 +133,8 @@ class RandomStream:
 
     def bernoulli_signs(self, p_plus: float, size=None) -> np.ndarray:
         """±1 labels: +1 with probability p_plus."""
-        u = self._gen.random(size=size, dtype=np.float64)
-        return np.where(u < p_plus, 1.0, -1.0)
+        return uniform_to_signs(self._gen.random(size=size, dtype=np.float64),
+                                p_plus)
 
     def flat_simplex(self, m: int) -> np.ndarray:
         """Uniform point on the (m-1)-simplex via sorted-uniform spacings."""

@@ -3,7 +3,8 @@
 Sampling follows the generative block: y ~ Bernoulli(label_prior) mapped to
 ±1, z_c ~ N(y mu_c, sigma_c), and z_e ~ N(y M mu_e, M sigma_e M') under a
 linear shift M (component drawn per weights for mixtures). All draws come
-from counter-based streams keyed by the caller's seed.
+from counter-based streams keyed by the caller's seed; sample_domains draws
+many seeds' domains as one stack.
 """
 
 from __future__ import annotations
@@ -14,11 +15,30 @@ import numpy as np
 
 from .core import (Dataset, DomainSpec, InputError, MixtureShift,
                    psd_cholesky, validate_spec)
-from .rng import RandomStream
+from .rng import (RandomStream, seeded_generators, uniform_to_normal,
+                  uniform_to_signs)
 
 
 def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
-    """Draw n labelled samples from the environment spec, deterministically."""
+    """Draw n labelled samples from the environment spec, deterministically;
+    the one-seed case of sample_domains."""
+    x, y = sample_domains(spec, n, [seed])
+    return Dataset(x=x[0], y=y[0], k=spec.k, l=spec.l)
+
+
+def sample_domains(spec: DomainSpec, n: int,
+                   seeds) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n, k + l) features and (B, n) labels of one n-sample domain per
+    seed: member b is sample_domain(spec, n, seeds[b]).
+
+    The spec is checked and each component's Cholesky factor taken once.
+    Member b reads the uniform stream of RandomStream(seeds[b]) through one
+    re-keyed generator, in this order: n labels, n x k stable noise, n
+    mixture-component draws (mixtures only), n x l spurious noise. Each part
+    is its own draw, as one buffer for all four costs more than the calls it
+    saves once n reaches thousands of rows. Each member is transformed
+    straight into its row of the stack.
+    """
     if n < 1:
         raise ValueError("sample count must be at least 1")
     problems = validate_spec(spec)
@@ -27,7 +47,6 @@ def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
 
     chol_c = psd_cholesky(spec.sigma_c, "sigma_c")
     matrices = spec.shift.matrices(spec.l)
-    weights = spec.shift.weights()
     with np.errstate(over="ignore", invalid="ignore"):
         shifted_means = [m @ spec.mu_e for m in matrices]
         shifted_covs = [m @ spec.sigma_e @ m.T for m in matrices]
@@ -37,28 +56,29 @@ def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
             raise ValueError(f"{name} is not finite: the ID shift "
                              "overflows float64")
     shifted_chols = [psd_cholesky(c, "shifted sigma_e") for c in shifted_covs]
+    cum = np.cumsum(spec.shift.weights())
 
-    stream = RandomStream(seed)
-    y = stream.bernoulli_signs(spec.label_prior, size=n)
-    z_c = y[:, None] * spec.mu_c + stream.standard_normal(size=(n, spec.k)) @ chol_c.T
-
-    if len(matrices) == 1:
-        comp = np.zeros(n, dtype=np.int64)
-    else:
-        cum = np.cumsum(weights)
-        u = stream.uniform(size=n)
-        comp = np.searchsorted(cum, u, side="right")
-        comp = np.minimum(comp, len(matrices) - 1)
-
-    noise = stream.standard_normal(size=(n, spec.l))
-    z_e = np.empty((n, spec.l))
-    for j in range(len(matrices)):
-        rows = comp == j
-        if rows.any():
-            z_e[rows] = (y[rows, None] * shifted_means[j]
+    k, l = spec.k, spec.l
+    mixture = len(matrices) > 1
+    x = np.empty((len(seeds), n, k + l))
+    y = np.empty((len(seeds), n))
+    for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
+        yb[...] = uniform_to_signs(gen.random(size=n), spec.label_prior)
+        np.add(yb[:, None] * spec.mu_c,
+               uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T,
+               out=xb[:, :k])
+        if mixture:
+            comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
+                                              side="right"),
+                              len(matrices) - 1)
+        noise = uniform_to_normal(gen.random(size=(n, l)))
+        z_e = xb[:, k:]
+        for j in range(len(matrices)):
+            # one component takes every row, with no mask to gather by
+            rows = comp == j if mixture else slice(None)
+            z_e[rows] = (yb[rows, None] * shifted_means[j]
                          + noise[rows] @ shifted_chols[j].T)
-
-    return Dataset(x=np.hstack([z_c, z_e]), y=y, k=spec.k, l=spec.l)
+    return x, y
 
 
 def random_shift(l: int, scale: float, seed: int) -> np.ndarray:

@@ -11,10 +11,21 @@ descent direction, and backtracks from the full step until the Armijo
 condition holds. A fit whose gradient norm is still at or above tol after
 max_iters Newton steps, or whose products overflow float64, raises
 ValueError rather than returning weights.
+
+There is one Newton loop, over a stack of B problems of one shape
+(fit_logistic_stack): each member has its own active flag, step size and
+stop, and every stacked operation is spelled so that it rounds as the 1-d
+call on that member alone does (x @ w as (B, n, d) @ (B, d, 1), dot
+products as (B, 1, d) @ (B, d, 1), the norm as the square root of that
+self-dot; einsum, .sum(-1) and norm(axis=...) would round differently).
+fit_logistic is its B = 1 case, and classifier sweeps fit their whole
+family as one stack. l2 and spurious_l2_scale must be finite and
+nonnegative and max_iters nonnegative; each is checked before any work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,33 +49,66 @@ class OptimizerSettings:
     spurious_l2_scale: float = 1.0
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of stacked vectors, in the matmul spelling
+    that rounds as one 1-d ``a @ b`` does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                             penalty: np.ndarray
-                            ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective, gradient and sigmoid(-y w.x) at w; the Newton step at an
-    accepted w reuses the sigmoid."""
-    margins = y * (x @ w)
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, gradient and sigmoid(-y w.x) at w, for one problem (w of
+    shape (d,)) or a stack (w (B, d), x (B, n, d), y (B, n)); the Newton
+    step at an accepted w reuses the sigmoid."""
+    margins = y * (x @ w[..., None])[..., 0]
     # log(1 + exp(-m)) computed stably for both signs of m.
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss = np.mean(np.logaddexp(0.0, -margins), axis=-1)
     sig = 0.5 * (1.0 - np.tanh(0.5 * margins))  # sigmoid(-m), overflow-safe
-    grad = -(x.T @ (y * sig)) / len(y) + penalty * w
-    return loss + 0.5 * float(penalty @ (w * w)), grad, sig
+    grad = (-(x.swapaxes(-1, -2) @ (y * sig)[..., None])[..., 0]
+            / y.shape[-1] + penalty * w)
+    return loss + 0.5 * _dot(penalty, w * w), grad, sig
 
 
-def _newton_direction(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
-                      grad: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Solve H d = -grad by Cholesky, with sig the sigmoid(-y w.x) that
-    _objective_grad_sigmoid gave at w; -grad if H is not positive definite or
-    d is not a descent direction."""
-    hess = (x.T @ ((sig * (1.0 - sig))[:, None] * x)) / len(y) + np.diag(penalty)
+def _cholesky(hess: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors of hess; a member whose H is not positive
+    definite gets the identity, which makes its Newton direction -grad
+    exactly."""
     try:
-        chol = np.linalg.cholesky(hess)
+        return np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
-        return -grad
-    direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-    if not float(grad @ direction) < 0.0:
-        return -grad
-    return direction
+        pass
+    chol = np.empty_like(hess)
+    for b, h in enumerate(hess):
+        try:
+            chol[b] = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            chol[b] = np.eye(len(h))
+    return chol
+
+
+def _newton_direction(x: np.ndarray, ridge: np.ndarray, grad: np.ndarray,
+                      sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve H d = -grad by Cholesky for every member of the stack, with sig
+    the sigmoid(-y w.x) that _objective_grad_sigmoid gave at w and ridge the
+    (B, d, d) diagonal penalty matrices; d = -grad for a member whose H is
+    not positive definite or whose d is not a descent direction. Returns d
+    and the slopes grad.d.
+
+    sig is overwritten with the curvature sig (1 - sig), so that a stack
+    holds one (B, n) array beside the (B, n, d) product of the Hessian.
+    """
+    curv = np.multiply(sig, 1.0 - sig, out=sig)
+    hess = x.swapaxes(1, 2) @ (curv[..., None] * x) / x.shape[1] + ridge
+    chol = _cholesky(hess)
+    direction = -np.linalg.solve(chol.swapaxes(1, 2),
+                                 np.linalg.solve(chol, grad[..., None]))[..., 0]
+    slope = _dot(grad, direction)
+    uphill = ~(slope < 0.0)
+    if np.count_nonzero(uphill):
+        direction[uphill] = -grad[uphill]
+        slope = _dot(grad, direction)
+    return direction, slope
 
 
 def _overflow(kind: str, flag: int) -> None:
@@ -72,57 +116,115 @@ def _overflow(kind: str, flag: int) -> None:
 
 
 @np.errstate(over="call", call=_overflow)
+def ridge_penalty(k: int, l: int, mask: Mask, l2: float,
+                  opts: OptimizerSettings = OptimizerSettings()) -> np.ndarray:
+    """The per-weight penalty of fit_logistic's objective: l2, times
+    spurious_l2_scale on a full fit's spurious block, and 0 on the
+    intercept; l2 and spurious_l2_scale must be finite and nonnegative."""
+    if not 0.0 <= l2 < math.inf:
+        raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
+    scale = opts.spurious_l2_scale
+    if not 0.0 <= scale < math.inf:
+        raise ValueError("spurious_l2_scale must be finite and nonnegative, "
+                         f"got {scale!r}")
+    penalty = np.full((k if mask is Mask.DOMAIN_GENERAL else k + l)
+                      + opts.bias, float(l2))
+    if mask is Mask.FULL and scale != 1.0:
+        penalty[k:k + l] *= scale
+    if opts.bias:
+        penalty[-1] = 0.0  # intercept is conventionally unpenalized
+    return penalty
+
+
+@np.errstate(over="call", call=_overflow)
+def _newton(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
+            opts: OptimizerSettings) -> np.ndarray:
+    """The damped-Newton loop over a stack of problems; raises on the first
+    member to fail, which need not be the member of lowest index.
+
+    Every member keeps its own active flag, step size and stop at
+    gnorm < tol. Members that stopped ride along in the stacked arithmetic
+    and keep their weights.
+    """
+    if not np.all(np.any(y > 0, axis=1) & np.any(y < 0, axis=1)):
+        raise ValueError("degenerate labels: both classes must be present")
+    ridge = penalty[..., None] * np.eye(penalty.shape[1])  # np.diag per member
+    w = np.zeros(penalty.shape)
+    obj, grad, sig = _objective_grad_sigmoid(w, x, y, penalty)
+    active = np.ones(len(w), dtype=bool)
+    steps = 0
+    while True:
+        gnorm = np.sqrt(_dot(grad, grad))
+        # np.count_nonzero in place of .any(): it skips a Python-level
+        # wrapper, which a one-member fit would pay at every step
+        if np.count_nonzero(active & ~(np.isfinite(obj) & np.isfinite(gnorm))):
+            raise ValueError("diverged: non-finite loss or gradient")
+        active &= gnorm >= opts.tol  # gnorm is finite where active
+        if not np.count_nonzero(active):
+            return w
+        if steps == opts.max_iters:
+            first = float(gnorm[active][0])
+            raise ValueError(f"not converged: gradient norm {first:.3g} is still "
+                             f"above tol {opts.tol:g} at max_iters = {steps}")
+        direction, slope = _newton_direction(x, ridge, grad, sig)
+        # Backtracking line search with the Armijo condition from the full
+        # Newton step, which is accepted as is near the optimum.
+        step = np.ones(len(w))
+        pending = active
+        while True:
+            w_new = w + step[:, None] * direction
+            trial = _objective_grad_sigmoid(w_new, x, y, penalty)
+            accept = pending & (trial[0] <= obj + 1e-4 * step * slope)
+            if np.count_nonzero(accept) == len(w):  # all took the full step
+                w, (obj, grad, sig) = w_new, trial
+                break
+            for old, new in zip((w, obj, grad, sig), (w_new, *trial)):
+                old[accept] = new[accept]
+            del trial, new  # a second (B, n) sigmoid would raise the peak
+            pending = pending & ~accept
+            if not np.count_nonzero(pending):
+                break
+            step[pending] *= 0.5
+            if np.any(step[pending] < 1e-20):
+                raise ValueError("diverged: line search failed")
+        steps += 1
+
+
+def fit_logistic_stack(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
+                       opts: OptimizerSettings = OptimizerSettings()
+                       ) -> np.ndarray:
+    """(B, d) minimizers of B logistic objectives, one damped-Newton loop
+    over the stack x (B, n, d), y (B, n) with per-weight penalties (B, d)
+    from ridge_penalty; opts gives tol and max_iters.
+
+    Each member's arithmetic is that of fitting it alone. If the stacked
+    pass fails, the members are refit one at a time, so the error raised is
+    that of the first failing member.
+    """
+    if opts.max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {opts.max_iters!r}")
+    try:
+        return _newton(x, y, penalty, opts)
+    except ValueError:
+        if len(x) == 1:
+            raise
+    return np.concatenate([_newton(x[b:b + 1], y[b:b + 1], penalty[b:b + 1],
+                                   opts) for b in range(len(x))])
+
+
 def fit_logistic(data: Dataset, mask: Mask, l2: float,
                  opts: OptimizerSettings = OptimizerSettings()) -> LinearClassifier:
     """Fit the masked logistic objective; w_e is pinned to zero under
-    Mask.DOMAIN_GENERAL."""
-    if l2 < 0.0:
-        raise ValueError("l2 must be nonnegative")
+    Mask.DOMAIN_GENERAL. The one-problem case of fit_logistic_stack."""
+    penalty = ridge_penalty(data.k, data.l, mask, l2, opts)
     y = np.asarray(data.y)
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ValueError("degenerate labels: both classes must be present")
-
     if mask is Mask.DOMAIN_GENERAL:
         x = data.z_c
     else:
         x = data.x
     if opts.bias:
         x = np.hstack([x, np.ones((data.n, 1))])
-
-    penalty = np.full(x.shape[1], l2)
-    if mask is Mask.FULL and opts.spurious_l2_scale != 1.0:
-        penalty[data.k:data.k + data.l] *= opts.spurious_l2_scale
-    if opts.bias:
-        penalty[-1] = 0.0  # intercept is conventionally unpenalized
-
-    w = np.zeros(x.shape[1])
-    obj, grad, sig = _objective_grad_sigmoid(w, x, y, penalty)
-    steps = 0
-    while True:
-        gnorm = float(np.linalg.norm(grad))
-        if not np.isfinite(obj) or not np.isfinite(gnorm):
-            raise ValueError("diverged: non-finite loss or gradient")
-        if gnorm < opts.tol:
-            break
-        if steps == opts.max_iters:
-            raise ValueError(f"not converged: gradient norm {gnorm:.3g} is still "
-                             f"above tol {opts.tol:g} at max_iters = {steps}")
-        direction = _newton_direction(x, y, penalty, grad, sig)
-        slope = float(grad @ direction)
-        # Backtracking line search with the Armijo condition from the full
-        # Newton step, which is accepted as is near the optimum.
-        step = 1.0
-        while True:
-            w_new = w + step * direction
-            obj_new, grad_new, sig_new = _objective_grad_sigmoid(
-                w_new, x, y, penalty)
-            if obj_new <= obj + 1e-4 * step * slope:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                raise ValueError("diverged: line search failed")
-        w, obj, grad, sig = w_new, obj_new, grad_new, sig_new
-        steps += 1
+    (w,) = fit_logistic_stack(x[None], y[None], penalty[None], opts)
 
     bias = float(w[-1]) if opts.bias else 0.0
     if opts.bias:

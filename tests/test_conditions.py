@@ -20,7 +20,7 @@ from shiftspec.core import (DomainSpec, IdentityShift, LinearClassifier,
                             LinearShift, Mask, MixtureShift, default_spec)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 reflection_shift, sample_domain)
-from shiftspec.trainer import DEFAULT_L2, fit_logistic
+from shiftspec.trainer import DEFAULT_L2, OptimizerSettings, fit_logistic
 
 LOG10 = math.log(10.0)
 BASES = [np.diag([1.5, 1.5]), np.diag([-1.5, -1.5]),
@@ -381,6 +381,70 @@ def test_classifier_sweep_spans_reliance():
     assert norms[0] > norms[-1] * 5  # heavy reliance down to near-none
 
 
+@pytest.mark.parametrize("spec, n", [
+    (default_spec(), 300), (default_spec().with_shift(MIXTURE_ID), 300),
+    (default_spec(3, 1), 300), (default_spec(), 37),
+], ids=["default", "mixture_id", "k3_l1", "n37"])
+def test_classifier_sweep_equals_the_per_member_loop(spec, n):
+    # the stacked sampler and Newton loop against one sample_domain +
+    # fit_logistic call per member, bit for bit
+    seed, n_seeds = 5, 2
+    models = classifier_sweep(spec, n, seed, DEFAULT_RELIANCE_GRID, n_seeds)
+    expected = []
+    task = 0
+    for rho in DEFAULT_RELIANCE_GRID:
+        for _ in range(n_seeds):
+            data = sample_domain(spec, n, seed * 1_000_003 + task)
+            opts = OptimizerSettings(spurious_l2_scale=float(rho))
+            expected.append(fit_logistic(data, Mask.FULL, DEFAULT_L2, opts))
+            task += 1
+    assert len(models) == len(expected)
+    for got, want in zip(models, expected):
+        assert got.w_c.tobytes() == want.w_c.tobytes()
+        assert got.w_e.tobytes() == want.w_e.tobytes()
+        assert (got.bias, got.trained_on) == (want.bias, want.trained_on)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_seeds": 0}, "n_seeds must be at least 1"),
+    ({"n_seeds": -2}, "n_seeds must be at least 1"),
+    ({"reliance_grid": (1.0, -1.0)}, "spurious_l2_scale must be"),
+    ({"reliance_grid": (1.0, math.nan)}, "spurious_l2_scale must be"),
+    ({"reliance_grid": ()}, "reliance grid must be nonempty"),
+], ids=["n_seeds=0", "n_seeds=-2", "rho=-1", "rho=nan", "empty_grid"])
+def test_classifier_sweep_rejects_bad_input_before_sampling(kwargs, message,
+                                                            monkeypatch):
+    work = []
+    monkeypatch.setattr(conditions, "sample_domains",
+                        lambda *a, **k: work.append(1))
+    args = dict(reliance_grid=(1e-3, 1.0), n_seeds=2)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=message):
+        classifier_sweep(default_spec(), 100, 0, **args)
+    assert work == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(1, 5), shifts=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_theorem1_margins_equal_the_loop(l, shifts, seed):
+    rng = np.random.default_rng(seed)
+    w_e = rng.standard_normal(l)
+    m_mu_e = rng.uniform(-3.0, 3.0, (shifts, l))
+    l_phi = rng.uniform(0.0, 3.0, shifts)
+    stacked = theorem1_margin(w_e, m_mu_e, l_phi, 0.8, 0.1)
+    loop = [theorem1_margin(w_e, m, float(lp), 0.8, 0.1)
+            for m, lp in zip(m_mu_e, l_phi)]
+    assert stacked.shape == (shifts,)
+    assert all(type(m) is float for m in loop)
+    assert stacked.tolist() == loop
+    # the one-shift margin is w_e @ m_mu_e plus the concentration term
+    scalar = [float(w_e @ m) + math.sqrt(2.0) * float(lp) * 0.8
+              * float(np.linalg.norm(w_e)) * math.sqrt(math.log(10.0))
+              for m, lp in zip(m_mu_e, l_phi)]
+    assert loop == scalar
+
+
 def test_accuracy_under_shift_handles_bias():
     from shiftspec.core import LinearClassifier, LinearShift
     from shiftspec.conditions import accuracy_under_shift
@@ -669,17 +733,18 @@ class TestZeroMeasurePinnedToReference:
     {"shift_scale": -1.0}, {"shift_scale": 0.0}, {"shift_scale": math.inf},
     {"shift_scale": math.nan},
     {"eps_grid": [0.0, math.nan]}, {"eps_grid": [-0.1]},
-    {"eps_grid": [math.inf]},
+    {"eps_grid": [math.inf]}, {"n_seeds": 0},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_zero_measure_rejects_bad_input_before_fitting(kwargs, monkeypatch):
-    fits = []
-    monkeypatch.setattr(conditions, "fit_logistic",
-                        lambda *a, **k: fits.append(1))
+    work = []
+    for name in ("fit_logistic_stack", "sample_domains"):
+        monkeypatch.setattr(conditions, name,
+                            lambda *a, name=name, **k: work.append(name))
     args = dict(eps_grid=[0.0, 1.0], trials=100, n_per_domain=300, seed=0)
     args.update(kwargs)
     with pytest.raises(ValueError):
         zero_measure_experiment(default_spec(), **args)
-    assert fits == []
+    assert work == []
 
 
 def _loop_moments(shift, mu_e, sigma_e):

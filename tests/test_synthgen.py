@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from shiftspec.core import DomainSpec, LinearShift, MixtureShift, default_spec
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
-                                reflection_shift, sample_domain)
+                                reflection_shift, sample_domain,
+                                sample_domains)
 
 
 class TestSampleDomain:
@@ -83,6 +85,36 @@ class TestSampleDomain:
         ks = stats.ks_2samp(a.z_e @ w, b.z_e @ w)
         critical_1pct = 1.63 * np.sqrt(2.0 / n)
         assert ks.statistic < critical_1pct
+
+
+def _id_shift(l: int, components: int):
+    """Identity (0 components), linear (1) or a 2-3 component mixture ID
+    shift on l spurious dimensions, fixed by (l, components)."""
+    if components == 0:
+        return default_spec(2, l).shift
+    rng = np.random.default_rng([l, components])
+    mats = rng.uniform(-2.0, 2.0, (components, l, l))
+    if components == 1:
+        return LinearShift(mats[0])
+    weights = rng.dirichlet(np.ones(components))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return MixtureShift(tuple(zip(weights.tolist(), mats)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4),
+       n=st.integers(1, 40), k=st.integers(1, 3), l=st.integers(1, 3),
+       components=st.integers(0, 3))
+@example(seeds=[-1, 2**64 - 1, 2**64, 2**64 + 7], n=9, k=2, l=2, components=2)
+def test_sample_domains_member_is_sample_domain(seeds, n, k, l, components):
+    # seeds outside [0, 2^64) are masked to 64 bits, as RandomStream does
+    spec = default_spec(k, l).with_shift(_id_shift(l, components))
+    x, y = sample_domains(spec, n, seeds)
+    assert x.shape == (len(seeds), n, k + l) and y.shape == (len(seeds), n)
+    for b, seed in enumerate(seeds):
+        data = sample_domain(spec, n, seed)
+        assert x[b].tobytes() == data.x.tobytes()
+        assert y[b].tobytes() == data.y.tobytes()
 
 
 class TestRandomShift:

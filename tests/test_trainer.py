@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 
 from shiftspec.core import Dataset, LinearClassifier, Mask, default_spec
 from shiftspec.synthgen import sample_domain
+from shiftspec import trainer
 from shiftspec.trainer import (OptimizerSettings, evaluate_accuracy,
-                               evaluate_risk, fit_logistic)
+                               evaluate_risk, fit_logistic, fit_logistic_stack,
+                               ridge_penalty)
 
 
 def tiny_separable():
@@ -75,6 +79,104 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="not converged: gradient norm"):
             fit_logistic(data, Mask.FULL, l2=1e-3,
                          opts=OptimizerSettings(max_iters=1))
+
+
+@pytest.mark.parametrize("l2, opts, field", [
+    (-1.0, OptimizerSettings(), "l2"),
+    (math.inf, OptimizerSettings(), "l2"),
+    (math.nan, OptimizerSettings(), "l2"),
+    (1e-3, OptimizerSettings(spurious_l2_scale=math.inf), "spurious_l2_scale"),
+    (1e-3, OptimizerSettings(spurious_l2_scale=-1.0), "spurious_l2_scale"),
+    (1e-3, OptimizerSettings(spurious_l2_scale=math.nan), "spurious_l2_scale"),
+    (1e-3, OptimizerSettings(max_iters=-1), "max_iters"),
+], ids=["l2=-1", "l2=inf", "l2=nan", "scale=inf", "scale=-1", "scale=nan",
+        "max_iters=-1"])
+def test_bad_settings_name_the_field_before_any_work(l2, opts, field,
+                                                     monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "_newton",
+                        lambda *a, **k: calls.append(1))
+    data = sample_domain(default_spec(), 100, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            fit_logistic(data, Mask.FULL, l2, opts)
+    assert calls == []
+
+
+def _stack(datasets):
+    return (np.stack([d.x for d in datasets]),
+            np.stack([d.y for d in datasets]))
+
+
+def test_stack_members_equal_lone_fits():
+    spec = default_spec()
+    datasets = [sample_domain(spec, 300, seed=s) for s in range(5)]
+    scales = (1e-3, 1.0, 1e3, 0.5, 0.0)
+    opts = [OptimizerSettings(spurious_l2_scale=s) for s in scales]
+    penalty = np.array([ridge_penalty(2, 2, Mask.FULL, 1e-3, o) for o in opts])
+    weights = fit_logistic_stack(*_stack(datasets), penalty)
+    for w, data, o in zip(weights, datasets, opts):
+        assert w.tobytes() == fit_logistic(data, Mask.FULL, 1e-3, o).w.tobytes()
+
+
+# Weights of the per-problem Newton loop that fit_logistic ran before the
+# stacked loop replaced it, on the datasets of the test below.
+BACKTRACKING_WEIGHTS = {
+    79: [0.009014358976431746, -0.008541899453253702],
+    97: [-0.0053142179834680114, 0.0033749995165412057],
+    5: [-5.095638682343354, 2.3585055910614807],
+}
+
+
+def test_stack_members_that_backtrack_match_the_pinned_loop():
+    # rows scaled by 100 make full Newton steps overshoot: these seeds halve
+    # the step 1, 3 and 0 times, at different Newton steps
+    datasets = []
+    for seed in BACKTRACKING_WEIGHTS:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((10, 2)) * (100.0 if seed != 5 else 1.0)
+        y = np.where(rng.random(10) < 0.5, 1.0, -1.0)
+        datasets.append(Dataset(x=x, y=y, k=1, l=1))
+    penalty = np.tile(ridge_penalty(1, 1, Mask.FULL, 1e-3), (3, 1))
+    weights = fit_logistic_stack(*_stack(datasets), penalty)
+    for w, data, pinned in zip(weights, datasets,
+                               BACKTRACKING_WEIGHTS.values()):
+        assert w.tolist() == pinned
+        assert fit_logistic(data, Mask.FULL, 1e-3).w.tolist() == pinned
+
+
+def test_stack_member_without_positive_definite_hessian():
+    # an all-zero column with l2 = 0 leaves H singular at every step, so that
+    # member takes steepest-descent steps while the other one converges and
+    # rides along
+    good = sample_domain(default_spec(), 200, seed=1)
+    x = good.x.copy()
+    x[:, 3] = 0.0
+    singular = Dataset(x=x, y=good.y, k=2, l=2)
+    opts = OptimizerSettings(tol=1e-5)
+    penalty = np.stack([ridge_penalty(2, 2, Mask.FULL, 1e-3, opts),
+                        ridge_penalty(2, 2, Mask.FULL, 0.0, opts)])
+    weights = fit_logistic_stack(*_stack([good, singular]), penalty, opts)
+    for w, data, l2 in zip(weights, (good, singular), (1e-3, 0.0)):
+        assert w.tobytes() == fit_logistic(data, Mask.FULL, l2, opts).w.tobytes()
+
+
+def test_first_failing_member_names_the_error():
+    # an overflowing member and a one-class member fail in different ways;
+    # the stack raises what fitting its members in order raises first
+    good = sample_domain(default_spec(), 200, seed=1)
+    huge = Dataset(x=good.x * 1e200, y=good.y, k=2, l=2)
+    one_class = Dataset(x=good.x, y=np.ones(good.n), k=2, l=2)
+    penalty = np.tile(ridge_penalty(2, 2, Mask.FULL, 1e-3), (3, 1))
+    for members in ([good, huge, one_class], [good, one_class, huge]):
+        with pytest.raises(ValueError) as lone:
+            for data in members:
+                fit_logistic(data, Mask.FULL, 1e-3)
+        with pytest.raises(ValueError) as stacked:
+            fit_logistic_stack(*_stack(members), penalty)
+        assert str(stacked.value) == str(lone.value)
+    assert "degenerate labels" in str(lone.value)
 
 
 def _scipy_check(data, mask, l2, opts, model):
