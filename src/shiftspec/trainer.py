@@ -13,14 +13,16 @@ max_iters Newton steps, or whose products overflow float64, raises
 ValueError rather than returning weights.
 
 There is one Newton loop, over a stack of B problems of one shape
-(fit_logistic_stack): each member has its own active flag, step size and
-stop, and every stacked operation is spelled so that it rounds as the 1-d
+(fit_logistic_stack): each member has its own step size and stop, a
+member that stops leaves the stack (later steps gather the active rows
+only), and every stacked operation is spelled so that it rounds as the 1-d
 call on that member alone does (x @ w as (B, n, d) @ (B, d, 1), dot
 products as (B, 1, d) @ (B, d, 1), the norm as the square root of that
 self-dot; einsum, .sum(-1) and norm(axis=...) would round differently).
-fit_logistic is its B = 1 case, and classifier sweeps fit their whole
-family as one stack. l2 and spurious_l2_scale must be finite and
-nonnegative and max_iters nonnegative; each is checked before any work.
+fit_logistic is its B = 1 case; classifier sweeps and cmnist's noise
+ladder fit their whole family as one stack. l2 and spurious_l2_scale must
+be finite and nonnegative and max_iters nonnegative; each is checked
+before any work.
 """
 
 from __future__ import annotations
@@ -61,11 +63,20 @@ def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     """Objective, gradient and sigmoid(-y w.x) at w, for one problem (w of
     shape (d,)) or a stack (w (B, d), x (B, n, d), y (B, n)); the Newton
     step at an accepted w reuses the sigmoid."""
-    margins = y * (x @ w[..., None])[..., 0]
+    margins = (x @ w[..., None])[..., 0]
+    margins *= y
+    # One buffer beside margins, reused in place, so that a stack holds two
+    # (B, n) arrays here; each in-place step rounds as the expression does.
     # log(1 + exp(-m)) computed stably for both signs of m.
-    loss = np.mean(np.logaddexp(0.0, -margins), axis=-1)
-    sig = 0.5 * (1.0 - np.tanh(0.5 * margins))  # sigmoid(-m), overflow-safe
-    grad = (-(x.swapaxes(-1, -2) @ (y * sig)[..., None])[..., 0]
+    buf = np.negative(margins)
+    loss = np.mean(np.logaddexp(0.0, buf, out=buf), axis=-1)
+    # sigmoid(-m) = (1 - tanh(m / 2)) / 2, overflow-safe
+    sig = np.multiply(margins, 0.5, out=buf)
+    np.tanh(sig, out=sig)
+    np.subtract(1.0, sig, out=sig)
+    sig *= 0.5
+    y_sig = np.multiply(y, sig, out=margins)
+    grad = (-(x.swapaxes(-1, -2) @ y_sig[..., None])[..., 0]
             / y.shape[-1] + penalty * w)
     return loss + 0.5 * _dot(penalty, w * w), grad, sig
 
@@ -142,35 +153,43 @@ def _newton(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
     """The damped-Newton loop over a stack of problems; raises on the first
     member to fail, which need not be the member of lowest index.
 
-    Every member keeps its own active flag, step size and stop at
-    gnorm < tol. Members that stopped ride along in the stacked arithmetic
-    and keep their weights.
+    Every member keeps its own step size and stop at gnorm < tol. A member
+    that stops leaves the stack: its weights are written back by index and
+    the loop goes on over the gathered rows of the members still active.
     """
     if not np.all(np.any(y > 0, axis=1) & np.any(y < 0, axis=1)):
         raise ValueError("degenerate labels: both classes must be present")
+    fitted = np.empty(penalty.shape)
+    rows = np.arange(len(fitted))  # each stack member's row of fitted
     ridge = penalty[..., None] * np.eye(penalty.shape[1])  # np.diag per member
     w = np.zeros(penalty.shape)
     obj, grad, sig = _objective_grad_sigmoid(w, x, y, penalty)
-    active = np.ones(len(w), dtype=bool)
     steps = 0
     while True:
         gnorm = np.sqrt(_dot(grad, grad))
         # np.count_nonzero in place of .any(): it skips a Python-level
         # wrapper, which a one-member fit would pay at every step
-        if np.count_nonzero(active & ~(np.isfinite(obj) & np.isfinite(gnorm))):
+        if np.count_nonzero(~(np.isfinite(obj) & np.isfinite(gnorm))):
             raise ValueError("diverged: non-finite loss or gradient")
-        active &= gnorm >= opts.tol  # gnorm is finite where active
-        if not np.count_nonzero(active):
-            return w
+        active = gnorm >= opts.tol
+        n_active = np.count_nonzero(active)
+        if n_active < len(rows):
+            fitted[rows[~active]] = w[~active]
+            if n_active:  # later steps cost only the members still active
+                rows, x, y, penalty, ridge, w, obj, grad, sig, gnorm = (
+                    a[active] for a in (rows, x, y, penalty, ridge, w, obj,
+                                        grad, sig, gnorm))
+        if not n_active:
+            return fitted
         if steps == opts.max_iters:
-            first = float(gnorm[active][0])
+            first = float(gnorm[0])
             raise ValueError(f"not converged: gradient norm {first:.3g} is still "
                              f"above tol {opts.tol:g} at max_iters = {steps}")
         direction, slope = _newton_direction(x, ridge, grad, sig)
         # Backtracking line search with the Armijo condition from the full
         # Newton step, which is accepted as is near the optimum.
         step = np.ones(len(w))
-        pending = active
+        pending = np.ones(len(w), dtype=bool)
         while True:
             w_new = w + step[:, None] * direction
             trial = _objective_grad_sigmoid(w_new, x, y, penalty)
@@ -181,7 +200,7 @@ def _newton(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
             for old, new in zip((w, obj, grad, sig), (w_new, *trial)):
                 old[accept] = new[accept]
             del trial, new  # a second (B, n) sigmoid would raise the peak
-            pending = pending & ~accept
+            pending &= ~accept
             if not np.count_nonzero(pending):
                 break
             step[pending] *= 0.5
@@ -197,9 +216,10 @@ def fit_logistic_stack(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
     over the stack x (B, n, d), y (B, n) with per-weight penalties (B, d)
     from ridge_penalty; opts gives tol and max_iters.
 
-    Each member's arithmetic is that of fitting it alone. If the stacked
-    pass fails, the members are refit one at a time, so the error raised is
-    that of the first failing member.
+    Each member's arithmetic is that of fitting it alone, and a member
+    leaves the stack at the step where it stops. If the stacked pass fails,
+    the members are refit one at a time, so the error raised is that of the
+    first failing member.
     """
     if opts.max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {opts.max_iters!r}")

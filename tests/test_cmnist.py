@@ -1,13 +1,18 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from shiftspec.analytic import normal_cdf
 from shiftspec.cmnist import (CmnistSpec, cmnist_model_table,
                               color_classifier_accuracy,
                               digit_classifier_accuracy, generate_cmnist,
                               linear_rule_accuracy)
 from shiftspec.core import Dataset, InputError, Mask
 from shiftspec.ingest import pairwise_pairs
-from shiftspec.trainer import evaluate_accuracy, fit_logistic
+from shiftspec.rng import RandomStream
+from shiftspec.trainer import DEFAULT_L2, evaluate_accuracy, fit_logistic
 
 
 class TestGenerate:
@@ -152,3 +157,69 @@ def test_linear_rule_accuracy_array_matches_scalar_calls():
         single = np.array([linear_rule_accuracy(w_c, w_e, noise, float(p),
                                                 sigma, bias) for p in p_e])
         assert np.array_equal(stacked, single)
+
+
+def test_ladder_rows_equal_lone_fits_bit_for_bit():
+    # sigma = 0 scores the hard threshold; the others go through normal_cdf
+    spec = CmnistSpec(label_noise=0.25, p_e=(0.9,))
+    grid, sigmas, n, seed = (0.1, 0.8, 0.95), (0.0, 0.5, 3.0), 300, 4
+    table = cmnist_model_table(spec, 0, grid, n, sigmas, 2, seed=seed)
+    assert len(table.rows) == 6
+    for task, row in enumerate(table.rows):
+        sigma = sigmas[task // 2]
+        data = generate_cmnist(spec, 0, n, seed * 1_000_003 + task)
+        noise = RandomStream(seed * 1_000_003 + task, stream_id=1)
+        noisy = Dataset(x=data.x + sigma * noise.standard_normal(size=data.x.shape),
+                        y=data.y, k=1, l=1)
+        model = fit_logistic(noisy, Mask.FULL, DEFAULT_L2)
+        accs = linear_rule_accuracy(float(model.w_c[0]), float(model.w_e[0]),
+                                    spec.label_noise, np.array((0.9,) + grid),
+                                    sigma)
+        assert row.accuracies == tuple(accs.tolist())
+        assert row.metadata == {"meta_sigma": f"{sigma:g}"}
+
+
+def test_linear_rule_accuracy_rule_arrays_use_math_hypot():
+    # np.hypot rounds differently from math.hypot on some pairs; each row of
+    # the array call must equal the scalar call on its rule, whose norm is
+    # math.hypot's
+    p_e = np.array([0.1, 0.5, 0.9])
+    probs = (0.75 * p_e, 0.75 * (1.0 - p_e), 0.25 * p_e, 0.25 * (1.0 - p_e))
+
+    def by_hand(c, e, hypot):
+        scores = np.array([c + e, c - e, -c + e, -c - e])
+        hits = normal_cdf(scores / hypot(c, e))
+        return sum((prob * hit for prob, hit in zip(probs, hits)), 0.0)
+
+    pairs = np.random.default_rng(0).standard_normal((1000, 2)).tolist()
+    c, e = next((c, e) for c, e in pairs if not np.array_equal(
+        by_hand(c, e, math.hypot), by_hand(c, e, np.hypot)))
+    w_c = np.array([c, -0.3, c, 1.2])
+    w_e = np.array([e, 0.7, e, -0.4])
+    sigma = np.array([1.0, 0.0, 0.5, 2.0])
+    rows = linear_rule_accuracy(w_c, w_e, 0.25, p_e, sigma)
+    assert rows.shape == (4, 3)
+    assert np.array_equal(rows[0], by_hand(c, e, math.hypot))
+    for row, c, e, s in zip(rows, w_c, w_e, sigma):
+        assert np.array_equal(row, linear_rule_accuracy(float(c), float(e),
+                                                        0.25, p_e, float(s)))
+    one_env = linear_rule_accuracy(w_c, w_e, 0.25, 0.9, sigma)
+    assert np.array_equal(one_env, rows[:, 2])
+
+
+@pytest.mark.parametrize("sigmas", [(-2.0,), (0.5, math.nan), (math.inf,),
+                                    (0.5, -math.inf), ()],
+                         ids=["negative", "nan", "inf", "minus_inf", "empty"])
+def test_model_table_rejects_bad_noise_ladder_before_sampling(sigmas,
+                                                              monkeypatch):
+    import shiftspec.cmnist as cmnist
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the noise ladder was checked")
+
+    monkeypatch.setattr(cmnist, "generate_cmnist", no_sampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="noise sigma"):
+            cmnist_model_table(CmnistSpec(), 0, (0.8, 0.9), 100, sigmas, 1,
+                               seed=0)

@@ -149,7 +149,7 @@ def test_stack_members_that_backtrack_match_the_pinned_loop():
 def test_stack_member_without_positive_definite_hessian():
     # an all-zero column with l2 = 0 leaves H singular at every step, so that
     # member takes steepest-descent steps while the other one converges and
-    # rides along
+    # leaves the stack
     good = sample_domain(default_spec(), 200, seed=1)
     x = good.x.copy()
     x[:, 3] = 0.0
@@ -229,21 +229,54 @@ def test_matches_scipy_oracle_on_noisiest_cmnist_fits(monkeypatch):
     import shiftspec.cmnist as cmnist
     calls = []
 
-    def recording_fit(data, mask, l2, opts):
-        model = fit_logistic(data, mask, l2, opts)
-        calls.append((data, mask, l2, opts, model))
-        return model
+    def recording_fit(x, y, penalty, *args):
+        weights = fit_logistic_stack(x, y, penalty, *args)
+        calls.append((x, y, penalty, weights))
+        return weights
 
-    monkeypatch.setattr(cmnist, "fit_logistic", recording_fit)
+    monkeypatch.setattr(cmnist, "fit_logistic_stack", recording_fit)
     table = cmnist.cmnist_model_table(
         cmnist.CmnistSpec(label_noise=0.25, p_e=(0.9,)), train_env=0,
         test_grid=(0.8, 0.85, 0.9, 0.95, 0.99), n_train=4000,
         noise_sigmas=cmnist.DEFAULT_NOISE_SIGMAS, seeds_per_sigma=2, seed=0)
-    noisiest = [call for call, row in zip(calls, table.rows)
+    ((x, y, penalty, weights),) = calls
+    assert penalty.tolist() == [[1e-3, 1e-3]] * len(table.rows)
+    noisiest = [(Dataset(x=x[b], y=y[b], k=1, l=1), weights[b])
+                for b, row in enumerate(table.rows)
                 if row.metadata["meta_sigma"] == "8"]
     assert len(noisiest) == 2
-    for call in noisiest:
-        assert _scipy_check(*call) < 1e-6
+    for data, w in noisiest:
+        model = LinearClassifier(w_c=w[:1], w_e=w[1:], trained_on=Mask.FULL)
+        assert _scipy_check(data, Mask.FULL, 1e-3, OptimizerSettings(),
+                            model) < 1e-6
+
+
+def test_empty_stack_returns_no_weights():
+    weights = fit_logistic_stack(np.zeros((0, 5, 3)), np.zeros((0, 5)),
+                                 np.zeros((0, 3)))
+    assert weights.shape == (0, 3)
+
+
+def test_member_with_zero_features_leaves_the_stack_at_step_0(monkeypatch):
+    # all-zero features make the gradient at w = 0 exactly 0, so that member
+    # is converged before the first Newton step
+    good = sample_domain(default_spec(), 200, seed=1)
+    zero = Dataset(x=np.zeros_like(good.x), y=good.y, k=2, l=2)
+    stack_sizes = []
+    objective = trainer._objective_grad_sigmoid
+
+    def recording_objective(w, x, y, penalty):
+        stack_sizes.append(len(x))
+        return objective(w, x, y, penalty)
+
+    monkeypatch.setattr(trainer, "_objective_grad_sigmoid", recording_objective)
+    penalty = np.tile(ridge_penalty(2, 2, Mask.FULL, 1e-3), (2, 1))
+    weights = fit_logistic_stack(*_stack([zero, good]), penalty)
+    assert stack_sizes[0] == 2 and len(stack_sizes) > 2
+    assert set(stack_sizes[1:]) == {1}
+    assert weights[0].tolist() == [0.0] * 4
+    for w, data in zip(weights, (zero, good)):
+        assert w.tobytes() == fit_logistic(data, Mask.FULL, 1e-3).w.tobytes()
 
 
 class TestEvaluateAccuracy:
