@@ -51,8 +51,10 @@ class SweepConfig:
 class RunConfig:
     domain: DomainSpec
     # failure probability in the margin certificate; 0.5 keeps the
-    # sufficient-condition region populated at the default 50-shift budget,
-    # where smaller deltas certify almost no random shift
+    # sufficient-condition region populated at the default 50-shift budget.
+    # The certificate needs ||mu_e|| > kappa sqrt(2 log(1/delta)), so on
+    # the default spec it certifies no shift at all at delta <=
+    # exp(-||mu_e||^2 / (2 kappa^2)) = e^-1 ~ 0.368
     delta: float = 0.5
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)

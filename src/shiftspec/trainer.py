@@ -12,6 +12,13 @@ condition holds. A fit whose gradient norm is still at or above tol after
 max_iters Newton steps, or whose products overflow float64, raises
 ValueError rather than returning weights.
 
+Each margin's loss log(1 + exp(-m)) is spelled log1p(exp(-|m|)) +
+max(-m, 0), so numpy's SIMD exp and log1p compute it: its last bits come
+from those loops (within a few ulp of np.logaddexp, which has no SIMD
+loop), as the sigmoid's already come from np.tanh. Only the Armijo test
+reads the loss; the gradient, the Hessian and the stop rule read the
+sigmoid.
+
 There is one Newton loop, over a stack of B problems of one shape
 (fit_logistic_stack): each member has its own step size and stop, a
 member that stops leaves the stack (later steps gather the active rows
@@ -57,6 +64,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _logistic_losses(margins: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-m)) for each margin m, in one new array: computed in
+    place as log1p(exp(-|m|)) + max(-m, 0), which is stable for both signs
+    of m and uses numpy's SIMD loops (np.logaddexp has none)."""
+    buf = np.abs(margins)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    np.log1p(buf, out=buf)
+    return np.subtract(buf, margins, out=buf, where=margins < 0.0)
+
+
 def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                             penalty: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,9 +85,8 @@ def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     margins *= y
     # One buffer beside margins, reused in place, so that a stack holds two
     # (B, n) arrays here; each in-place step rounds as the expression does.
-    # log(1 + exp(-m)) computed stably for both signs of m.
-    buf = np.negative(margins)
-    loss = np.mean(np.logaddexp(0.0, buf, out=buf), axis=-1)
+    buf = _logistic_losses(margins)
+    loss = np.mean(buf, axis=-1)
     # sigmoid(-m) = (1 - tanh(m / 2)) / 2, overflow-safe
     sig = np.multiply(margins, 0.5, out=buf)
     np.tanh(sig, out=sig)
