@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import normal_quantile, pearson_p_value
+from .analytic import normal_quantile, pearson_p_value, row_dot
 from .core import InputError
 from .rng import RandomStream, uniform_to_integers
 from .util import parallel_map
@@ -123,13 +123,13 @@ def correlation_epsilon(x: ArrayLike, y: ArrayLike) -> tuple[np.ndarray, np.ndar
 
     x is (n,) or (T, n) and y is (n,). For each row of x, a is the
     zero-intercept least-squares slope of x ≈ a·y (0 when y·y is 0) and
-    eps = max |x - a·y|, the smallest eps the row supports. Each row's dot
-    product stays scalar, since batched BLAS rounds it differently.
+    eps = max |x - a·y|, the smallest eps the row supports. row_dot gives
+    each row's x·y as the scalar row @ y; the gemv x @ y rounds otherwise.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     syy = float(y @ y)
-    a = np.array([float(row @ y) / syy if syy > 0.0 else 0.0 for row in x])
+    a = row_dot(x, y) / syy if syy > 0.0 else np.zeros(len(x))
     return a, np.max(np.abs(x - a[:, None] * y), axis=1)
 
 

@@ -73,6 +73,13 @@ _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _ACK_LOW = 0.02425
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked dot products over the last axis, each rounded as the 1-d
+    ``a @ b`` is: (..., 1, d) @ (..., d, 1) runs numpy's dot kernel per row,
+    where the gemv spelling (S, d) @ (d,), einsum and .sum(-1) do not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _horner(coeffs, z: np.ndarray) -> np.ndarray:
     """((c0 z + c1) z + ...) z + c_n, accumulated in place in one new array."""
     acc = coeffs[0] * z

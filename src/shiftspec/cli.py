@@ -28,9 +28,8 @@ from .core import IdentityShift, InputError, Mask, MixtureShift
 from .ingest import (dump_accuracy_table, leave_one_out_pairs,
                      load_accuracy_table, pairwise_pairs)
 from .report import write_json_report
-from .rng import seeded_uniforms
 from .svgplot import ScatterPlot
-from .synthgen import interpolation_mixture, sample_domain
+from .synthgen import interpolation_mixture, random_shifts, sample_domain
 from .trainer import OptimizerSettings, fit_logistic
 
 EXIT_OK = 0
@@ -83,9 +82,8 @@ def cmd_simulate(args) -> int:
         shifts = ShiftStack.of([interpolation_mixture(components, seed=s)
                                 for s in shift_seeds], spec.l)
     else:
-        # random_shift(spec.l, sweep.shift_scale, s) for every shift seed s
-        shifts = ShiftStack.linear(seeded_uniforms(
-            shift_seeds, -sweep.shift_scale, sweep.shift_scale, (spec.l, spec.l)))
+        shifts = ShiftStack.linear(random_shifts(spec.l, sweep.shift_scale,
+                                                 shift_seeds))
     with np.errstate(over="ignore", invalid="ignore"):
         reports = condition_reports(full, spec, shifts, cfg.delta)
         acc = accuracies_under_shifts([dg, full], spec, shifts).T

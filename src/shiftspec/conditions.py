@@ -1,8 +1,8 @@
 """Evaluators for the well-specification conditions of theorems 1 and 2.
 
-Two layers live here: scalar condition checks (reversal margin, SNR
-comparison) and the zero-measure experiment that measures how often a
-random shift is simultaneously well-specified and on the accuracy line.
+Two layers live here: condition checks (reversal margin, SNR comparison)
+over a stack of shifts in one vector pass, and the zero-measure experiment
+that measures how often a random shift is well-specified yet on the line.
 Every evaluator takes the theorem constants kappa (_id_kappa) and M,
 Sigma_phi, L_phi (_stacked_margins) from the (spec, shift) it is given.
 The paper's deviation bounds are not evaluated.
@@ -45,11 +45,11 @@ from typing import Sequence
 import numpy as np
 
 from .aline import correlation_epsilon
-from .analytic import normal_cdf, normal_quantile
+from .analytic import normal_cdf, normal_quantile, row_dot
+from .config import RunConfig, SweepConfig
 from .core import (DomainSpec, LinearClassifier, LinearShift, Mask,
                    MixtureShift, ShiftSpec)
-from .rng import seeded_uniforms
-from .synthgen import sample_domains
+from .synthgen import random_shifts, sample_domains
 from .trainer import (DEFAULT_L2, OptimizerSettings, fit_logistic_stack,
                       ridge_penalty)
 from .util import parallel_map
@@ -83,9 +83,8 @@ def theorem1_margin(w_e, m_mu_e, l_phi, kappa: float,
     verdict and the zero-measure residuals, never this certificate.
 
     One shift (m_mu_e of shape (l,), a scalar l_phi) gives a float; S shifts
-    ((S, l) and (S,)) give an (S,) array. Each dot product is spelled
-    (1, l) @ (l, 1), which rounds as the one-shift w_e @ m_mu_e does; the
-    gemv spelling (S, l) @ (l,) would not.
+    ((S, l) and (S,)) give an (S,) array. The dot products are one row_dot
+    call, which rounds each as the one-shift w_e @ m_mu_e does.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -95,23 +94,8 @@ def theorem1_margin(w_e, m_mu_e, l_phi, kappa: float,
     w_e = np.asarray(w_e, dtype=np.float64)
     m_mu_e = np.asarray(m_mu_e, dtype=np.float64)
     penalty = math.sqrt(2.0) * l_phi * kappa * float(np.linalg.norm(w_e))
-    reversal = (m_mu_e[..., None, :] @ w_e[:, None])[..., 0, 0]
-    margin = reversal + penalty * math.sqrt(_log_inv(delta))
+    margin = row_dot(w_e, m_mu_e) + penalty * math.sqrt(_log_inv(delta))
     return float(margin) if margin.ndim == 0 else margin
-
-
-def _snr_compare(var_c: float, signal_id: float, var_e: float,
-                 signal_e: float) -> tuple[float, float]:
-    """Theorem 2's (snr_id, snr_ood), well-specified iff snr_ood < snr_id,
-    from var_c = w_c' Sigma_c w_c and signal_id = w_c' mu_c, which no shift
-    changes, and var_e = w_e' Sigma_phi w_e and signal_e = w_e' M mu_e."""
-    if not math.isfinite(var_e):
-        raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
-                         "moments overflow float64")
-    if var_c <= 0.0 or var_c + var_e <= 0.0:
-        raise ValueError("degenerate denominators in SNR comparison")
-    snr_id = signal_id / math.sqrt(var_c)
-    return snr_id, (signal_id + signal_e) / math.sqrt(var_c + var_e)
 
 
 def lipschitz_of_linear(m) -> float:
@@ -255,27 +239,33 @@ def _stacked_margins(w_e: np.ndarray, spec: DomainSpec, stack: ShiftStack,
 
 def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
                       stack: ShiftStack, delta: float) -> list[ConditionReport]:
-    """condition_report for every shift of the stack: the margins from
-    _stacked_margins, then the SNRs, whose ID terms are computed once."""
+    """condition_report for every shift of the stack in one vector pass:
+    the margins from _stacked_margins, then theorem 2's SNRs from (S,)
+    reversals w_e' M mu_e and var_e = w_e' Sigma_phi w_e through row_dot,
+    each rounded as the one-shift float. The first shift whose var_e is not
+    finite or whose SNR denominator is not positive raises, without a
+    warning."""
     w_c = np.asarray(classifier.w_c, dtype=np.float64)
     w_e = np.asarray(classifier.w_e, dtype=np.float64)
     m_mu_e, sigma_phi, margins = _stacked_margins(w_e, spec, stack, delta)
-    margins = margins.tolist()
     var_c = float(w_c @ spec.sigma_c @ w_c)
     signal_id = float(w_c @ spec.mu_c)
-
-    def report(s: int) -> ConditionReport:
-        reversal = float(w_e @ m_mu_e[s])
-        snr_id, snr_ood = _snr_compare(var_c, signal_id,
-                                       float(w_e @ sigma_phi[s] @ w_e), reversal)
-        return ConditionReport(reversal_term=reversal,
-                               theorem1_margin=margins[s],
-                               theorem1_well_specified=margins[s] < 0.0,
-                               snr_id=snr_id,
-                               snr_ood=snr_ood,
-                               theorem2_well_specified=snr_ood < snr_id)
-
-    return parallel_map(report, range(len(stack)))
+    reversal = row_dot(w_e, m_mu_e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_e = row_dot(w_e @ sigma_phi, w_e)
+    bad = np.flatnonzero(~np.isfinite(var_e) | (var_c <= 0.0)
+                         | (var_c + var_e <= 0.0))
+    if bad.size:
+        if not math.isfinite(var_e[bad[0]]):
+            raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
+                             "moments overflow float64")
+        raise ValueError("degenerate denominators in SNR comparison")
+    snr_id = signal_id / math.sqrt(var_c)
+    snr_ood = (signal_id + reversal) / np.sqrt(var_c + var_e)
+    rows = zip(reversal.tolist(), margins.tolist(), (margins < 0.0).tolist(),
+               [snr_id] * len(stack), snr_ood.tolist(),
+               (snr_ood < snr_id).tolist())
+    return parallel_map(lambda fields: ConditionReport(*fields), list(rows))
 
 
 def condition_report(classifier: LinearClassifier, spec: DomainSpec,
@@ -418,7 +408,8 @@ class ZeroMeasureResult:
 
 def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
                             trials: int, n_per_domain: int, seed: int,
-                            delta: float = 0.1, shift_scale: float = 2.0,
+                            delta: float = RunConfig.delta,
+                            shift_scale: float = SweepConfig.shift_scale,
                             reliance_grid: Sequence[float] = DEFAULT_RELIANCE_GRID,
                             n_seeds: int = 2) -> ZeroMeasureResult:
     """Estimate how often a random shift is well-specified yet on the line.
@@ -434,8 +425,8 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     trial's shift: both come from _stacked_margins, so a shift_scale whose
     Sigma_phi overflows float64 is the same numeric error.
 
-    All trials run in one pass: the random_shift draws (one seed per trial,
-    seed * 7919 + t, through one re-keyed generator) are one ShiftStack for
+    All trials run in one pass: one random_shifts draw (trial t with seed
+    seed * 7919 + t, through one re-keyed generator) is one ShiftStack for
     accuracies_under_shifts and _stacked_margins, and their OOD probits are
     one correlation_epsilon call.
     """
@@ -443,10 +434,11 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
         raise ValueError("trials must be at least 100")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < shift_scale < math.inf:
-        raise ValueError("shift_scale must be positive and finite")
     if not all(0.0 <= e < math.inf for e in eps_grid):
         raise ValueError("eps grid must be finite and nonnegative")
+    # drawn before the fits, which a bad shift_scale then never starts
+    stack = ShiftStack.linear(random_shifts(
+        spec.l, shift_scale, [seed * 7_919 + t for t in range(trials)]))
 
     seeds, scales = _sweep_members(seed, reliance_grid, n_seeds)
     # the reference fit (plain objective, seed ^ 0x5EED) is one more member
@@ -458,10 +450,6 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
         raise ValueError("degenerate sweep: all accuracies equal")
     probit_id = normal_quantile(np.clip(acc_id, 1e-12, 1.0 - 1e-12))
 
-    # random_shift(spec.l, shift_scale, seed * 7919 + t) for every trial t
-    stack = ShiftStack.linear(seeded_uniforms(
-        [seed * 7_919 + t for t in range(trials)],
-        -shift_scale, shift_scale, (spec.l, spec.l)))
     margins = _stacked_margins(reference.w_e, spec, stack, delta)[2]
     acc_ood = accuracies_under_shifts(models, spec, stack)
     probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))

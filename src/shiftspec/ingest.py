@@ -192,9 +192,15 @@ def _csv_cell(text: str) -> str:
 
 def dump_accuracy_table(table: AccuracyTable) -> str:
     """CSV text that parse_accuracy_table reads back; a cell is quoted only
-    when it holds a comma, a quote or a line break."""
+    when it holds a comma, a quote or a line break, and a column name that
+    would not read back is an InputError naming it."""
     meta_names = sorted({k for row in table.rows for k in row.metadata})
     header = ["model_id", *table.env_names, *meta_names]
+    for name in header[1:]:
+        if (header.count(name) > 1
+                or name.startswith(META_PREFIX) != (name in meta_names)):
+            raise InputError(f"column {name!r} would not read back (names must "
+                             f"be unique, and start with {META_PREFIX!r} iff metadata)")
     lines = [",".join(map(_csv_cell, header))]
     for row in table.rows:
         cells = [_csv_cell(row.model_id)]

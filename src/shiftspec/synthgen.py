@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (Dataset, DomainSpec, InputError, MixtureShift,
                    psd_cholesky, validate_spec)
-from .rng import (RandomStream, seeded_generators, uniform_to_normal,
-                  uniform_to_signs)
+from .rng import (RandomStream, seeded_generators, seeded_uniforms,
+                  uniform_to_normal, uniform_to_signs)
 
 
 def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
@@ -81,14 +81,19 @@ def sample_domains(spec: DomainSpec, n: int,
     return x, y
 
 
-def random_shift(l: int, scale: float, seed: int) -> np.ndarray:
-    """l x l matrix with entries i.i.d. uniform on [-scale, scale]."""
+def random_shifts(l: int, scale: float, seeds) -> np.ndarray:
+    """(S, l, l) matrices with entries i.i.d. uniform on [-scale, scale],
+    matrix s drawn as RandomStream(seeds[s]).uniform (seeded_uniforms)."""
     if l < 1:
         raise ValueError("dimension must be at least 1")
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    stream = RandomStream(seed)
-    return stream.uniform(-scale, scale, size=(l, l))
+    return seeded_uniforms(seeds, -scale, scale, (l, l))
+
+
+def random_shift(l: int, scale: float, seed: int) -> np.ndarray:
+    """The one-seed case of random_shifts: an l x l matrix."""
+    return random_shifts(l, scale, [seed])[0]
 
 
 def interpolation_mixture(base_shifts: list[np.ndarray], seed: int) -> MixtureShift:

@@ -24,7 +24,7 @@ There is one Newton loop, over a stack of B problems of one shape
 member that stops leaves the stack (later steps gather the active rows
 only), and every stacked operation is spelled so that it rounds as the 1-d
 call on that member alone does (x @ w as (B, n, d) @ (B, d, 1), dot
-products as (B, 1, d) @ (B, d, 1), the norm as the square root of that
+products through analytic.row_dot, the norm as the square root of that
 self-dot; einsum, .sum(-1) and norm(axis=...) would round differently).
 fit_logistic is its B = 1 case; classifier sweeps and cmnist's noise
 ladder fit their whole family as one stack. l2 and spurious_l2_scale must
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import row_dot
 from .core import Dataset, LinearClassifier, Mask
 
 # the ridge penalty l2 of every fit the package makes, and the config default
@@ -56,12 +57,6 @@ class OptimizerSettings:
     # move the optimum along the spurious-reliance path. 1.0 is the plain
     # objective above.
     spurious_l2_scale: float = 1.0
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of stacked vectors, in the matmul spelling
-    that rounds as one 1-d ``a @ b`` does."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _logistic_losses(margins: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def _objective_grad_sigmoid(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     y_sig = np.multiply(y, sig, out=margins)
     grad = (-(x.swapaxes(-1, -2) @ y_sig[..., None])[..., 0]
             / y.shape[-1] + penalty * w)
-    return loss + 0.5 * _dot(penalty, w * w), grad, sig
+    return loss + 0.5 * row_dot(penalty, w * w), grad, sig
 
 
 def _cholesky(hess: np.ndarray) -> np.ndarray:
@@ -131,11 +126,11 @@ def _newton_direction(x: np.ndarray, ridge: np.ndarray, grad: np.ndarray,
     chol = _cholesky(hess)
     direction = -np.linalg.solve(chol.swapaxes(1, 2),
                                  np.linalg.solve(chol, grad[..., None]))[..., 0]
-    slope = _dot(grad, direction)
+    slope = row_dot(grad, direction)
     uphill = ~(slope < 0.0)
     if np.count_nonzero(uphill):
         direction[uphill] = -grad[uphill]
-        slope = _dot(grad, direction)
+        slope = row_dot(grad, direction)
     return direction, slope
 
 
@@ -183,7 +178,7 @@ def _newton(x: np.ndarray, y: np.ndarray, penalty: np.ndarray,
     obj, grad, sig = _objective_grad_sigmoid(w, x, y, penalty)
     steps = 0
     while True:
-        gnorm = np.sqrt(_dot(grad, grad))
+        gnorm = np.sqrt(row_dot(grad, grad))
         # np.count_nonzero in place of .any(): it skips a Python-level
         # wrapper, which a one-member fit would pay at every step
         if np.count_nonzero(~(np.isfinite(obj) & np.isfinite(gnorm))):

@@ -1,9 +1,9 @@
 """In-order task map, run in the calling thread.
 
-conditions.condition_reports maps its per-shift scalar tail, and
-aline.min_model_count its bootstrap draws, through parallel_map. The
-benchmark tracer (perfbench/tracer.py) wraps parallel_map and reads
-thread_count, so both names stay until it stops using them.
+conditions.condition_reports assembles its already computed records, and
+aline.min_model_count maps its bootstrap draws, through parallel_map. The
+benchmark tracer (perfbench/tracer.py) wraps parallel_map, counts its
+items and reads thread_count, so both names stay until it stops.
 """
 
 from __future__ import annotations

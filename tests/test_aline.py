@@ -170,6 +170,27 @@ class TestCorrelationEpsilon:
         assert eps == pytest.approx(1.0, abs=1e-3)
 
 
+def _loop_correlation_epsilon(x, y):
+    """correlation_epsilon as a loop over rows with one scalar dot each."""
+    syy = float(y @ y)
+    a = [float(row @ y) / syy if syy > 0.0 else 0.0 for row in x]
+    eps = [float(np.max(np.abs(row - ai * y))) for row, ai in zip(x, a)]
+    return np.array(a), np.array(eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 30), n=st.integers(1, 500),
+       zero_y=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_correlation_epsilon_equals_per_row_loop(rows, n, zero_y, seed):
+    # y = 0 gives y.y = 0 and so a = 0 in every row
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n))
+    y = np.zeros(n) if zero_y else rng.standard_normal(n)
+    got = correlation_epsilon(x, y)
+    want = _loop_correlation_epsilon(x, y)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 class TestMinModelCount:
     def make_pairs(self, xs, ys):
         return pairs_from_probits(xs, ys)

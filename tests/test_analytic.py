@@ -384,3 +384,19 @@ class TestBetainc:
             x = rng.uniform(0.0, 1.0)
             assert analytic.betainc_reg(a, b, x) == pytest.approx(
                 special.betainc(a, b, x), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40),
+       d=st.one_of(st.integers(1, 5), st.integers(6, 2000)),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_dot_rounds_as_each_rows_scalar_dot(rows, d, seed):
+    # (S, l <= 5) shift stacks and (T, n <= 2000) probit rows
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    b = rng.standard_normal((rows, d))
+    assert analytic.row_dot(a, b).tobytes() == \
+        np.array([float(x @ y) for x, y in zip(a, b)]).tobytes()
+    # one vector against every row, as the margins and slopes use it
+    assert analytic.row_dot(b[0], a).tobytes() == \
+        np.array([float(b[0] @ x) for x in a]).tobytes()

@@ -361,6 +361,13 @@ class TestZeroMeasure:
                     for t in range(100)]
         assert list(res.margins) == expected
 
+    def test_defaults_are_simulates_delta_and_shift_scale(self):
+        args = dict(eps_grid=[0.0, 1.0, 2.0], trials=100, n_per_domain=300,
+                    seed=4, reliance_grid=(1e-3, 1.0, 1e3), n_seeds=1)
+        assert zero_measure_experiment(default_spec(), **args) == \
+            zero_measure_experiment(default_spec(), **args, delta=0.5,
+                                    shift_scale=2.0)
+
     def test_overflowing_shift_scale_is_one_numeric_error(self):
         # the draws' Sigma_phi overflows float64
         with warnings.catch_warnings():
@@ -772,6 +779,41 @@ def _loop_report(classifier, spec, shift, delta):
                            theorem1_well_specified=margin < 0.0,
                            snr_id=snr_id, snr_ood=snr_ood,
                            theorem2_well_specified=snr_ood < snr_id)
+
+
+def _loop_snr_fault(classifier, spec, mats):
+    """The error a loop over the linear shifts mats raises first: at each
+    shift in order, a w_e' Sigma_phi w_e that is not finite, then an SNR
+    denominator that is not positive; None when no shift is faulty."""
+    w_c, w_e = classifier.w_c, classifier.w_e
+    var_c = float(w_c @ spec.sigma_c @ w_c)
+    for m in mats:
+        _, sigma_phi = _loop_moments(LinearShift(m), spec.mu_e, spec.sigma_e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var_e = float(w_e @ sigma_phi @ w_e)
+        if not math.isfinite(var_e):
+            return "w_e' Sigma_phi w_e is not finite"
+        if var_c <= 0.0 or var_c + var_e <= 0.0:
+            return "degenerate denominators"
+    return None
+
+
+@pytest.mark.parametrize("overflow_at, message", [
+    (0, "w_e' Sigma_phi w_e is not finite"),
+    (1, "degenerate denominators"),
+], ids=["overflow_first", "overflow_second"])
+def test_condition_reports_raise_at_the_first_faulty_shift(overflow_at,
+                                                           message):
+    # zero w_c makes every shift's SNR denominators degenerate; under
+    # diag(100, 1) Sigma_phi stays finite but w_e' Sigma_phi w_e overflows
+    spec = default_spec()
+    rule = LinearClassifier(w_c=np.zeros(2), w_e=np.array([1e153, 0.0]),
+                            trained_on=Mask.FULL)
+    mats = np.stack([0.5 * np.eye(2)] * 2)
+    mats[overflow_at] = np.diag([100.0, 1.0])
+    assert _loop_snr_fault(rule, spec, mats) == message
+    with pytest.raises(ValueError, match=message):
+        condition_reports(rule, spec, ShiftStack.linear(mats), 0.5)
 
 
 def _loop_accuracy(models, spec, shift):

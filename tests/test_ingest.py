@@ -112,7 +112,8 @@ _CELL = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 
 @settings(max_examples=60, deadline=None)
-@given(env_names=st.lists(_CELL.filter(lambda s: not s.startswith("meta_")),
+@given(env_names=st.lists(_CELL.filter(lambda s: not s.startswith("meta_")
+                                       and s != "model_id"),
                           min_size=1, max_size=3, unique=True),
        meta_names=st.lists(_CELL.map(lambda s: "meta_" + s), max_size=2,
                            unique=True),
@@ -129,6 +130,21 @@ def test_dump_parse_round_trip(env_names, meta_names, model_ids, data):
         for model_id in model_ids)
     table = AccuracyTable(env_names=tuple(env_names), rows=rows)
     assert parse_accuracy_table(dump_accuracy_table(table)) == table
+
+
+@pytest.mark.parametrize("env_names, metadata, column", [
+    (("model_id",), {}, "model_id"),
+    (("env_0", "env_0"), {}, "env_0"),
+    (("meta_x",), {}, "meta_x"),
+    (("env_0",), {"arch": "vit"}, "arch"),
+], ids=["env_model_id", "repeated_env", "meta_env", "unprefixed_meta"])
+def test_dump_rejects_a_header_it_cannot_parse_back(env_names, metadata,
+                                                    column):
+    table = AccuracyTable(env_names=env_names,
+                          rows=(TableRow("m1", (0.5,) * len(env_names),
+                                         metadata),))
+    with pytest.raises(InputError, match=repr(column)):
+        dump_accuracy_table(table)
 
 
 def _reference_parse(text: str) -> AccuracyTable:

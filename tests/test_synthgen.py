@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from shiftspec.core import DomainSpec, LinearShift, MixtureShift, default_spec
+from shiftspec.rng import RandomStream
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
-                                reflection_shift, sample_domain,
-                                sample_domains)
+                                random_shifts, reflection_shift,
+                                sample_domain, sample_domains)
 
 
 class TestSampleDomain:
@@ -142,6 +143,27 @@ class TestRandomShift:
     def test_rejects_non_finite_scale(self, scale):
         with pytest.raises(ValueError, match="finite"):
             random_shift(2, scale, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**63 - 1), max_size=6),
+       l=st.integers(1, 4), scale=st.floats(1e-3, 1e3))
+def test_random_shifts_rows_are_random_shift_draws(seeds, l, scale):
+    mats = random_shifts(l, scale, seeds)
+    assert mats.shape == (len(seeds), l, l)
+    for mat, seed in zip(mats, seeds):
+        assert mat.tobytes() == random_shift(l, scale, seed).tobytes()
+        want = RandomStream(seed).uniform(-scale, scale, size=(l, l))
+        assert mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("l, scale, message", [
+    (0, 1.0, "dimension"), (2, 0.0, "scale"), (2, -1.0, "scale"),
+    (2, math.inf, "scale"), (2, math.nan, "scale"),
+])
+def test_random_shifts_rejects_bad_input(l, scale, message):
+    with pytest.raises(ValueError, match=message):
+        random_shifts(l, scale, [0, 1])
 
 
 class TestInterpolationMixture:
