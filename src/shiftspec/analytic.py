@@ -19,6 +19,18 @@ element still gets the same operations in the same order as the plain
 expressions, so the results are the same bit for bit. Regions that samples
 rarely reach (erfc's tail and underflow, p outside (0, 1), nan) are looked
 up only when present.
+
+The package's per-row kernels (these, the samplers in rng and synthgen and
+the trainer's loss) follow one rule: no masked select over a data-dependent
+mask. On randomly ordered samples a mask defeats branch prediction: at 20k
+elements on a 2-vCPU Xeon with numpy 2.4, np.negative(..., where=mask)
+takes 8.4 ns per element and np.where 4.1 ns, against 2.2 ns for the same
+negation through flatnonzero, take and a scatter, and 0.2 ns for a
+multiply. A region is gathered through integer indices, or the select is
+spelled as exact arithmetic. Nor does a kernel broadcast over a short last
+axis, which runs numpy's inner loop a few elements at a time: the
+Newton loop's curv[..., None] * x over (24, 4000, 2) took 0.92 ms against
+0.52 ms filled column by column.
 """
 
 from __future__ import annotations
@@ -219,7 +231,8 @@ def normal_quantile(p) -> np.ndarray | float:
     holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
     is skipped and Acklam's start, within 1.8e-9 relative, is returned.
 
-    The step runs in place over the whole array. Entries with p outside
+    The step runs in place over the whole array, and the entries with
+    p > 0.5 are negated through their indices. Entries with p outside
     (0, 1) or nan are looked up only when the smallest t shows one; they
     are refined as t = 0.5 and overwritten at the end.
     """
@@ -253,7 +266,10 @@ def normal_quantile(p) -> np.ndarray | float:
     if step is not None:
         x[step] = xs
 
-    np.negative(x, out=x, where=pf > 0.5)
+    upper = np.flatnonzero(pf > 0.5)
+    if upper.size:
+        v = x.take(upper)
+        x[upper] = np.negative(v, out=v)
     if outside is not None:
         po = pf.take(outside)
         x[outside] = np.where(po <= 0.0, -np.inf,

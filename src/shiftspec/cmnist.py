@@ -52,10 +52,12 @@ def generate_cmnist(spec: CmnistSpec, env: int, n: int, seed: int) -> Dataset:
         raise ValueError(f"env must be in [0, {spec.n_envs})")
     stream = RandomStream(seed)
     y_true = stream.bernoulli_signs(0.5, size=n)
-    flip = stream.uniform(size=n) < spec.label_noise
-    y = np.where(flip, -y_true, y_true)
-    match = stream.uniform(size=n) < spec.p_e[env]
-    z_e = np.where(match, y, -y)
+    # products of ±1 signs are exact: y = -y_true where the label flips
+    # (u < label_noise), and z_e = y where the color matches (u < p_e)
+    y = stream.bernoulli_signs(spec.label_noise, size=n)
+    y *= -y_true
+    z_e = stream.bernoulli_signs(spec.p_e[env], size=n)
+    z_e *= y
     x = np.column_stack([y_true, z_e])
     return Dataset(x=x, y=y, k=1, l=1)
 

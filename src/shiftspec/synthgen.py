@@ -5,6 +5,11 @@ Sampling follows the generative block: y ~ Bernoulli(label_prior) mapped to
 linear shift M (component drawn per weights for mixtures). All draws come
 from counter-based streams keyed by the caller's seed; sample_domains draws
 many seeds' domains as one stack.
+
+As in every per-row kernel of the package (see analytic), sampling makes
+no masked select over a data-dependent mask and no write or broadcast
+over a few columns at a time: a domain's noise blocks are written as whole
+rows, and each row's label-signed mean is gathered by index and added.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ def sample_domains(spec: DomainSpec, n: int,
                              "overflows float64")
     shifted_chols = [psd_cholesky(c, "shifted sigma_e") for c in shifted_covs]
     cum = np.cumsum(spec.shift.weights())
+    # row 2j + (y > 0): component j's class-conditional mean (mu_c, M_j mu_e)
+    # times the label y = +-1, which is exact
+    means = np.hstack([np.tile(spec.mu_c, (len(matrices), 1)), shifted_means])
+    signed_means = np.stack([-means, means], axis=1).reshape(2 * len(means), -1)
 
     k, l = spec.k, spec.l
     mixture = len(matrices) > 1
@@ -64,20 +73,26 @@ def sample_domains(spec: DomainSpec, n: int,
     y = np.empty((len(seeds), n))
     for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
         yb[...] = uniform_to_signs(gen.random(size=n), spec.label_prior)
-        np.add(yb[:, None] * spec.mu_c,
-               uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T,
-               out=xb[:, :k])
+        noise_c = uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T
         if mixture:
             comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
                                               side="right"),
                               len(matrices) - 1)
-        noise = uniform_to_normal(gen.random(size=(n, l)))
-        z_e = xb[:, k:]
-        for j in range(len(matrices)):
-            # one component takes every row, with no mask to gather by
-            rows = comp == j if mixture else slice(None)
-            z_e[rows] = (yb[rows, None] * shifted_means[j]
-                         + noise[rows] @ shifted_chols[j].T)
+        noise_e = uniform_to_normal(gen.random(size=(n, l)))
+        mean_row = (yb > 0.0).astype(np.intp)
+        if mixture:
+            for j in range(len(matrices)):
+                rows = np.flatnonzero(comp == j)
+                noise_e[rows] = noise_e[rows] @ shifted_chols[j].T
+            mean_row += 2 * comp
+        else:  # one component takes every row, with no mask to gather by
+            noise_e = noise_e @ shifted_chols[0].T
+        # noise + y mean, as the generative y mean + noise: + commutes
+        # exactly; both blocks are written as whole rows, and y mean is
+        # gathered by row index (a y[:, None] * mean broadcast runs numpy's
+        # inner loop k + l elements at a time, at about ten times the cost)
+        np.concatenate((noise_c, noise_e), axis=1, out=xb)
+        xb += signed_means.take(mean_row, axis=0)
     return x, y
 
 

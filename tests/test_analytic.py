@@ -342,6 +342,75 @@ def test_normal_quantile_matches_reference(p):
     _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
 
 
+def _masked_normal_quantile(p):
+    """normal_quantile as it was spelled with a masked negation of the upper
+    half (np.negative(..., where=p > 0.5)) in place of an index scatter."""
+    p_arr = np.asarray(p, dtype=np.float64)
+    pf = p_arr.ravel()
+    t = 1.0 - pf
+    np.minimum(pf, t, out=t)
+    t_min = t.min(initial=1.0)
+    outside = None
+    if not t_min > 0.0:
+        outside = np.flatnonzero(~(t > 0.0))
+        t[outside] = 0.5
+        t_min = t.min()
+    x = analytic._acklam(t)
+    step = None if t_min >= _TINY else np.flatnonzero(t >= _TINY)
+    xs, ts = (x, t) if step is None else (x.take(step), t.take(step))
+    u = analytic.normal_cdf(xs)
+    u -= ts
+    u *= analytic._SQRT2PI
+    w = 0.5 * xs
+    w *= xs
+    u *= np.exp(w, out=w)
+    np.multiply(0.5, xs, out=w)
+    w *= u
+    w += 1.0
+    u /= w
+    xs -= u
+    if step is not None:
+        x[step] = xs
+    np.negative(x, out=x, where=pf > 0.5)
+    if outside is not None:
+        po = pf.take(outside)
+        x[outside] = np.where(po <= 0.0, -np.inf,
+                              np.where(po >= 1.0, np.inf, np.nan))
+    return float(x[0]) if p_arr.ndim == 0 else x.reshape(p_arr.shape)
+
+
+_MASKED_EDGES = np.array([0.0, 1.0, 0.5, np.nan, 2.0 ** -1074, 1.0 - 2.0 ** -53,
+                          analytic._ACK_LOW])
+
+
+class TestQuantilePinnedToMaskedSpelling:
+    """The index-scatter negation of the upper half gives the bits of the
+    masked one."""
+
+    @pytest.mark.parametrize("p", [
+        np.random.default_rng(28).random(1_000_000),
+        _MASKED_EDGES,
+        np.concatenate([_UNIFORMS[:1000], _MASKED_EDGES, 1.0 - _MASKED_EDGES]),
+        _UNIFORMS[:60_000].reshape(300, 200),
+        np.array(0.7), np.array(0.5), np.array(np.nan),
+    ], ids=["1M_uniforms", "edges", "mixed", "2d", "0d", "0d_half", "0d_nan"])
+    def test_arrays(self, p):
+        ours = analytic.normal_quantile(p)
+        want = _masked_normal_quantile(p)
+        if p.ndim == 0:
+            assert type(ours) is float and type(want) is float
+        _assert_same_bits(ours, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.one_of(st.floats(0.0, 1.0),
+                            st.sampled_from(_MASKED_EDGES.tolist()),
+                            _ANY_FLOAT), max_size=40))
+def test_normal_quantile_matches_masked_spelling(p):
+    p = np.array(p, dtype=np.float64)
+    _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+
+
 @pytest.mark.parametrize("name, reference", [
     ("erfc", _reference_erfc), ("normal_cdf", _reference_normal_cdf)])
 @settings(max_examples=200, deadline=None)

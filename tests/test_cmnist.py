@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftspec.analytic import normal_cdf
-from shiftspec.cmnist import (CmnistSpec, cmnist_model_table,
+from shiftspec.cmnist import (DEFAULT_NOISE_SIGMAS, CmnistSpec,
+                              cmnist_model_table,
                               color_classifier_accuracy,
                               digit_classifier_accuracy, generate_cmnist,
                               linear_rule_accuracy)
@@ -223,3 +226,56 @@ def test_model_table_rejects_bad_noise_ladder_before_sampling(sigmas,
         with pytest.raises(InputError, match="noise sigma"):
             cmnist_model_table(CmnistSpec(), 0, (0.8, 0.9), 100, sigmas, 1,
                                seed=0)
+
+
+def _masked_generate_cmnist(spec, env, n, seed):
+    """generate_cmnist as it was spelled, with selects over the flip and
+    color-match masks."""
+    stream = RandomStream(seed)
+    y_true = stream.bernoulli_signs(0.5, size=n)
+    flip = stream.uniform(size=n) < spec.label_noise
+    y = np.where(flip, -y_true, y_true)
+    match = stream.uniform(size=n) < spec.p_e[env]
+    z_e = np.where(match, y, -y)
+    return np.column_stack([y_true, z_e]), y
+
+
+_PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_noise=_PROB, p_e=st.lists(_PROB, min_size=1, max_size=3),
+       n=st.one_of(st.integers(0, 9), st.just(4000)),
+       seed=st.integers(0, 2**63 - 1), data=st.data())
+def test_generate_cmnist_matches_masked_spelling(label_noise, p_e, n, seed,
+                                                 data):
+    spec = CmnistSpec(label_noise=label_noise, p_e=tuple(p_e))
+    env = data.draw(st.integers(0, len(p_e) - 1))
+    ours = generate_cmnist(spec, env, n, seed)
+    x, y = _masked_generate_cmnist(spec, env, n, seed)
+    assert ours.x.tobytes() == x.tobytes() and ours.x.shape == x.shape
+    assert ours.y.tobytes() == y.tobytes()
+
+
+# tracemalloc peak, in bytes, of the default ladder (24 members x 4,000
+# rows) after one warm-up call, as measured before its per-row kernels lost
+# their masked selects: 6,707,483-6,707,707 by what ran before it in the
+# same process, the highest pinned. Each objective evaluation holding two
+# (B, n) arrays keeps it from rising.
+LADDER_PEAK_BYTES = 6_707_707
+
+
+def test_default_ladder_peak_memory_does_not_rise():
+    def ladder():
+        cmnist_model_table(CmnistSpec(label_noise=0.25, p_e=(0.9,)), 0,
+                           (0.8, 0.85, 0.9, 0.95, 0.99), 4000,
+                           DEFAULT_NOISE_SIGMAS, 2, seed=0)
+
+    ladder()  # warm-up: lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        ladder()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LADDER_PEAK_BYTES

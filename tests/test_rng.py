@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftspec.rng import RandomStream, seeded_uniforms
+from shiftspec.rng import RandomStream, seeded_uniforms, uniform_to_signs
 from shiftspec.synthgen import random_shift
 
 # A transform that evaluates log or exp outside its region warns; here that
@@ -57,6 +57,35 @@ def test_bernoulli_signs():
     y = RandomStream(4).bernoulli_signs(0.75, size=100_000)
     assert set(np.unique(y)) == {-1.0, 1.0}
     assert abs(np.mean(y == 1.0) - 0.75) < 0.01
+
+
+def _masked_signs(u, p_plus):
+    """uniform_to_signs as it was spelled, a select over the mask u < p."""
+    return np.where(u < p_plus, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("p_plus", [0.0, 1.0, 0.25, 0.5, 2.0 ** -53,
+                                    1.0 - 2.0 ** -53])
+def test_uniform_to_signs_matches_masked_spelling(p_plus):
+    # u == p_plus is -1; p = 0 gives all -1 and p = 1 all +1 on [0, 1)
+    u = np.concatenate([RandomStream(9).uniform(size=1000),
+                        [0.0, p_plus, np.nextafter(p_plus, 0.0),
+                         np.nextafter(p_plus, 1.0), 1.0 - 2.0 ** -53]])
+    for shape in (u.shape, (5, 201)):
+        signs = uniform_to_signs(u.reshape(shape), p_plus)
+        want = _masked_signs(u.reshape(shape), p_plus)
+        assert signs.dtype == want.dtype and signs.shape == want.shape
+        assert signs.tobytes() == want.tobytes()
+    assert uniform_to_signs(np.array([p_plus]), p_plus).tolist() == [-1.0]
+    assert uniform_to_signs(np.array(0.3), p_plus).shape == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=st.lists(st.floats(0.0, 1.0, exclude_max=True)), p_plus=st.floats(0.0, 1.0))
+def test_uniform_to_signs_matches_masked_spelling_on_any_uniforms(u, p_plus):
+    u = np.array(u + [p_plus], dtype=np.float64)
+    assert (uniform_to_signs(u, p_plus).tobytes()
+            == _masked_signs(u, p_plus).tobytes())
 
 
 # seeds and stream ids that __init__ has to mask to 64 bits, and small ones

@@ -1,14 +1,16 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from shiftspec.core import DomainSpec, LinearShift, MixtureShift, default_spec
-from shiftspec.rng import RandomStream
+from shiftspec.core import (DomainSpec, LinearShift, MixtureShift, default_spec,
+                            psd_cholesky)
+from shiftspec.rng import RandomStream, seeded_generators, uniform_to_normal
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 random_shifts, reflection_shift,
                                 sample_domain, sample_domains)
@@ -116,6 +118,55 @@ def test_sample_domains_member_is_sample_domain(seeds, n, k, l, components):
         data = sample_domain(spec, n, seed)
         assert x[b].tobytes() == data.x.tobytes()
         assert y[b].tobytes() == data.y.tobytes()
+
+
+def _strided_sample_domains(spec, n, seeds):
+    """sample_domains as it was spelled: labels by a select over u < prior,
+    and each block written as y mean + noise into its strided columns."""
+    chol_c = psd_cholesky(spec.sigma_c, "sigma_c")
+    matrices = spec.shift.matrices(spec.l)
+    means = [m @ spec.mu_e for m in matrices]
+    chols = [psd_cholesky(m @ spec.sigma_e @ m.T, "shifted sigma_e")
+             for m in matrices]
+    cum = np.cumsum(spec.shift.weights())
+    k, l = spec.k, spec.l
+    mixture = len(matrices) > 1
+    x = np.empty((len(seeds), n, k + l))
+    y = np.empty((len(seeds), n))
+    for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
+        yb[...] = np.where(gen.random(size=n) < spec.label_prior, 1.0, -1.0)
+        np.add(yb[:, None] * spec.mu_c,
+               uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T,
+               out=xb[:, :k])
+        if mixture:
+            comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
+                                              side="right"),
+                              len(matrices) - 1)
+        noise = uniform_to_normal(gen.random(size=(n, l)))
+        z_e = xb[:, k:]
+        for j in range(len(matrices)):
+            rows = comp == j if mixture else slice(None)
+            z_e[rows] = (yb[rows, None] * means[j]
+                         + noise[rows] @ chols[j].T)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+       n=st.one_of(st.integers(1, 40), st.just(3000)), k=st.integers(1, 3),
+       l=st.integers(1, 3), components=st.integers(0, 3),
+       prior=st.sampled_from([0.5, 0.3, 0.9]))
+@example(seeds=[3, 2**64 - 1], n=3000, k=2, l=2, components=1, prior=0.5)
+@example(seeds=[3, 2**64 - 1], n=3000, k=2, l=2, components=3, prior=0.5)
+def test_sample_domains_matches_strided_spelling(seeds, n, k, l, components,
+                                                 prior):
+    # linear (0-1 components) and mixture (2-3) ID shifts
+    spec = replace(default_spec(k, l).with_shift(_id_shift(l, components)),
+                   label_prior=prior)
+    x, y = sample_domains(spec, n, seeds)
+    want_x, want_y = _strided_sample_domains(spec, n, seeds)
+    assert x.tobytes() == want_x.tobytes()
+    assert y.tobytes() == want_y.tobytes()
 
 
 class TestRandomShift:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftspec.analytic import row_dot
 from shiftspec.core import Dataset, LinearClassifier, Mask, default_spec
 from shiftspec.synthgen import sample_domain
 from shiftspec import trainer
@@ -36,10 +37,17 @@ class TestFitLogistic:
         spec = default_spec()
         train = sample_domain(spec, 10_000, seed=0)
         heldout = sample_domain(spec, 10_000, seed=100_000)
-        risks = tuple(evaluate_risk(fit_logistic(train, mask, l2=1e-3),
-                                    heldout, 1e-3)
-                      for mask in (Mask.FULL, Mask.DOMAIN_GENERAL))
-        assert risks == (0.0707038165107983, 0.20935500651767205)
+        models = [fit_logistic(train, mask, l2=1e-3)
+                  for mask in (Mask.FULL, Mask.DOMAIN_GENERAL)]
+        risks = tuple(evaluate_risk(m, heldout, 1e-3) for m in models)
+        assert risks == (0.0707038165107983, 0.209355006517672)
+        # np.logaddexp's loss, which evaluate_risk used before it shared the
+        # Newton loop's SIMD loss, lands within a few ulp
+        for model, risk in zip(models, risks):
+            margins = heldout.y * model.score(heldout.x)
+            old = float(np.mean(np.logaddexp(0.0, -margins))
+                        + 0.5 * 1e-3 * float(model.w @ model.w))
+            assert abs(risk - old) <= 4 * math.ulp(old)
 
     def test_lemma1_weights_pinned(self):
         # criterion 8's seeds 0-19: both fits' weights, pinned by digest
@@ -107,7 +115,8 @@ def test_logistic_losses_equal_logaddexp_at_special_margins():
         expected = np.logaddexp(0.0, -margins)
     losses = trainer._logistic_losses(margins)
     assert losses.tobytes() == expected.tobytes()
-    assert margins.tobytes() == np.array(SPECIAL_MARGINS).tobytes()
+    # margins is documented to come back as min(m, 0)
+    assert margins.tobytes() == np.minimum(SPECIAL_MARGINS, 0.0).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,6 +129,109 @@ def test_logistic_losses_within_4_ulp_of_logaddexp(margins):
     with np.errstate(over="ignore"):  # the largest double has no next one
         ulp = np.spacing(expected)
     assert np.all(error <= 4 * ulp)
+
+
+def _masked_objective_grad_sigmoid(w, x, y, penalty):
+    """_objective_grad_sigmoid as it was spelled with a masked subtract
+    (where=margins < 0) and margins kept from the loss to the sigmoid."""
+    margins = (x @ w[..., None])[..., 0]
+    margins *= y
+    buf = np.abs(margins)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    np.log1p(buf, out=buf)
+    np.subtract(buf, margins, out=buf, where=margins < 0.0)
+    loss = np.mean(buf, axis=-1)
+    sig = np.multiply(margins, 0.5, out=buf)
+    np.tanh(sig, out=sig)
+    np.subtract(1.0, sig, out=sig)
+    sig *= 0.5
+    y_sig = np.multiply(y, sig, out=margins)
+    grad = (-(x.swapaxes(-1, -2) @ y_sig[..., None])[..., 0]
+            / y.shape[-1] + penalty * w)
+    return loss + 0.5 * row_dot(penalty, w * w), grad, sig
+
+
+def _assert_same_bits(ours, reference):
+    """Equal bit patterns off nan, signed zeros included; nan where nan."""
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert ours.shape == reference.shape
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert ours[~nan].tobytes() == reference[~nan].tobytes()
+
+
+def _assert_objective_matches_masked_spelling(w, x, y, penalty):
+    with np.errstate(all="ignore"):
+        ours = trainer._objective_grad_sigmoid(w, x, y, penalty)
+        want = _masked_objective_grad_sigmoid(w, x, y, penalty)
+    for a, b in zip(ours, want):
+        _assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("y_sign", [1.0, -1.0])
+def test_objective_matches_masked_spelling_at_special_margins(y_sign):
+    # x @ [1] is x, so the margins are SPECIAL_MARGINS times y_sign: signed
+    # zeros, +-inf, nan and +-1e300 among them
+    margins = np.array(SPECIAL_MARGINS + [1e300, -1e300, 0.5, -0.5])
+    x = margins[:, None]
+    y = np.where(np.arange(len(margins)) % 2 == 0, y_sign, -y_sign)
+    _assert_objective_matches_masked_spelling(np.ones(1), x, y, np.full(1, 1e-3))
+    # as a stack of two members with different weights
+    xs = np.stack([np.hstack([x, x[::-1]])] * 2)
+    ws = np.array([[1.0, 0.0], [-0.5, 2.0]])
+    _assert_objective_matches_masked_spelling(ws, xs, np.stack([y, -y]),
+                                              np.full((2, 2), 1e-3))
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(1, 3), n=st.integers(1, 30), d=st.integers(1, 4),
+       data=st.data())
+def test_objective_matches_masked_spelling(b, n, d, data):
+    arrays = st.lists(_FINITE, min_size=b * n * d, max_size=b * n * d)
+    x = np.array(data.draw(arrays)).reshape(b, n, d)
+    w = np.array(data.draw(st.lists(_FINITE, min_size=b * d,
+                                    max_size=b * d))).reshape(b, d)
+    y = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                    min_size=b * n, max_size=b * n)))
+    _assert_objective_matches_masked_spelling(w, x, y.reshape(b, n),
+                                              np.full((b, d), 1e-3))
+    _assert_objective_matches_masked_spelling(w[0], x[0], y[:n],
+                                              np.full(d, 1e-3))
+
+
+def _broadcast_newton_direction(x, ridge, grad, sig):
+    """_newton_direction as it was spelled, with the Hessian's product
+    curv x as a broadcast over the short last axis."""
+    curv = sig * (1.0 - sig)
+    hess = x.swapaxes(1, 2) @ (curv[..., None] * x) / x.shape[1] + ridge
+    chol = trainer._cholesky(hess)
+    direction = -np.linalg.solve(chol.swapaxes(1, 2),
+                                 np.linalg.solve(chol, grad[..., None]))[..., 0]
+    slope = row_dot(grad, direction)
+    uphill = ~(slope < 0.0)
+    if np.count_nonzero(uphill):
+        direction[uphill] = -grad[uphill]
+        slope = row_dot(grad, direction)
+    return direction, slope
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), n=st.sampled_from([1, 7, 4000]),
+       d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_newton_direction_matches_broadcast_spelling(b, n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, n, d)) * 10.0 ** rng.uniform(-3, 3, (b, n, 1))
+    sig = rng.random((b, n))
+    grad = rng.standard_normal((b, d))
+    ridge = 1e-3 * np.eye(d) * np.ones((b, 1, 1))
+    want = _broadcast_newton_direction(x, ridge, grad, sig.copy())
+    ours = trainer._newton_direction(x, ridge, grad, sig)
+    for a, w in zip(ours, want):
+        assert a.tobytes() == w.tobytes()
 
 
 def test_nan_margin_diverges_without_runtime_warning():
