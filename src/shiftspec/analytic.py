@@ -31,6 +31,19 @@ spelled as exact arithmetic. Nor does a kernel broadcast over a short last
 axis, which runs numpy's inner loop a few elements at a time: the
 Newton loop's curv[..., None] * x over (24, 4000, 2) took 0.92 ms against
 0.52 ms filled column by column.
+
+normal_quantile transforms an array of more than _QUANTILE_BLOCK (8,192)
+entries in equal blocks of at most that many, each through the same
+kernel, so every element gets the same operations and the bits do not
+depend on the blocking. A block's temporaries then stay in cache: on the
+same machine one call over 54k uniforms (the zero-measure family's noise)
+took 72 ns per element unblocked and 57 ns in blocks, and 85 against
+54 ns at 192k. At 20k (lemma 1's samples) the three blocks cost about 3%
+more than one pass in a loop of quantile calls alone, yet a whole lemma-1
+seed (two 10,000-row samples and two fits) took 12.1 ms with them against
+13.1 ms without. Below the constant nothing changes (45 ns per element at
+8k, 77 ns at 2k, where the call's fixed cost shows). Blocks of 16,384
+gained nothing at 54k.
 """
 
 from __future__ import annotations
@@ -83,6 +96,8 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
           2.445134137142996e+00, 3.754408661907416e+00)
 _ACK_LOW = 0.02425
+
+_QUANTILE_BLOCK = 8192  # largest array normal_quantile transforms in one pass
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,27 +232,8 @@ def _acklam(p: np.ndarray) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-def normal_quantile(p) -> np.ndarray | float:
-    """Standard normal quantile; p outside (0,1) maps to +-inf, nan to nan.
-
-    Acklam's approximation and one Halley step against normal_cdf refine
-    the lower-tail probability t = min(p, 1 - p), which is exact for
-    p >= 0.5; the result is negated where p > 0.5. Refining p itself would
-    leave the upper tail at Acklam's 1e-9, since normal_cdf(x) - p cannot
-    be resolved where normal_cdf(x) is near 1. Against scipy's ndtri the
-    relative error is at most 4.4e-16 at p = 1 - 10^-k (k = 1..15) and
-    p = 1 - 2^-j (j = 2..53), and the absolute error at most 1.8e-15 over
-    1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
-    holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
-    is skipped and Acklam's start, within 1.8e-9 relative, is returned.
-
-    The step runs in place over the whole array, and the entries with
-    p > 0.5 are negated through their indices. Entries with p outside
-    (0, 1) or nan are looked up only when the smallest t shows one; they
-    are refined as t = 0.5 and overwritten at the end.
-    """
-    p_arr = np.asarray(p, dtype=np.float64)
-    pf = p_arr.ravel()
+def _quantile_block(pf: np.ndarray) -> np.ndarray:
+    """normal_quantile of a 1-d array, in one pass."""
     t = 1.0 - pf
     np.minimum(pf, t, out=t)  # t > 0 exactly where 0 < p < 1
     t_min = t.min(initial=1.0)
@@ -274,6 +270,40 @@ def normal_quantile(p) -> np.ndarray | float:
         po = pf.take(outside)
         x[outside] = np.where(po <= 0.0, -np.inf,
                               np.where(po >= 1.0, np.inf, np.nan))
+    return x
+
+
+def normal_quantile(p) -> np.ndarray | float:
+    """Standard normal quantile; p outside (0,1) maps to +-inf, nan to nan.
+
+    Acklam's approximation and one Halley step against normal_cdf refine
+    the lower-tail probability t = min(p, 1 - p), which is exact for
+    p >= 0.5; the result is negated where p > 0.5. Refining p itself would
+    leave the upper tail at Acklam's 1e-9, since normal_cdf(x) - p cannot
+    be resolved where normal_cdf(x) is near 1. Against scipy's ndtri the
+    relative error is at most 4.4e-16 at p = 1 - 10^-k (k = 1..15) and
+    p = 1 - 2^-j (j = 2..53), and the absolute error at most 1.8e-15 over
+    1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
+    holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
+    is skipped and Acklam's start, within 1.8e-9 relative, is returned.
+
+    An array of more than _QUANTILE_BLOCK entries runs in equal blocks of
+    at most that many (see the module docstring), with the same bits. In
+    each block the step runs in place, and the entries with p > 0.5 are
+    negated through their indices. Entries with p outside (0, 1) or nan
+    are looked up only when the block's smallest t shows one; they are
+    refined as t = 0.5 and overwritten at the end.
+    """
+    p_arr = np.asarray(p, dtype=np.float64)
+    pf = p_arr.ravel()
+    if pf.size <= _QUANTILE_BLOCK:
+        x = _quantile_block(pf)
+    else:
+        x = np.empty_like(pf)
+        blocks = -(-pf.size // _QUANTILE_BLOCK)
+        for part, dest in zip(np.array_split(pf, blocks),
+                              np.array_split(x, blocks)):
+            dest[...] = _quantile_block(part)
     return float(x[0]) if p_arr.ndim == 0 else x.reshape(p_arr.shape)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import normal_cdf
 from .core import Dataset, InputError, Mask
 from .ingest import AccuracyTable, TableRow
-from .rng import RandomStream
+from .rng import RandomStream, _rekey, uniform_to_normal
 from .trainer import DEFAULT_L2, fit_logistic_stack, ridge_penalty
 
 DEFAULT_ENV_P = (0.1, 0.2, 0.9)
@@ -126,7 +126,9 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     models of varying capacity. The ladder is one stack: every member is
     drawn by generate_cmnist into one (members, n_train, 2) array, fit by
     one fit_logistic_stack call and scored by one linear_rule_accuracy
-    call, with the bits of fitting and scoring each member alone. Env
+    call, with the bits of fitting and scoring each member alone. Member
+    t's feature noise is RandomStream(seed * 1_000_003 + t, stream_id=1)'s
+    standard normals, drawn from one generator re-keyed per member. Env
     columns are the held-out training environment followed by one column
     per test-grid probability p, named ``p_{p:g}``; two grid values that
     give the same name are an InputError, and so are an empty noise ladder
@@ -153,11 +155,13 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     sigmas = [sigma for sigma in noise_sigmas for _ in range(seeds_per_sigma)]
     x = np.empty((len(sigmas), n_train, 2))
     y = np.empty((len(sigmas), n_train))
+    noise_gen = np.random.Generator(np.random.Philox(0))
     for task, sigma in enumerate(sigmas):
         data = generate_cmnist(spec, train_env, n_train, seed * 1_000_003 + task)
-        noise_stream = RandomStream(seed * 1_000_003 + task, stream_id=1)
-        np.add(data.x, sigma * noise_stream.standard_normal(size=data.x.shape),
-               out=x[task])
+        # as RandomStream(seed * 1_000_003 + task, stream_id=1).standard_normal
+        _rekey(noise_gen, seed * 1_000_003 + task, 1)
+        np.add(data.x, sigma * uniform_to_normal(
+            noise_gen.random(size=data.x.shape)), out=x[task])
         y[task] = data.y
     penalty = np.tile(ridge_penalty(1, 1, Mask.FULL, DEFAULT_L2), (len(sigmas), 1))
     w = fit_logistic_stack(x, y, penalty)

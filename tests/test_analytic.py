@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,6 +410,73 @@ class TestQuantilePinnedToMaskedSpelling:
 def test_normal_quantile_matches_masked_spelling(p):
     p = np.array(p, dtype=np.float64)
     _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+
+
+_BLOCK = analytic._QUANTILE_BLOCK
+_SPECIALS = np.array([np.nan, 0.0, 1.0, 2.0 ** -1074, 1.0 - 2.0 ** -53])
+
+
+class TestQuantileBlocks:
+    """An array of more than _QUANTILE_BLOCK entries is transformed in equal
+    blocks of at most that many, with the bits of one unblocked call: the
+    masked spelling above runs as one block."""
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      4 * _BLOCK + 1])
+    def test_block_boundaries(self, size):
+        p = _UNIFORMS[:size]
+        _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK + 1, 4 * _BLOCK + 1])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_special_values_in_one_block(self, size, at):
+        p = _UNIFORMS[:size].copy()
+        start = {"first": 0, "middle": size // 2,
+                 "last": size - len(_SPECIALS)}[at]
+        p[start:start + len(_SPECIALS)] = _SPECIALS
+        _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+
+    @pytest.mark.parametrize("p", [
+        np.array(0.3), np.array(np.nan),
+        _UNIFORMS[:3 * (_BLOCK + 1)].reshape(3, _BLOCK + 1),
+        _UNIFORMS[:4 * _BLOCK + 2].reshape(2, -1)[:, ::2],  # not contiguous
+    ], ids=["0d", "0d_nan", "2d", "2d_strided"])
+    def test_shapes(self, p):
+        ours = analytic.normal_quantile(p)
+        want = _masked_normal_quantile(p)
+        if p.ndim == 0:
+            assert type(ours) is float and type(want) is float
+        _assert_same_bits(ours, want)
+
+    @pytest.mark.parametrize("size, blocks", [
+        (1, [1]), (_BLOCK, [_BLOCK]), (_BLOCK + 1, [_BLOCK // 2 + 1, _BLOCK // 2]),
+        (4 * _BLOCK + 1, [6554] * 4 + [6553])])
+    def test_blocks_are_equal_and_at_most_the_constant(self, size, blocks,
+                                                       monkeypatch):
+        seen = []
+        kernel = analytic._quantile_block
+
+        def spy(pf):
+            seen.append(pf.size)
+            return kernel(pf)
+
+        monkeypatch.setattr(analytic, "_quantile_block", spy)
+        analytic.normal_quantile(_UNIFORMS[:size])
+        assert seen == blocks and max(seen) <= _BLOCK
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.one_of(st.floats(0.0, 1.0),
+                            st.sampled_from(_SPECIALS.tolist()),
+                            _ANY_FLOAT), max_size=40),
+       block=st.integers(1, 9))
+def test_normal_quantile_in_small_blocks_matches_one_block(p, block):
+    # a small block constant puts every block boundary and special value
+    # in reach of short lists
+    p = np.array(p, dtype=np.float64)
+    with mock.patch.object(analytic, "_QUANTILE_BLOCK", block):
+        ours = analytic.normal_quantile(p)
+    _assert_same_bits(ours, _masked_normal_quantile(p))
 
 
 @pytest.mark.parametrize("name, reference", [

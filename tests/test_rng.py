@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftspec.rng import RandomStream, seeded_uniforms, uniform_to_signs
+from shiftspec.analytic import normal_quantile
+from shiftspec.rng import (RandomStream, seeded_generators, seeded_uniforms,
+                           uniform_to_normal, uniform_to_signs)
 from shiftspec.synthgen import random_shift
 
 # A transform that evaluates log or exp outside its region warns; here that
@@ -130,3 +132,51 @@ def test_seeded_uniforms_match_random_shift(seeds, l, scale):
     assert mats.shape == (len(seeds), l, l)
     for mat, seed in zip(mats, seeds):
         assert mat.tobytes() == random_shift(l, scale, seed).tobytes()
+
+
+def _per_row_seeded_uniforms(seeds, low, high, shape):
+    """seeded_uniforms as it was spelled: each row drawn and scaled by
+    itself (shape must not be ())."""
+    out = np.empty((len(seeds),) + tuple(shape))
+    for row, gen in zip(out, seeded_generators(seeds)):
+        u = gen.random(size=shape, dtype=np.float64)
+        row[...] = low + (high - low) * u
+    return out
+
+
+_RANGES = [(0.0, 1.0), (-2.0, 2.0), (-1e300, 1e300), (1e-300, 3e-300),
+           (5e-324, 1e-322), (-3.0, -2.5), (2.5, 2.5), (1.0, -1.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(_KEY, max_size=6),
+       low_high=st.one_of(st.sampled_from(_RANGES),
+                          st.tuples(st.floats(-1e300, 1e300),
+                                    st.floats(-1e300, 1e300))),
+       shape=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_seeded_uniforms_match_per_row_spelling(seeds, low_high, shape):
+    low, high = low_high
+    ours = seeded_uniforms(seeds, low, high, tuple(shape))
+    want = _per_row_seeded_uniforms(seeds, low, high, tuple(shape))
+    assert ours.shape == want.shape
+    assert ours.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("low, high", _RANGES)
+def test_seeded_uniforms_of_scalar_shape(low, high):
+    ours = seeded_uniforms([3, 2**64 - 1], low, high, ())
+    assert ours.shape == (2,)
+    for got, seed in zip(ours, [3, 2**64 - 1]):
+        want = RandomStream(seed).uniform(low, high, size=())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5])),
+                  max_size=30))
+def test_uniform_to_normal_clips_its_buffer_in_place(u):
+    u = np.array(u, dtype=np.float64)
+    clipped = np.maximum(u, 2.0**-53)
+    buf = u.copy()
+    assert uniform_to_normal(buf).tobytes() == normal_quantile(clipped).tobytes()
+    assert buf.tobytes() == clipped.tobytes()

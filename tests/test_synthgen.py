@@ -10,7 +10,8 @@ from scipy import stats
 
 from shiftspec.core import (DomainSpec, LinearShift, MixtureShift, default_spec,
                             psd_cholesky)
-from shiftspec.rng import RandomStream, seeded_generators, uniform_to_normal
+from shiftspec.rng import (RandomStream, seeded_generators, uniform_to_normal,
+                           uniform_to_signs)
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 random_shifts, reflection_shift,
                                 sample_domain, sample_domains)
@@ -165,6 +166,65 @@ def test_sample_domains_matches_strided_spelling(seeds, n, k, l, components,
                    label_prior=prior)
     x, y = sample_domains(spec, n, seeds)
     want_x, want_y = _strided_sample_domains(spec, n, seeds)
+    assert x.tobytes() == want_x.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+
+
+def _per_member_sample_domains(spec, n, seeds):
+    """sample_domains as it was spelled before it drew the whole stack first:
+    each member drawn part by part and transformed straight into its row."""
+    chol_c = psd_cholesky(spec.sigma_c, "sigma_c")
+    matrices = spec.shift.matrices(spec.l)
+    chols = [psd_cholesky(m @ spec.sigma_e @ m.T, "shifted sigma_e")
+             for m in matrices]
+    cum = np.cumsum(spec.shift.weights())
+    means = np.hstack([np.tile(spec.mu_c, (len(matrices), 1)),
+                       [m @ spec.mu_e for m in matrices]])
+    signed_means = np.stack([-means, means], axis=1).reshape(2 * len(means), -1)
+    k, l = spec.k, spec.l
+    mixture = len(matrices) > 1
+    x = np.empty((len(seeds), n, k + l))
+    y = np.empty((len(seeds), n))
+    for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
+        yb[...] = uniform_to_signs(gen.random(size=n), spec.label_prior)
+        noise_c = uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T
+        if mixture:
+            comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
+                                              side="right"),
+                              len(matrices) - 1)
+        noise_e = uniform_to_normal(gen.random(size=(n, l)))
+        mean_row = (yb > 0.0).astype(np.intp)
+        if mixture:
+            for j in range(len(matrices)):
+                rows = np.flatnonzero(comp == j)
+                noise_e[rows] = noise_e[rows] @ chols[j].T
+            mean_row += 2 * comp
+        else:
+            noise_e = noise_e @ chols[0].T
+        np.concatenate((noise_c, noise_e), axis=1, out=xb)
+        xb += signed_means.take(mean_row, axis=0)
+    return x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(st.integers(-2**70, 2**70), max_size=4),
+       n=st.one_of(st.integers(1, 40), st.just(2500)), k=st.integers(1, 3),
+       l=st.integers(1, 3), components=st.integers(0, 3),
+       prior=st.sampled_from([0.5, 0.3, 0.9]))
+@example(seeds=[-1, 2**64 + 7], n=1, k=1, l=2, components=2, prior=0.5)
+@example(seeds=[0, 0], n=1, k=1, l=2, components=2, prior=0.5)
+@example(seeds=[-1, 2**64 + 7, 5], n=3000, k=2, l=2, components=0, prior=0.5)
+@example(seeds=[7] * 9, n=1000, k=2, l=2, components=3, prior=0.5)
+def test_sample_domains_matches_per_member_spelling(seeds, n, k, l, components,
+                                                    prior):
+    # identity (0 components), linear (1) and mixture (2-3) ID shifts; seeds
+    # outside [0, 2^64) are masked; the stacks of the n = 1000 and
+    # n = 3000 examples span several quantile blocks
+    spec = replace(default_spec(k, l).with_shift(_id_shift(l, components)),
+                   label_prior=prior)
+    x, y = sample_domains(spec, n, seeds)
+    want_x, want_y = _per_member_sample_domains(spec, n, seeds)
+    assert x.shape == want_x.shape and y.shape == want_y.shape
     assert x.tobytes() == want_x.tobytes()
     assert y.tobytes() == want_y.tobytes()
 
