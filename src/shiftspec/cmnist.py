@@ -5,8 +5,9 @@ coordinate equal to the true label and a color coordinate that matches the
 noisy observed label with per-environment probability p_e. Color-based
 prediction therefore scores exactly p_e while digit-based prediction tops
 out at 1 - label_noise. The model ladder is one stack: its members are
-sampled one at a time into one array, fit by one damped-Newton loop and
-scored by one closed-form call, each with the bits of its lone fit.
+sampled by one stacked draw (rng's draw rule), fit by one damped-Newton
+loop and scored by one closed-form call, each with the bits of its lone
+fit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .analytic import normal_cdf
 from .core import Dataset, InputError, Mask
 from .ingest import AccuracyTable, TableRow
-from .rng import RandomStream, _rekey, uniform_to_normal
+from .rng import seeded_draws, uniform_to_normal, uniform_to_signs
 from .trainer import DEFAULT_L2, fit_logistic_stack, ridge_penalty
 
 DEFAULT_ENV_P = (0.1, 0.2, 0.9)
@@ -47,19 +48,36 @@ class CmnistSpec:
 
 def generate_cmnist(spec: CmnistSpec, env: int, n: int, seed: int) -> Dataset:
     """Sample the two-factor mechanism: digit = true label, color = noisy label
-    match with probability p_e[env]."""
+    match with probability p_e[env]; the one-seed case of
+    generate_cmnist_stack."""
+    x, y = generate_cmnist_stack(spec, env, n, [seed])
+    return Dataset(x=x[0], y=y[0], k=1, l=1)
+
+
+def generate_cmnist_stack(spec: CmnistSpec, env: int, n: int,
+                          seeds) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n, 2) features and (B, n) labels, member b being
+    generate_cmnist(spec, env, n, seeds[b]).
+
+    Member b reads RandomStream(seeds[b])'s uniforms in this order: n true
+    labels, n label flips, n color matches, one seeded_draws part each (see
+    rng). Each part is then made into signs once over the stack, and each
+    uniform buffer dropped once transformed.
+    """
     if not 0 <= env < spec.n_envs:
         raise ValueError(f"env must be in [0, {spec.n_envs})")
-    stream = RandomStream(seed)
-    y_true = stream.bernoulli_signs(0.5, size=n)
+    u_true, u_flip, u_match = seeded_draws(seeds, [(n,)] * 3)
+    y_true = uniform_to_signs(u_true, 0.5)
+    del u_true
     # products of ±1 signs are exact: y = -y_true where the label flips
     # (u < label_noise), and z_e = y where the color matches (u < p_e)
-    y = stream.bernoulli_signs(spec.label_noise, size=n)
+    y = uniform_to_signs(u_flip, spec.label_noise)
+    del u_flip
     y *= -y_true
-    z_e = stream.bernoulli_signs(spec.p_e[env], size=n)
+    z_e = uniform_to_signs(u_match, spec.p_e[env])
+    del u_match
     z_e *= y
-    x = np.column_stack([y_true, z_e])
-    return Dataset(x=x, y=y, k=1, l=1)
+    return np.stack([y_true, z_e], axis=-1), y
 
 
 def color_classifier_accuracy(p_e_test: float, polarity: int = 1) -> float:
@@ -123,12 +141,14 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     Each model trains on feature-noised samples of the training environment
     (its pipeline keeps the same noise at evaluation), giving a family whose
     held-out ID accuracy spans the whole quality range, like checkpoints of
-    models of varying capacity. The ladder is one stack: every member is
-    drawn by generate_cmnist into one (members, n_train, 2) array, fit by
-    one fit_logistic_stack call and scored by one linear_rule_accuracy
-    call, with the bits of fitting and scoring each member alone. Member
-    t's feature noise is RandomStream(seed * 1_000_003 + t, stream_id=1)'s
-    standard normals, drawn from one generator re-keyed per member. Env
+    models of varying capacity. The ladder is one stack: member t is
+    generate_cmnist(spec, train_env, n_train, seed * 1_000_003 + t), all
+    drawn by one generate_cmnist_stack call, fit by one fit_logistic_stack
+    call and scored by one linear_rule_accuracy call, with the bits of
+    fitting and scoring each member alone. Member t's feature noise is
+    RandomStream(seed * 1_000_003 + t, stream_id=1)'s standard normals,
+    one stream-1 seeded_draws part made normal once and scaled by each
+    member's sigma in place. Env
     columns are the held-out training environment followed by one column
     per test-grid probability p, named ``p_{p:g}``; two grid values that
     give the same name are an InputError, and so are an empty noise ladder
@@ -153,16 +173,13 @@ def cmnist_model_table(spec: CmnistSpec, train_env: int,
     p_train = spec.p_e[train_env]
 
     sigmas = [sigma for sigma in noise_sigmas for _ in range(seeds_per_sigma)]
-    x = np.empty((len(sigmas), n_train, 2))
-    y = np.empty((len(sigmas), n_train))
-    noise_gen = np.random.Generator(np.random.Philox(0))
-    for task, sigma in enumerate(sigmas):
-        data = generate_cmnist(spec, train_env, n_train, seed * 1_000_003 + task)
-        # as RandomStream(seed * 1_000_003 + task, stream_id=1).standard_normal
-        _rekey(noise_gen, seed * 1_000_003 + task, 1)
-        np.add(data.x, sigma * uniform_to_normal(
-            noise_gen.random(size=data.x.shape)), out=x[task])
-        y[task] = data.y
+    seeds = [seed * 1_000_003 + task for task in range(len(sigmas))]
+    x, y = generate_cmnist_stack(spec, train_env, n_train, seeds)
+    (noise,) = seeded_draws(seeds, [(n_train, 2)], stream_id=1)
+    noise = uniform_to_normal(noise)
+    noise *= np.array(sigmas)[:, None, None]
+    x += noise
+    del noise
     penalty = np.tile(ridge_penalty(1, 1, Mask.FULL, DEFAULT_L2), (len(sigmas), 1))
     w = fit_logistic_stack(x, y, penalty)
     accs = linear_rule_accuracy(w[:, 0], w[:, 1], spec.label_noise,

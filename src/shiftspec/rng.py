@@ -7,18 +7,18 @@ normals, integers, and simplex weights are documented transforms of that
 uniform stream, which keeps the byte-level output independent of library
 internals for non-uniform distributions.
 
-`RandomStream.substream_uniform` gives the uniforms of many substreams
-without building one generator each: it re-keys a single cached Philox
-generator to (seed, substream id) with its counter at zero, which is the
-state a fresh `substream` starts from, so the doubles are the same. The
-cached generator makes a `RandomStream` unsafe to share between threads.
-`seeded_generators` does the same for many seeds at stream id 0, with one
-generator per call; `seeded_uniforms` and `synthgen.sample_domains` draw
-through it. `seeded_uniforms` has each generator write straight into its
-row of the stack, then scales the whole stack once, in place: u (high -
-low) + low rounds as RandomStream.uniform's low + (high - low) u, since *
-and + commute exactly. 500 trials of 2 x 2 draws took 1.7 -> 0.9 ms (best
-of 40), as the per-row arithmetic over 4-element rows is gone.
+The draw rule: a sampler of many seeds draws, then transforms. One
+`seeded_draws` call fills one stacked buffer per part, member b's row of
+each part holding, part after part, the next uniforms of
+``RandomStream(seeds[b], stream_id)``; the sampler then runs each
+transform once over the whole stack, which gives every member the bits of
+its own draw, as the transforms are elementwise. The rows come from one
+Philox generator re-keyed per member (`_rekey`), not one `RandomStream`
+each; `RandomStream.substream_uniform` re-keys the same way per substream,
+and its cached generator makes a `RandomStream` unsafe to share between
+threads. A stack scaled in place to [low, high), u (high - low) + low,
+rounds as RandomStream.uniform's low + (high - low) u, since * and +
+commute exactly.
 
 The transforms make no masked select over a data-dependent mask (see
 analytic): ±1 signs are 2 [u < p] - 1 in exact arithmetic, 0.9 ns per
@@ -26,8 +26,6 @@ element where np.where over the random mask u < p took 4.1 ns.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -78,27 +76,18 @@ def _rekey(gen: np.random.Generator, seed: int,
     return gen
 
 
-def seeded_generators(seeds):
-    """For each seed s in turn, a generator in the state of
-    ``RandomStream(s)``'s: one Philox generator, re-keyed per seed (see
-    `_rekey`), so each yielded generator is valid until the next one."""
+def seeded_draws(seeds, shapes, stream_id: int = 0) -> tuple[np.ndarray, ...]:
+    """One (len(seeds),) + shape stack of uniforms on [0, 1) per shape, by
+    the draw rule (see the module docstring): row b of the parts, part after
+    part, holds ``RandomStream(seeds[b], stream_id).uniform(size=shape)``'s
+    successive draws."""
+    parts = tuple(np.empty((len(seeds),) + tuple(shape)) for shape in shapes)
     gen = np.random.Generator(np.random.Philox(0))
-    for seed in seeds:
-        yield _rekey(gen, seed, 0)
-
-
-def seeded_uniforms(seeds, low: float, high: float,
-                    shape: tuple[int, ...]) -> np.ndarray:
-    """Stack of ``RandomStream(s).uniform(low, high, shape)`` over seeds s,
-    drawn through `seeded_generators` (see the module docstring)."""
-    out = np.empty((len(seeds),) + tuple(shape))
-    for row, gen in zip(out.reshape(len(seeds), math.prod(shape)),
-                        seeded_generators(seeds)):
-        gen.random(out=row)
-    # low + (high - low) u, as RandomStream.uniform: * and + commute exactly
-    out *= high - low
-    out += low
-    return out
+    for b, seed in enumerate(seeds):
+        _rekey(gen, seed, stream_id)
+        for part in parts:
+            gen.random(out=part[b, ...])
+    return parts
 
 
 class RandomStream:

@@ -4,17 +4,11 @@ Sampling follows the generative block: y ~ Bernoulli(label_prior) mapped to
 ±1, z_c ~ N(y mu_c, sigma_c), and z_e ~ N(y M mu_e, M sigma_e M') under a
 linear shift M (component drawn per weights for mixtures). All draws come
 from counter-based streams keyed by the caller's seed; sample_domains draws
-many seeds' domains as one stack.
-
-sample_domains draws, then transforms once: it fills every member's
-uniforms into stacked buffers, each member in its stream's order, and then
-runs each per-row transform (signs, normal quantile, Cholesky product,
-mean gather) once over the whole stack. A mixture's per-component row
-gather stays per member, as a gathered (rows, l) @ (l, l) product rounds
-with its row count. For the zero-measure family (27 members of 1,000 rows)
-this took 10.1 -> 8.1 ms (best of 40), as the quantile then runs in
-cache-sized blocks of the stack (see analytic) rather than 54 calls of
-2,000 entries.
+many seeds' domains as one stack, by rng's draw rule (one seeded_draws call,
+then each per-row transform -- signs, normal quantile, Cholesky product,
+mean gather -- once over the stack). A mixture's per-component row gather
+stays per member, as a gathered (rows, l) @ (l, l) product rounds with its
+row count.
 
 As in every per-row kernel of the package (see analytic), sampling makes
 no masked select over a data-dependent mask and no write or broadcast
@@ -30,8 +24,8 @@ import numpy as np
 
 from .core import (Dataset, DomainSpec, InputError, MixtureShift,
                    psd_cholesky, validate_spec)
-from .rng import (RandomStream, seeded_generators, seeded_uniforms,
-                  uniform_to_normal, uniform_to_signs)
+from .rng import (RandomStream, seeded_draws, uniform_to_normal,
+                  uniform_to_signs)
 
 
 def sample_domain(spec: DomainSpec, n: int, seed: int) -> Dataset:
@@ -47,12 +41,12 @@ def sample_domains(spec: DomainSpec, n: int,
     seed: member b is sample_domain(spec, n, seeds[b]).
 
     The spec is checked and each component's Cholesky factor taken once.
-    Member b reads the uniform stream of RandomStream(seeds[b]) through one
-    re-keyed generator, in this order: n labels, n x k stable noise, n
-    mixture-component draws (mixtures only), n x l spurious noise, each
-    into member b's row of one stacked buffer per part. Each part is then
-    transformed once over the stack, and each uniform buffer dropped once
-    transformed (the normal parts are clipped in place).
+    Member b reads the uniform stream of RandomStream(seeds[b]) in this
+    order: n labels, n x k stable noise, n mixture-component draws
+    (mixtures only), n x l spurious noise, one seeded_draws part each (see
+    rng). Each part is then transformed once over the stack, and each
+    uniform buffer dropped once transformed (the normal parts are clipped
+    in place).
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
@@ -79,17 +73,8 @@ def sample_domains(spec: DomainSpec, n: int,
 
     k, l = spec.k, spec.l
     mixture = len(matrices) > 1
-    # draw: member b's uniforms, in its stream's order, into row b of each part
-    u_y = np.empty((len(seeds), n))
-    u_c = np.empty((len(seeds), n, k))
-    u_comp = np.empty((len(seeds), n)) if mixture else None
-    u_e = np.empty((len(seeds), n, l))
-    for b, gen in enumerate(seeded_generators(seeds)):
-        gen.random(out=u_y[b])
-        gen.random(out=u_c[b])
-        if mixture:
-            gen.random(out=u_comp[b])
-        gen.random(out=u_e[b])
+    u_y, u_c, *u_comp, u_e = seeded_draws(
+        seeds, [(n,), (n, k)] + [(n,)] * mixture + [(n, l)])
 
     # then transform: one call per part over the whole stack
     y = uniform_to_signs(u_y, spec.label_prior)
@@ -101,7 +86,7 @@ def sample_domains(spec: DomainSpec, n: int,
     del u_e
     mean_row = (y > 0.0).astype(np.intp)
     if mixture:
-        comp = np.minimum(np.searchsorted(cum, u_comp, side="right"),
+        comp = np.minimum(np.searchsorted(cum, u_comp[0], side="right"),
                           len(matrices) - 1)
         del u_comp
         # per member: a gathered (rows, l) @ (l, l) product rounds with its
@@ -116,8 +101,7 @@ def sample_domains(spec: DomainSpec, n: int,
     # y mean + noise, the generative order: y mean is gathered by row index
     # and the noise added column by column (a y[..., None] * mean broadcast
     # or a (B, n, k) block write runs numpy's inner loop k or l elements at
-    # a time: with the concatenate it replaces, 0.93 -> 0.13 ms at 27 x
-    # 1,000 rows)
+    # a time)
     x = signed_means.take(mean_row, axis=0)
     for j in range(k):
         x[..., j] += noise_c[..., j]
@@ -128,12 +112,17 @@ def sample_domains(spec: DomainSpec, n: int,
 
 def random_shifts(l: int, scale: float, seeds) -> np.ndarray:
     """(S, l, l) matrices with entries i.i.d. uniform on [-scale, scale],
-    matrix s drawn as RandomStream(seeds[s]).uniform (seeded_uniforms)."""
+    matrix s drawn as RandomStream(seeds[s]).uniform: one seeded_draws part,
+    scaled in place (see rng)."""
     if l < 1:
         raise ValueError("dimension must be at least 1")
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    return seeded_uniforms(seeds, -scale, scale, (l, l))
+    low, high = -scale, scale
+    (out,) = seeded_draws(seeds, [(l, l)])
+    out *= high - low
+    out += low
+    return out
 
 
 def random_shift(l: int, scale: float, seed: int) -> np.ndarray:

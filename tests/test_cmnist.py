@@ -4,14 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftspec.analytic import normal_cdf
 from shiftspec.cmnist import (DEFAULT_NOISE_SIGMAS, CmnistSpec,
                               cmnist_model_table,
                               color_classifier_accuracy,
                               digit_classifier_accuracy, generate_cmnist,
-                              linear_rule_accuracy)
+                              generate_cmnist_stack, linear_rule_accuracy)
 from shiftspec.core import Dataset, InputError, Mask
 from shiftspec.ingest import pairwise_pairs
 from shiftspec.rng import RandomStream
@@ -220,7 +220,7 @@ def test_model_table_rejects_bad_noise_ladder_before_sampling(sigmas,
     def no_sampling(*args):
         raise AssertionError("sampled before the noise ladder was checked")
 
-    monkeypatch.setattr(cmnist, "generate_cmnist", no_sampling)
+    monkeypatch.setattr(cmnist, "generate_cmnist_stack", no_sampling)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="noise sigma"):
@@ -255,6 +255,37 @@ def test_generate_cmnist_matches_masked_spelling(label_noise, p_e, n, seed,
     x, y = _masked_generate_cmnist(spec, env, n, seed)
     assert ours.x.tobytes() == x.tobytes() and ours.x.shape == x.shape
     assert ours.y.tobytes() == y.tobytes()
+
+
+def _lone_generate_cmnist(spec, env, n, seed):
+    """generate_cmnist as it was spelled before the stacked draw: one
+    RandomStream per member and its three sign draws in turn."""
+    stream = RandomStream(seed)
+    y_true = stream.bernoulli_signs(0.5, size=n)
+    y = stream.bernoulli_signs(spec.label_noise, size=n)
+    y *= -y_true
+    z_e = stream.bernoulli_signs(spec.p_e[env], size=n)
+    z_e *= y
+    return np.column_stack([y_true, z_e]), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_noise=_PROB, p_e=st.lists(_PROB, min_size=1, max_size=3),
+       env=st.integers(0, 2), n=st.one_of(st.integers(1, 9), st.just(4000)),
+       seeds=st.lists(st.integers(-2**70, 2**70), max_size=4))
+@example(label_noise=0.0, p_e=[1.0, 0.0], env=1, n=1,
+         seeds=[-1, 2**64 + 7, 0])
+@example(label_noise=1.0, p_e=[0.5], env=0, n=4000, seeds=[])
+def test_generate_cmnist_stack_matches_per_member_loop(label_noise, p_e, env,
+                                                       n, seeds):
+    spec = CmnistSpec(label_noise=label_noise, p_e=tuple(p_e))
+    env %= len(p_e)
+    x, y = generate_cmnist_stack(spec, env, n, seeds)
+    assert x.shape == (len(seeds), n, 2) and y.shape == (len(seeds), n)
+    for b, seed in enumerate(seeds):
+        want_x, want_y = _lone_generate_cmnist(spec, env, n, seed)
+        assert x[b].tobytes() == want_x.tobytes()
+        assert y[b].tobytes() == want_y.tobytes()
 
 
 # tracemalloc peak, in bytes, of the default ladder (24 members x 4,000

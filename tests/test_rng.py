@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftspec.analytic import normal_quantile
-from shiftspec.rng import (RandomStream, seeded_generators, seeded_uniforms,
-                           uniform_to_normal, uniform_to_signs)
-from shiftspec.synthgen import random_shift
+from shiftspec.rng import (RandomStream, seeded_draws, uniform_to_normal,
+                           uniform_to_signs)
+from shiftspec.synthgen import random_shift, random_shifts
 
 # A transform that evaluates log or exp outside its region warns; here that
 # fails the test.
@@ -124,22 +124,48 @@ def test_substream_uniform_leaves_the_parent_stream_alone(seed, sids, size):
     assert all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
 
 
+_SHAPE = st.lists(st.integers(0, 5), max_size=3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(_KEY, max_size=5),
+       stream_id=st.one_of(st.sampled_from([0, 1]), _KEY),
+       shapes=st.lists(_SHAPE, max_size=4))
+@example(seeds=[-1, 2**64 + 7], stream_id=0,
+         shapes=[(), (0,), (3, 0, 2), (5,)])
+@example(seeds=[-1, 2**64 + 7], stream_id=1, shapes=[(5,), (), (2, 3)])
+@example(seeds=[], stream_id=1, shapes=[(2,), ()])
+@example(seeds=[4, 4], stream_id=0, shapes=[])
+def test_seeded_draws_rows_are_random_stream_draws(seeds, stream_id, shapes):
+    # seeds outside [0, 2^64) are masked, as RandomStream does; part sizes
+    # 0-5 straddle the 4-word Philox output buffer
+    parts = seeded_draws(seeds, shapes, stream_id)
+    assert [p.shape for p in parts] == [(len(seeds),) + s for s in shapes]
+    for b, seed in enumerate(seeds):
+        stream = RandomStream(seed, stream_id)
+        for part, shape in zip(parts, shapes):
+            want = np.asarray(stream.uniform(size=shape))
+            assert part[b].shape == want.shape
+            assert part[b].tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds=st.lists(_KEY, max_size=6), l=st.integers(1, 4),
        scale=st.floats(1e-3, 1e3))
 def test_seeded_uniforms_match_random_shift(seeds, l, scale):
-    mats = seeded_uniforms(seeds, -scale, scale, (l, l))
+    # random_shifts, the stacked scaled draw, on seeds that need masking
+    mats = random_shifts(l, scale, seeds)
     assert mats.shape == (len(seeds), l, l)
     for mat, seed in zip(mats, seeds):
         assert mat.tobytes() == random_shift(l, scale, seed).tobytes()
 
 
 def _per_row_seeded_uniforms(seeds, low, high, shape):
-    """seeded_uniforms as it was spelled: each row drawn and scaled by
-    itself (shape must not be ())."""
+    """random_shifts' scaled draw as it was spelled: each row drawn and
+    scaled by itself (shape must not be ())."""
     out = np.empty((len(seeds),) + tuple(shape))
-    for row, gen in zip(out, seeded_generators(seeds)):
-        u = gen.random(size=shape, dtype=np.float64)
+    for row, seed in zip(out, seeds):
+        u = RandomStream(seed).uniform(size=shape)
         row[...] = low + (high - low) * u
     return out
 
@@ -150,21 +176,24 @@ _RANGES = [(0.0, 1.0), (-2.0, 2.0), (-1e300, 1e300), (1e-300, 3e-300),
 
 @settings(max_examples=80, deadline=None)
 @given(seeds=st.lists(_KEY, max_size=6),
-       low_high=st.one_of(st.sampled_from(_RANGES),
-                          st.tuples(st.floats(-1e300, 1e300),
-                                    st.floats(-1e300, 1e300))),
-       shape=st.lists(st.integers(0, 5), min_size=1, max_size=3))
-def test_seeded_uniforms_match_per_row_spelling(seeds, low_high, shape):
-    low, high = low_high
-    ours = seeded_uniforms(seeds, low, high, tuple(shape))
-    want = _per_row_seeded_uniforms(seeds, low, high, tuple(shape))
+       scale=st.one_of(st.sampled_from([1.0, 2.0, 2.5, 1e300, 1e-300, 1e-322,
+                                        5e-324]),
+                       st.floats(5e-324, 1e300)),
+       l=st.integers(1, 5))
+def test_seeded_uniforms_match_per_row_spelling(seeds, scale, l):
+    ours = random_shifts(l, scale, seeds)
+    want = _per_row_seeded_uniforms(seeds, -scale, scale, (l, l))
     assert ours.shape == want.shape
     assert ours.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("low, high", _RANGES)
 def test_seeded_uniforms_of_scalar_shape(low, high):
-    ours = seeded_uniforms([3, 2**64 - 1], low, high, ())
+    # a () part scaled in place as random_shifts scales its part rounds as
+    # RandomStream.uniform, for any range
+    (ours,) = seeded_draws([3, 2**64 - 1], [()])
+    ours *= high - low
+    ours += low
     assert ours.shape == (2,)
     for got, seed in zip(ours, [3, 2**64 - 1]):
         want = RandomStream(seed).uniform(low, high, size=())

@@ -10,8 +10,7 @@ from scipy import stats
 
 from shiftspec.core import (DomainSpec, LinearShift, MixtureShift, default_spec,
                             psd_cholesky)
-from shiftspec.rng import (RandomStream, seeded_generators, uniform_to_normal,
-                           uniform_to_signs)
+from shiftspec.rng import RandomStream, uniform_to_normal, uniform_to_signs
 from shiftspec.synthgen import (interpolation_mixture, random_shift,
                                 random_shifts, reflection_shift,
                                 sample_domain, sample_domains)
@@ -134,16 +133,18 @@ def _strided_sample_domains(spec, n, seeds):
     mixture = len(matrices) > 1
     x = np.empty((len(seeds), n, k + l))
     y = np.empty((len(seeds), n))
-    for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
-        yb[...] = np.where(gen.random(size=n) < spec.label_prior, 1.0, -1.0)
+    for xb, yb, seed in zip(x, y, seeds):
+        stream = RandomStream(seed)
+        yb[...] = np.where(stream.uniform(size=n) < spec.label_prior,
+                           1.0, -1.0)
         np.add(yb[:, None] * spec.mu_c,
-               uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T,
+               uniform_to_normal(stream.uniform(size=(n, k))) @ chol_c.T,
                out=xb[:, :k])
         if mixture:
-            comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
+            comp = np.minimum(np.searchsorted(cum, stream.uniform(size=n),
                                               side="right"),
                               len(matrices) - 1)
-        noise = uniform_to_normal(gen.random(size=(n, l)))
+        noise = uniform_to_normal(stream.uniform(size=(n, l)))
         z_e = xb[:, k:]
         for j in range(len(matrices)):
             rows = comp == j if mixture else slice(None)
@@ -185,14 +186,15 @@ def _per_member_sample_domains(spec, n, seeds):
     mixture = len(matrices) > 1
     x = np.empty((len(seeds), n, k + l))
     y = np.empty((len(seeds), n))
-    for xb, yb, gen in zip(x, y, seeded_generators(seeds)):
-        yb[...] = uniform_to_signs(gen.random(size=n), spec.label_prior)
-        noise_c = uniform_to_normal(gen.random(size=(n, k))) @ chol_c.T
+    for xb, yb, seed in zip(x, y, seeds):
+        stream = RandomStream(seed)
+        yb[...] = uniform_to_signs(stream.uniform(size=n), spec.label_prior)
+        noise_c = uniform_to_normal(stream.uniform(size=(n, k))) @ chol_c.T
         if mixture:
-            comp = np.minimum(np.searchsorted(cum, gen.random(size=n),
+            comp = np.minimum(np.searchsorted(cum, stream.uniform(size=n),
                                               side="right"),
                               len(matrices) - 1)
-        noise_e = uniform_to_normal(gen.random(size=(n, l)))
+        noise_e = uniform_to_normal(stream.uniform(size=(n, l)))
         mean_row = (yb > 0.0).astype(np.intp)
         if mixture:
             for j in range(len(matrices)):
