@@ -142,6 +142,21 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      out=np.zeros_like(den), where=den != 0.0)
 
 
+def check_mincount_args(rel_tol: float, resamples: int, confidence: float,
+                        start: int, step: int, clip_alpha: float) -> None:
+    """InputError for a min_model_count argument out of range; every check
+    that needs no accuracies, so a caller can make it before reading them."""
+    if not 0.0 < rel_tol < math.inf:
+        raise InputError("rel_tol must be positive and finite")
+    if resamples < 100:
+        raise InputError("need at least 100 bootstrap resamples")
+    if not 0.0 < confidence < 1.0:
+        raise InputError("confidence must lie in (0, 1)")
+    if start < 1 or step < 1:
+        raise InputError("start and step must be at least 1")
+    check_clip_alpha(clip_alpha)
+
+
 def min_model_count(id_acc: ArrayLike, ood_acc: ArrayLike,
                     rel_tol: float = 0.01,
                     resamples: int = 1000, confidence: float = 0.95,
@@ -163,14 +178,7 @@ def min_model_count(id_acc: ArrayLike, ood_acc: ArrayLike,
     the full quantile would fail too, and the answer cannot change. A size
     that passes, or fails near the threshold, still pays every draw.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise InputError("rel_tol must be positive and finite")
-    if resamples < 100:
-        raise InputError("need at least 100 bootstrap resamples")
-    if not 0.0 < confidence < 1.0:
-        raise InputError("confidence must lie in (0, 1)")
-    if start < 1 or step < 1:
-        raise InputError("start and step must be at least 1")
+    check_mincount_args(rel_tol, resamples, confidence, start, step, clip_alpha)
     x, y = probit_points(id_acc, ood_acc, clip_alpha)
     n = len(x)
     if n < start:

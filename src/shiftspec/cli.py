@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
-                    check_threshold, classify_split, correlation_epsilon,
-                    fit_probit_points, min_model_count, probit_points)
+                    check_mincount_args, check_threshold, classify_split,
+                    correlation_epsilon, fit_probit_points, min_model_count,
+                    probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import (ShiftStack, accuracies_under_shifts, condition_reports,
                          require_finite)
@@ -141,13 +142,13 @@ def cmd_simulate(args) -> int:
 
 
 def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
+    if args.mode == "loo" and args.id_env is not None:
+        raise InputError("--id-env is read only in pairwise mode")
+    if args.mode == "pairwise" and args.id_env is None:
+        raise InputError("pairwise mode requires --id-env")
     table = load_accuracy_table(args.table)
     if args.mode == "loo":
-        if args.id_env is not None:
-            raise InputError("--id-env is read only in pairwise mode")
         return *leave_one_out_pairs(table, args.ood_env), None
-    if args.id_env is None:
-        raise InputError("pairwise mode requires --id-env")
     return *pairwise_pairs(table, args.id_env, args.ood_env), args.id_env
 
 
@@ -197,6 +198,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_mincount(args) -> int:
+    check_mincount_args(args.rel_tol, args.resamples, args.confidence,
+                        args.start, args.step, args.clip_alpha)
     id_acc, ood_acc = leave_one_out_pairs(load_accuracy_table(args.table),
                                           args.ood_env)
     minimum = min_model_count(id_acc, ood_acc, rel_tol=args.rel_tol,

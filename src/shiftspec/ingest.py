@@ -5,8 +5,16 @@ every non-meta column after model_id is a per-environment accuracy in
 [0, 1]. Columns whose names start with ``meta_`` ride along untouched.
 Every column name must be unique.
 
-The parse is column-wise. One loop over the CSV records checks only each
-row's arity and model_id; each environment column is then converted with
+The parse is column-wise. The header is read by ``csv.reader``. A body
+with no quote, carriage return or NUL is split on newlines, then on commas
+into one flat cell list, each column a stride of it: without quotes or
+carriage returns ``csv.reader`` yields exactly ``line.split(",")`` for each
+line, and NUL is left to csv, which rejects it on Python 3.10. That split
+stands only if every line has the header's arity (so none is blank but a
+final one), none is longer than ``csv.field_size_limit()`` and no model_id
+repeats. Any other body is read by one loop over the CSV records, which
+checks each row's arity and model_id and is the only code that words a row
+fault. Either way each environment column is then converted with
 ``map(float, ...)`` and range-checked as one ``(n_envs, n_models)`` matrix,
 which the table keeps as ``AccuracyTable.columns`` for the split builders.
 A faulty table reports the first fault in file order, with its line: the
@@ -27,6 +35,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +122,49 @@ def _float_column(cells) -> list[float]:
         return [_float_or_nan(c) for c in cells]
 
 
+def _split_plain(body: str, width: int):
+    """``(columns, line_nos, None)`` of a body with no quote, carriage
+    return or NUL, or None where the record loop must read it."""
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # a blank line has no comma (width >= 2), so it fails the arity check
+    if (not set(map(str.count, lines, repeat(","))) <= {width - 1}
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    cells = ",".join(lines).split(",") if lines else []
+    if len(set(cells[::width])) != len(lines):
+        return None
+    return ([cells[k::width] for k in range(width)],
+            range(2, len(lines) + 2), None)
+
+
+def _read_records(reader, width: int):
+    """``(columns, line_nos, fault)`` of the records up to the first
+    row-level fault; that fault is raised only if no cell before it is bad."""
+    records = []
+    line_nos = []
+    seen = set()
+    fault = None
+    try:
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != width:
+                fault = InputError(f"malformed row at line {line_no}: "
+                                   f"expected {width} cells, got {len(cells)}")
+                break
+            if cells[0] in seen:
+                fault = InputError(f"duplicate model_id {cells[0]!r} at line {line_no}")
+                break
+            seen.add(cells[0])
+            records.append(cells)
+            line_nos.append(line_no)
+    except csv.Error as exc:
+        fault = InputError(f"malformed table: {exc}")
+    return list(zip(*records)) or [()] * width, line_nos, fault
+
+
 def parse_accuracy_table(text: str) -> AccuracyTable:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -133,36 +185,17 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
     if not env_cols:
         raise InputError("table must have at least one environment column")
 
-    # Records up to the first row-level fault; that fault is raised only if
-    # no cell before it is bad.
-    records = []
-    line_nos = []
-    seen = set()
-    fault = None
-    try:
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                fault = InputError(f"malformed row at line {line_no}: "
-                                   f"expected {len(header)} cells, got {len(cells)}")
-                break
-            if cells[0] in seen:
-                fault = InputError(f"duplicate model_id {cells[0]!r} at line {line_no}")
-                break
-            seen.add(cells[0])
-            records.append(cells)
-            line_nos.append(line_no)
-    except csv.Error as exc:
-        fault = InputError(f"malformed table: {exc}")
+    plain = not any(c in text for c in '"\r\0')
+    text_columns, line_nos, fault = (
+        plain and _split_plain(text.partition("\n")[2], len(header))
+        or _read_records(reader, len(header)))
 
-    text_columns = list(zip(*records)) or [()] * len(header)
     values = [_float_column(text_columns[k]) for k in env_cols]
-    acc = np.array(values, dtype=np.float64).reshape(len(env_cols), len(records))
+    acc = np.array(values, dtype=np.float64).reshape(len(env_cols), len(line_nos))
     ok = (acc >= 0.0) & (acc <= 1.0)
     if not ok.all():
         row, env = np.argwhere(~ok.T)[0]
-        cell = records[row][env_cols[env]]
+        cell = text_columns[env_cols[env]][row]
         try:
             value = float(cell)
         except ValueError:
@@ -174,8 +207,8 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
 
     acc.setflags(write=False)
     return AccuracyTable._from_columns(
-        tuple(header[k] for k in env_cols), acc, text_columns[0],
-        {h: text_columns[k] for k, h in meta_cols})
+        tuple(header[k] for k in env_cols), acc, tuple(text_columns[0]),
+        {h: tuple(text_columns[k]) for k, h in meta_cols})
 
 
 def load_accuracy_table(path: str | Path) -> AccuracyTable:

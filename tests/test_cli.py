@@ -681,6 +681,26 @@ def test_bad_audit_argument_is_input_error(command, flag, value,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["audit", "--mode", "pairwise"], "pairwise mode requires --id-env"),
+    (["audit", "--id-env", "e0"], "--id-env is read only in pairwise mode"),
+    (["mincount", "--rel-tol", "-1"], "rel_tol must be positive and finite"),
+    (["mincount", "--resamples", "5"], "need at least 100 bootstrap resamples"),
+    (["mincount", "--confidence", "1"], "confidence must lie in (0, 1)"),
+    (["mincount", "--step", "0"], "start and step must be at least 1"),
+    (["mincount", "--clip-alpha", "0.5"], "clip_alpha must lie in (2^-54, 0.5)"),
+], ids=["pairwise_without_id_env", "loo_with_id_env", "rel_tol", "resamples",
+        "confidence", "step", "clip_alpha"])
+def test_bad_flag_is_reported_before_the_table_is_read(argv, message, tmp_path,
+                                                       capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--table", str(tmp_path / "missing.csv"),
+                      "--ood-env", "e1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["audit", "mincount"])
 @pytest.mark.parametrize("header", ["model_id,e0,e1,e1",
                                     "model_id,e0,e1,meta_x,meta_x"])

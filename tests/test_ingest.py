@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftspec import ingest
 from shiftspec.aline import fit_probit_line
 from shiftspec.core import InputError
 from shiftspec.ingest import (AccuracyTable, TableRow, dump_accuracy_table,
@@ -255,8 +256,52 @@ def test_first_fault_matches_row_loop(n_envs, n_meta, n_rows, data):
         lines[i] = ",".join(cells)
     text = "\n".join(lines) + "\n"
     want = _outcome(_reference_parse, text)
-    got = _outcome(parse_accuracy_table, text)
-    assert got == want
+    assert _outcome(parse_accuracy_table, text) == want
+    # CRLF line ends send the same records through csv.reader
+    assert _outcome(parse_accuracy_table, text.replace("\n", "\r\n")) == want
+
+
+class TestPlainSplit:
+    """A body with no quote, carriage return or NUL is split without
+    csv.reader; any other body, and a plain one with a row fault, reaches
+    the record loop. Either way the table or message is the row loop's."""
+
+    @staticmethod
+    def records_read(monkeypatch, text) -> int:
+        want = _outcome(_reference_parse, text)
+        reader = ingest.csv.reader
+        read = []
+
+        def counting_reader(*args, **kwargs):
+            for record in reader(*args, **kwargs):
+                read.append(record)
+                yield record
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest.csv, "reader", counting_reader)
+            got = _outcome(parse_accuracy_table, text)
+        assert got == want
+        return len(read)
+
+    def test_plain_table_yields_only_the_header_record(self, monkeypatch):
+        text = "model_id,env_0,meta_arch,env_1\n" + "".join(
+            f"m{i},{i / 499!r},arch {i % 3},{1 - i / 499!r}\n" for i in range(500))
+        assert self.records_read(monkeypatch, text) == 1
+
+    @pytest.mark.parametrize("text", [
+        'model_id,env_0,meta_note\nm0,0.5,"a, b"\nm1,0.25,c\n',
+        "model_id,env_0\nm0,0.5\n\nm1,0.25\n",
+        ("model_id,env_0,meta_a,meta_b\nm0,0.5,{0},{0}\nm1,0.25,x,y\n"
+         .format("x" * (csv.field_size_limit() // 2 + 1))),
+        "model_id,env_0,meta_a\nm0,0.5,x\nm1,0.25,{}\n".format(
+            "x" * (csv.field_size_limit() + 1)),
+        "model_id,env_0,meta_a\nm0,0.5,a\0b\nm1,0.25,c\n",
+        "model_id,env_0\nm0,0.5\nm0,0.25\n",
+        "model_id,env_0,env_1\nm0,0.5,0.5\nm1,0.25\n",
+    ], ids=["quoted_comma", "blank_line", "long_line", "huge_field", "nul_cell",
+            "duplicate_id", "short_row"])
+    def test_other_text_reaches_the_record_loop(self, monkeypatch, text):
+        assert self.records_read(monkeypatch, text) > 1
 
 
 @settings(max_examples=80, deadline=None)
