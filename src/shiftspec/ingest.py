@@ -5,16 +5,19 @@ every non-meta column after model_id is a per-environment accuracy in
 [0, 1]. Columns whose names start with ``meta_`` ride along untouched.
 Every column name must be unique.
 
-The parse is column-wise. The header is read by ``csv.reader``. A body
-with no quote, carriage return or NUL is split on newlines, then on commas
-into one flat cell list, each column a stride of it: without quotes or
-carriage returns ``csv.reader`` yields exactly ``line.split(",")`` for each
-line, and NUL is left to csv, which rejects it on Python 3.10. That split
-stands only if every line has the header's arity (so none is blank but a
-final one), none is longer than ``csv.field_size_limit()`` and no model_id
-repeats. Any other body is read by one loop over the CSV records, which
-checks each row's arity and model_id and is the only code that words a row
-fault. Either way each environment column is then converted with
+The parse is column-wise. The header is read by ``csv.reader``; only a
+quote lets a record span lines, so a text without one gives it just its
+first line. The body of such a text is split on its line end ("\r\n" if
+it holds a carriage return, else "\n"), then on commas into one flat cell
+list, each column a stride of it: without quotes ``csv.reader`` yields
+exactly ``line.split(",")`` for each line that holds no other line break.
+That split stands only if no cell keeps a carriage return, newline or NUL
+(so the body does not mix line ends, and NUL is left to csv, which rejects
+it on Python 3.10), every line has the header's arity (so none is blank
+but a final one), none is longer than ``csv.field_size_limit()`` and no
+model_id repeats. Any other body is read by one loop over the CSV records,
+which checks each row's arity and model_id and is the only code that words
+a row fault. Either way each environment column is then converted with
 ``map(float, ...)`` and range-checked as one ``(n_envs, n_models)`` matrix,
 which the table keeps as ``AccuracyTable.columns`` for the split builders.
 A faulty table reports the first fault in file order, with its line: the
@@ -123,16 +126,20 @@ def _float_column(cells) -> list[float]:
 
 
 def _split_plain(body: str, width: int):
-    """``(columns, line_nos, None)`` of a body with no quote, carriage
-    return or NUL, or None where the record loop must read it."""
-    lines = body.split("\n")
+    """``(columns, line_nos, None)`` of a body with no quote, or None where
+    the record loop must read it."""
+    lines = body.split("\r\n" if "\r" in body else "\n")
     if lines[-1] == "":
         lines.pop()
     # a blank line has no comma (width >= 2), so it fails the arity check
     if (not set(map(str.count, lines, repeat(","))) <= {width - 1}
             or max(map(len, lines), default=0) > csv.field_size_limit()):
         return None
-    cells = ",".join(lines).split(",") if lines else []
+    joined = ",".join(lines)
+    # a line break left in a cell means mixed line ends; a NUL is csv's
+    if any(c in joined for c in "\r\n\0"):
+        return None
+    cells = joined.split(",") if lines else []
     if len(set(cells[::width])) != len(lines):
         return None
     return ([cells[k::width] for k in range(width)],
@@ -166,7 +173,9 @@ def _read_records(reader, width: int):
 
 
 def parse_accuracy_table(text: str) -> AccuracyTable:
-    reader = csv.reader(io.StringIO(text))
+    quoted = '"' in text
+    first, newline, body = text.partition("\n")
+    reader = csv.reader(io.StringIO(text if quoted else first + newline))
     try:
         header = next(reader)
     except StopIteration:
@@ -185,10 +194,12 @@ def parse_accuracy_table(text: str) -> AccuracyTable:
     if not env_cols:
         raise InputError("table must have at least one environment column")
 
-    plain = not any(c in text for c in '"\r\0')
-    text_columns, line_nos, fault = (
-        plain and _split_plain(text.partition("\n")[2], len(header))
-        or _read_records(reader, len(header)))
+    if quoted:
+        text_columns, line_nos, fault = _read_records(reader, len(header))
+    else:
+        text_columns, line_nos, fault = (
+            _split_plain(body, len(header))
+            or _read_records(csv.reader(io.StringIO(body)), len(header)))
 
     values = [_float_column(text_columns[k]) for k in env_cols]
     acc = np.array(values, dtype=np.float64).reshape(len(env_cols), len(line_nos))

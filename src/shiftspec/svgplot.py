@@ -2,6 +2,15 @@
 
 `_text` writes each label and `_line` each tick and each reference line, clipped
 to the frame. Fixed-precision coordinates make equal inputs equal bytes.
+
+Points are kept as one group per `add_points` call: a float64 array of x, one
+of y, and the group's colour. `render` maps a group to the frame with numpy in
+the operation order of the scalar map `sx`/`sy`, and writes its circles with
+one `%` over a repeated `"%.2f"` template. Elementwise IEEE `+ - * /` give the
+doubles the scalar code gives, numpy's min and max pick the same extremes as
+Python's (a signed zero aside, which the padding absorbs), and `%.2f` and
+`f"{v:.2f}"` share CPython's float formatter, so the bytes are those of a
+per-point loop.
 """
 
 from __future__ import annotations
@@ -72,29 +81,60 @@ def _axis_ticks(lo: float, hi: float) -> list[tuple[float, str, str]]:
     return out
 
 
+class _Points:
+    """The non-empty groups ``(xs, ys, css_color)`` of a plot; ``len`` is the
+    number of points, kept as a count."""
+
+    def __init__(self):
+        self.groups: list[tuple[np.ndarray, np.ndarray, str]] = []
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, xs: np.ndarray, ys: np.ndarray, color: str) -> None:
+        if len(xs):
+            self.groups.append((xs, ys, color))
+            self._count += len(xs)
+
+
 @dataclass
 class ScatterPlot:
     title: str
     xlabel: str
     ylabel: str
     probit_axes: bool = False
-    points: list = field(default_factory=list, init=False)   # (x, y, css_color)
+    points: _Points = field(default_factory=_Points, init=False)
     lines: list = field(default_factory=list, init=False)    # (x0, y0, x1, y1, color, dash)
 
     def add_points(self, xs, ys, color: str = "#1f6fb2") -> None:
-        xs = np.asarray(xs, dtype=np.float64).tolist()
-        ys = np.asarray(ys, dtype=np.float64).tolist()
-        self.points.extend((x, y, color) for x, y in zip(xs, ys))
+        """One group of points; a ValueError, before anything is kept, if xs
+        and ys are not 1-d and of equal length or a coordinate is not finite."""
+        xs = np.array(xs, dtype=np.float64)
+        ys = np.array(ys, dtype=np.float64)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError("plot points must be 1-d and of equal length, "
+                             f"got shapes {xs.shape} and {ys.shape}")
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"plot point {k} is not finite: "
+                             f"({float(xs[k])!r}, {float(ys[k])!r})")
+        self.points.add(xs, ys, color)
 
     def add_line(self, x0, y0, x1, y1, color: str = "#444444",
                  dash: str | None = None) -> None:
         self.lines.append((float(x0), float(y0), float(x1), float(y1), color, dash))
 
     def _ranges(self) -> tuple[float, float, float, float]:
-        xs = [p[0] for p in self.points] or [0.0, 1.0]
-        ys = [p[1] for p in self.points] or [0.0, 1.0]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+        groups = self.points.groups
+        if groups:
+            x_lo = min(float(xs.min()) for xs, _, _ in groups)
+            x_hi = max(float(xs.max()) for xs, _, _ in groups)
+            y_lo = min(float(ys.min()) for _, ys, _ in groups)
+            y_hi = max(float(ys.max()) for _, ys, _ in groups)
+        else:
+            x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
         x_pad = 0.08 * (x_hi - x_lo) or 1.0
         y_pad = 0.08 * (y_hi - y_lo) or 1.0
         return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
@@ -152,11 +192,13 @@ class ScatterPlot:
             parts.append(_line(sx(x0), sy(y0), sx(x1), sy(y1), color, "1.5",
                                f' stroke-dasharray="{dash}"' if dash else ""))
 
-        # sx and sy written out: per-point calls cost more than the rest of the plot
-        parts += [f'<circle cx="{MARGIN_L + (x - x_lo) / x_span * PLOT_W:.2f}" '
-                  f'cy="{BASE - (y - y_lo) / y_span * PLOT_H:.2f}" r="3" '
-                  f'fill="{color}" fill-opacity="0.75"/>'
-                  for x, y, color in self.points]
+        for xs, ys, color in self.points.groups:
+            xy = np.empty(2 * len(xs))
+            xy[0::2] = (xs - x_lo) / x_span * PLOT_W + MARGIN_L
+            xy[1::2] = BASE - (ys - y_lo) / y_span * PLOT_H
+            circle = ('<circle cx="%.2f" cy="%.2f" r="3" fill="'
+                      + color.replace("%", "%%") + '" fill-opacity="0.75"/>')
+            parts.append("\n".join([circle] * len(xs)) % tuple(xy.tolist()))
         return "\n".join(parts) + "\n</svg>\n"
 
     def line_over_x(self, slope: float, intercept: float) -> None:

@@ -84,3 +84,16 @@ def test_simulate_and_mincount_map_items_through_parallel_map(tmp_path,
                      "--start", "10", "--step", "10", "--resamples", "100",
                      "--out", str(tmp_path / "mc")]) == 0
     assert sum(mapped) > 0
+
+
+def test_render_measure_counts_points_and_bytes():
+    # svgplot.points and svgplot.bytes of a traced pass come from this measure
+    from shiftspec.svgplot import ScatterPlot
+
+    measure = _load_tracer().MEASURES["svgplot.ScatterPlot.render"]
+    plot = ScatterPlot("t", "x", "y", probit_axes=True)
+    plot.add_points([0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+    plot.add_points([], [], color="#7d2181")
+    plot.add_points([0.0, 0.5], [-0.5, 0.0], color="#7d2181")
+    svg = plot.render()
+    assert measure((plot,), {}, svg) == (5, len(svg.encode("utf-8")))

@@ -591,6 +591,35 @@ def test_svg_is_well_formed_xml(command, ood, shown, small_config, tmp_path):
         assert "w_e . M mu_e (dark points: reversal margin < 0)" in texts
 
 
+@pytest.mark.parametrize("command", ["audit", "cmnist", "simulate"])
+def test_non_finite_plot_point_is_numeric_error(command, identity_table,
+                                                small_config, tmp_path,
+                                                capsys, monkeypatch):
+    # no command can plot one (probits are clipped, simulate checks its
+    # values first), so a nan is put into the first group drawn
+    from shiftspec.svgplot import ScatterPlot
+    add_points = ScatterPlot.add_points
+
+    def poisoned(self, xs, ys, color="#1f6fb2"):
+        xs = np.array(xs, dtype=np.float64)
+        if len(xs) and not len(self.points):
+            xs[0] = np.nan
+        add_points(self, xs, ys, color)
+
+    monkeypatch.setattr(ScatterPlot, "add_points", poisoned)
+    out = tmp_path / "out"
+    argv = {"audit": ["audit", "--table", str(identity_table),
+                      "--ood-env", "env_ood"],
+            "cmnist": ["cmnist", "--test-grid", "0.8,0.9", "--n-train", "800",
+                       "--seeds-per-sigma", "1"],
+            "simulate": ["simulate", "--config", str(small_config)]}[command]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plot point 0 is not finite: (nan, ")
+    assert err.count("\n") == 1
+    assert not list(out.glob("*.svg"))
+
+
 class TestMincount:
     def test_stable_stream(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,6 +303,47 @@ class TestPlainSplit:
             "duplicate_id", "short_row"])
     def test_other_text_reaches_the_record_loop(self, monkeypatch, text):
         assert self.records_read(monkeypatch, text) > 1
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_plain_table_gives_csv_only_its_header_line(monkeypatch, end):
+    header = "model_id,env_0,meta_arch,env_1"
+    text = end.join([header] + [f"m{i},{i / 499!r},arch {i % 3},{1 - i / 499!r}"
+                                for i in range(500)]) + end
+    assert TestPlainSplit.records_read(monkeypatch, text) == 1
+    given = []
+
+    def recording(value):
+        given.append(value)
+        return io.StringIO(value)
+
+    monkeypatch.setattr(ingest, "io", SimpleNamespace(StringIO=recording))
+    parse_accuracy_table(text)
+    assert given == [header + end]
+
+
+@pytest.mark.parametrize("text", [
+    "model_id,env_0,env_1\r\nm0\nm1,0.5,0.5\r\n",
+    "model_id,env_0\r\nm0,0.5\r\nm1,0.25\n",
+    "model_id,env_0\r\nm0,0.5\r\n\r\nm1,0.25\r\n",
+    "model_id,env_0\nm0,0.5\r\nm1,0.25\r\nm0,0.75\r\n",
+], ids=["bare_lf_fits_arity", "bare_lf_at_end", "blank_line", "duplicate_id"])
+def test_crlf_body_that_is_not_plain_reaches_the_record_loop(monkeypatch, text):
+    assert TestPlainSplit.records_read(monkeypatch, text) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(0, 5), data=st.data())
+def test_any_line_ends_match_row_loop(n_rows, data):
+    cell = st.sampled_from(("0.5", "0.25", "a", "", "a\rb"))
+    lines = ["model_id,env_0,meta_0"] + [
+        f"m{data.draw(st.integers(0, n_rows))},{data.draw(cell)},{data.draw(cell)}"
+        for _ in range(n_rows)]
+    ends = st.sampled_from(("\n", "\r\n", "\r", "\n\n", "\r\n\r\n"))
+    text = "".join(line + data.draw(ends) for line in lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    assert _outcome(parse_accuracy_table, text) == _outcome(_reference_parse, text)
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from shiftspec.analytic import normal_quantile
 from shiftspec.cli import main
 from shiftspec.ingest import AccuracyTable, TableRow, save_accuracy_table
-from shiftspec.svgplot import ScatterPlot
+from shiftspec.svgplot import BASE, MARGIN_L, PLOT_H, PLOT_W, ScatterPlot
 
 
 def _digest(text: str) -> str:
@@ -112,3 +112,83 @@ def test_any_label_reads_back(title, xlabel, ylabel, probit_axes):
              for t in doc.getElementsByTagName("text")]
     assert [texts[0], texts[-2], texts[-1]] == [_drawn(title), _drawn(xlabel),
                                                 _drawn(ylabel)]
+
+
+class _TupleReference(ScatterPlot):
+    """The per-point drawing that the grouped arrays replaced: one (x, y,
+    colour) tuple per point, Python min and max, and one f-string per
+    circle. The frame, ticks and lines come from ScatterPlot itself, drawn
+    over these ranges with no points of its own."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tuples = []
+
+    def add_points(self, xs, ys, color="#1f6fb2"):
+        xs = np.asarray(xs, dtype=np.float64).tolist()
+        ys = np.asarray(ys, dtype=np.float64).tolist()
+        self.tuples.extend((x, y, color) for x, y in zip(xs, ys))
+
+    def _ranges(self):
+        xs = [p[0] for p in self.tuples] or [0.0, 1.0]
+        ys = [p[1] for p in self.tuples] or [0.0, 1.0]
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = min(ys), max(ys)
+        x_pad = 0.08 * (x_hi - x_lo) or 1.0
+        y_pad = 0.08 * (y_hi - y_lo) or 1.0
+        return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+
+    def render(self):
+        frame = super().render().removesuffix("\n</svg>\n")
+        x_lo, x_hi, y_lo, y_hi = self._ranges()
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
+        circles = [f'<circle cx="{MARGIN_L + (x - x_lo) / x_span * PLOT_W:.2f}" '
+                   f'cy="{BASE - (y - y_lo) / y_span * PLOT_H:.2f}" r="3" '
+                   f'fill="{color}" fill-opacity="0.75"/>'
+                   for x, y, color in self.tuples]
+        return "\n".join([frame, *circles]) + "\n</svg>\n"
+
+
+_COORD = st.one_of(st.floats(-1e6, 1e6), st.sampled_from((0.0, -0.0, 5e-324)))
+
+
+@st.composite
+def _group(draw):
+    n = draw(st.integers(0, 6))
+    xs = draw(st.lists(_COORD, min_size=n, max_size=n))
+    ys = draw(st.lists(_COORD, min_size=n, max_size=n))
+    # all-equal coordinates take the pad of 1.0
+    if n and draw(st.booleans()):
+        xs = [xs[0]] * n
+    if n and draw(st.booleans()):
+        ys = [ys[0]] * n
+    color = draw(st.text("#%0123456789abcdefs()", max_size=8))
+    return xs, ys, color
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.lists(_group(), max_size=4), probit_axes=st.booleans(),
+       fitted=st.none() | st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+def test_render_matches_per_point_reference(groups, probit_axes, fitted):
+    plots = [cls("t", "x", "y", probit_axes) for cls in (ScatterPlot, _TupleReference)]
+    for plot in plots:
+        for xs, ys, color in groups:
+            plot.add_points(xs, ys, color)
+        if fitted is not None:
+            plot.line_over_x(*fitted)
+    got, want = (plot.render() for plot in plots)
+    assert got == want
+    assert len(plots[0].points) == sum(len(xs) for xs, _, _ in groups)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.1, np.nan], [0.2, 0.3]),
+    ([0.1, 0.2], [np.inf, 0.3]),
+    ([-np.inf], [np.nan]),
+], ids=["nan_x", "inf_y", "both"])
+def test_non_finite_point_is_rejected_before_it_is_kept(xs, ys):
+    plot = _one_point_plot()
+    with pytest.raises(ValueError, match="is not finite"):
+        plot.add_points(xs, ys)
+    assert len(plot.points) == 1
+    assert _digest(plot.render()) == _digest(_one_point_plot().render())
