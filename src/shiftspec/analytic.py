@@ -208,6 +208,32 @@ def normal_cdf(x) -> np.ndarray | float:
     return res
 
 
+def gaussian_margin_cdf(weights, a: np.ndarray, s) -> np.ndarray:
+    """sum_j weights[j] Phi(a[j] / s[j]) over the leading axis of a.
+
+    This is P(t > 0) for a margin t = y(w.x + b) that is a finite Gaussian
+    mixture: component j has weight weights[j], mean a[j] and sd s[j]. Every
+    closed-form accuracy in the package is one call. s broadcasts against
+    a. s = 0 is the point mass at a: its term is 1 where a > 0, else 0, so
+    a tie counts as wrong. The sum starts from 0.0 and adds
+    weights[j] * term in order.
+
+    Every a / s is divided and transformed; the s = 0 entries are then
+    looked up through integer indices and overwritten, only when np.all(s)
+    shows there are any. On a table of the zero-measure experiment's size
+    (2 x 500 x 27, no s = 0; same machine as above) this took 1.13 ms a
+    call, against 1.51 ms for a boolean gather of the s > 0 entries and
+    2.15 ms for a ``.flat`` gather.
+    """
+    # a / s is +-inf past the float range (Phi's limit) and nan at 0 / 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cdf = normal_cdf(a / s)
+    if not np.all(s):  # some s = 0 (nan is true)
+        step = np.flatnonzero(np.broadcast_to(np.equal(s, 0.0), cdf.shape))
+        cdf.put(step, np.broadcast_to(a, cdf.shape).take(step) > 0.0)
+    return sum((weight * term for weight, term in zip(weights, cdf)), 0.0)
+
+
 def _acklam(p: np.ndarray) -> np.ndarray:
     """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5.
 

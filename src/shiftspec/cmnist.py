@@ -7,7 +7,9 @@ prediction therefore scores exactly p_e while digit-based prediction tops
 out at 1 - label_noise. The model ladder is one stack: its members are
 sampled by one stacked draw (rng's draw rule), fit by one damped-Newton
 loop and scored by one closed-form call, each with the bits of its lone
-fit.
+fit. That call, linear_rule_accuracy, reduces its four-outcome margin table
+with analytic.gaussian_margin_cdf, the kernel behind conditions' closed
+forms as well, whose s = 0 step scores a noiseless rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import normal_cdf
+from .analytic import gaussian_margin_cdf
 from .core import Dataset, InputError, Mask
 from .ingest import AccuracyTable, TableRow
 from .rng import seeded_draws, uniform_to_normal, uniform_to_signs
@@ -106,15 +108,24 @@ def linear_rule_accuracy(w_c: float | np.ndarray, w_e: float | np.ndarray,
 
     The four (digit-agrees, color-agrees) outcomes have known probabilities;
     noise_sigma > 0 models a feature-extraction pipeline that jitters both
-    coordinates with N(0, sigma^2) before the linear rule, and sigma = 0
-    scores the hard threshold. An array p_e gives one accuracy per
-    environment; arrays w_c, w_e and noise_sigma (one entry per rule, a
-    scalar is shared) give one row per rule, equal to the scalar calls.
+    coordinates with N(0, sigma^2) before the linear rule. The margin is
+    then a four-component Gaussian mixture: the outcome probabilities as
+    weights, the outcome scores as means and sigma ||w|| as the sd, summed
+    by gaussian_margin_cdf. sigma = 0 is its s = 0 step, the hard
+    threshold, where a score of 0 counts as wrong. An array p_e gives one
+    accuracy per environment; arrays w_c, w_e and noise_sigma (one entry
+    per rule, a scalar is shared) give one row per rule, equal to the
+    scalar calls. A label_noise or p_e outside [0, 1], or a noise_sigma
+    that is negative or not finite, is a ValueError.
     """
     p = np.asarray(p_e, dtype=np.float64)
     w_c, w_e, sigma = np.broadcast_arrays(np.asarray(w_c, dtype=np.float64),
                                           np.asarray(w_e, dtype=np.float64),
                                           np.asarray(noise_sigma, dtype=np.float64))
+    if not (0.0 <= label_noise <= 1.0 and np.all((p >= 0.0) & (p <= 1.0))):
+        raise ValueError("label_noise and every p_e must lie in [0, 1]")
+    if not np.all((sigma >= 0.0) & (sigma < math.inf)):  # nan fails too
+        raise ValueError("noise_sigma must be finite and nonnegative")
     p_digit = 1.0 - label_noise
     probs = (p_digit * p, p_digit * (1.0 - p),
              (1.0 - p_digit) * p, (1.0 - p_digit) * (1.0 - p))
@@ -122,12 +133,7 @@ def linear_rule_accuracy(w_c: float | np.ndarray, w_e: float | np.ndarray,
     # math.hypot per rule: np.hypot rounds differently on some pairs
     norms = np.array([math.hypot(c, e) for c, e in zip(w_c.flat, w_e.flat)])
     scale = sigma * norms.reshape(w_c.shape)
-    correct = np.where(scores > 0.0, 1.0, 0.0)
-    noisy = scale > 0.0
-    correct[:, noisy] = normal_cdf(scores[:, noisy] / scale[noisy])
-    total = 0.0
-    for prob, hit in zip(probs, correct):
-        total += prob * hit[..., None]
+    total = gaussian_margin_cdf(probs, scores[..., None], scale[..., None])
     total = total.reshape(w_c.shape + p.shape)
     return float(total) if total.ndim == 0 else total
 

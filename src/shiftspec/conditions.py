@@ -22,7 +22,10 @@ of these figures does).
 Every exact accuracy comes from one kernel, _accuracy_kernel, which takes
 stacked rules and a (C, l, l) stack of shift matrices: a mixture passes its
 components, and simulate and the zero-measure experiment pass all of their
-shifts at once (a ShiftStack, through accuracies_under_shifts). The shift
+shifts at once (a ShiftStack, through accuracies_under_shifts). It builds
+each rule's Gaussian margin table and reduces it with
+analytic.gaussian_margin_cdf, the package's one sum of weighted normal
+CDFs, which cmnist's closed form calls too. The shift
 constants M, Sigma_phi and L_phi of a whole stack, and the theorem-1
 margins they give, come from one pass as well (_stacked_margins, with one
 batched SVD): condition_reports and the zero-measure experiment both call
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .aline import correlation_epsilon
-from .analytic import normal_cdf, normal_quantile, row_dot
+from .analytic import gaussian_margin_cdf, normal_quantile, row_dot
 from .config import RunConfig, SweepConfig
 from .core import (DomainSpec, LinearClassifier, LinearShift, Mask,
                    MixtureShift, ShiftSpec)
@@ -294,10 +297,14 @@ def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
                      spec: DomainSpec, mats: np.ndarray) -> np.ndarray:
     """(C, n) exact accuracies of n stacked rules under each of C matrices.
 
-    Row t is the closed form for the linear shift mats[t]. The stacked
-    matmul and einsum forms below round exactly as one matrix at a time
-    does; other spellings (``m_mu @ w_e.T``, ``(w_e @ cov * w_e).sum(-1)``)
-    move the last bits.
+    Row t is the closed form for the linear shift mats[t]: the margin of a
+    rule is a two-component Gaussian mixture, the classes y = +1 and -1
+    with weights (label_prior, 1 - label_prior), means signal + bias and
+    signal - bias, and sd sqrt(var), reduced by gaussian_margin_cdf. A zero
+    variance raises before the reduction, so its s = 0 step is never
+    taken here. The stacked matmul and einsum forms below round exactly as
+    one matrix at a time does; other spellings (``m_mu @ w_e.T``,
+    ``(w_e @ cov * w_e).sum(-1)``) move the last bits.
     """
     prior = float(spec.label_prior)
     signal_c = w_c @ spec.mu_c
@@ -307,11 +314,10 @@ def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
     var = var_c + np.einsum("ij,tjk,ik->ti", w_e, cov, w_e)
     if np.any(var <= 0.0):
         raise ValueError("degenerate projection: zero score variance")
-    sd = np.sqrt(var)
     # a bias breaks the ±mu symmetry: weight the two class-conditional
     # correct-side probabilities by the label prior
-    cdf = normal_cdf(np.stack([(signal + bias) / sd, (signal - bias) / sd]))
-    return prior * cdf[0] + (1.0 - prior) * cdf[1]
+    a = np.stack([signal + bias, signal - bias])
+    return gaussian_margin_cdf((prior, 1.0 - prior), a, np.sqrt(var))
 
 
 def accuracies_under_shifts(models: Sequence[LinearClassifier],

@@ -127,6 +127,8 @@ class ScatterPlot:
         self.lines.append((float(x0), float(y0), float(x1), float(y1), color, dash))
 
     def _ranges(self) -> tuple[float, float, float, float]:
+        """The padded frame (x_lo, x_hi, y_lo, y_hi); a ValueError if a
+        padded span overflows float64, which no map to the frame survives."""
         groups = self.points.groups
         if groups:
             x_lo = min(float(xs.min()) for xs, _, _ in groups)
@@ -137,7 +139,12 @@ class ScatterPlot:
             x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
         x_pad = 0.08 * (x_hi - x_lo) or 1.0
         y_pad = 0.08 * (y_hi - y_lo) or 1.0
-        return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+        x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+        y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+        if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+            raise ValueError(f"plot extent x [{x_lo!r}, {x_hi!r}], "
+                             f"y [{y_lo!r}, {y_hi!r}] overflows float64")
+        return x_lo, x_hi, y_lo, y_hi
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._ranges()

@@ -537,3 +537,82 @@ def test_row_dot_rounds_as_each_rows_scalar_dot(rows, d, seed):
     # one vector against every row, as the margins and slopes use it
     assert analytic.row_dot(b[0], a).tobytes() == \
         np.array([float(b[0] @ x) for x in a]).tobytes()
+
+
+def _scalar_margin_cdf(weights, a, s):
+    """sum_j weights[j] Phi(a[j] / s[j]) one entry and one component at a
+    time, in Python floats: the point mass where s = 0."""
+    s = np.broadcast_to(s, a.shape)
+    out = np.empty(a.shape[1:])
+    for idx in np.ndindex(out.shape):
+        total = 0.0
+        for j, weight in enumerate(weights):
+            aj, sj = float(a[(j,) + idx]), float(s[(j,) + idx])
+            term = (1.0 if aj > 0.0 else 0.0) if sj == 0.0 else \
+                analytic.normal_cdf(aj / sj)
+            total += float(weight) * term
+        out[idx] = total
+    return out
+
+
+_margin_means = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]))
+_margin_sds = st.one_of(st.floats(0.0, 50.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), parts=st.integers(1, 4), rows=st.integers(1, 4),
+       cols=st.integers(1, 5), broadcast=st.booleans())
+def test_gaussian_margin_cdf_matches_scalar_loop(data, parts, rows, cols,
+                                                 broadcast):
+    # broadcast: one (C, n) sd shared by every component, as conditions
+    # passes sqrt(var) against its (2, C, n) means
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=parts,
+                                 max_size=parts))
+    a = np.array(data.draw(st.lists(_margin_means, min_size=parts * rows * cols,
+                                    max_size=parts * rows * cols))
+                 ).reshape(parts, rows, cols)
+    s_shape = (rows, cols) if broadcast else (parts, rows, cols)
+    s = np.array(data.draw(st.lists(_margin_sds, min_size=math.prod(s_shape),
+                                    max_size=math.prod(s_shape)))
+                 ).reshape(s_shape)
+    ours = analytic.gaussian_margin_cdf(weights, a, s)
+    _assert_same_bits(ours, _scalar_margin_cdf(weights, a, s))
+
+
+def test_gaussian_margin_cdf_weights_broadcast_per_environment():
+    # cmnist's table: (4, R, 1) means and (R, 1) sds against (E,) weights
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 6, 1))
+    s = np.concatenate([[[0.0]], rng.uniform(0.1, 3.0, (5, 1))])
+    weights = [rng.uniform(0.0, 0.5, 3) for _ in range(4)]
+    ours = analytic.gaussian_margin_cdf(weights, a, s)
+    assert ours.shape == (6, 3)
+    for e in range(3):
+        _assert_same_bits(ours[:, e], _scalar_margin_cdf(
+            [w[e] for w in weights], a, s)[:, 0])
+
+
+def test_gaussian_margin_cdf_matches_scipy_ndtr():
+    rng = np.random.default_rng(8)
+    weights = rng.dirichlet(np.ones(3))
+    a = rng.normal(0.0, 4.0, (3, 200))
+    s = rng.uniform(0.05, 5.0, (3, 200))
+    expected = sum(w * special.ndtr(x / y) for w, x, y in zip(weights, a, s))
+    np.testing.assert_allclose(analytic.gaussian_margin_cdf(weights, a, s),
+                               expected, rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("mean, expected", [
+    (2.5, 1.0), (5e-324, 1.0), (0.0, 0.0), (-0.0, 0.0), (-5e-324, 0.0),
+    (-2.5, 0.0), (math.inf, 1.0), (-math.inf, 0.0)],
+    ids=["positive", "subnormal", "zero", "minus_zero", "minus_subnormal",
+         "negative", "inf", "minus_inf"])
+@pytest.mark.parametrize("sd", [0.0, -0.0], ids=["zero_sd", "minus_zero_sd"])
+def test_gaussian_margin_cdf_zero_sd_is_the_step(mean, expected, sd):
+    # s = 0 is a point mass at a: a tie (a = 0) counts as wrong
+    total = analytic.gaussian_margin_cdf([0.25, 0.75], np.array([[mean], [1.0]]),
+                                         np.array([[sd], [1.0]]))
+    assert total.tolist() == [0.25 * expected + 0.75 * analytic.normal_cdf(1.0)]
+

@@ -620,6 +620,28 @@ def test_non_finite_plot_point_is_numeric_error(command, identity_table,
     assert not list(out.glob("*.svg"))
 
 
+def test_overflowing_extent_is_numeric_error(identity_table, tmp_path, capsys,
+                                             monkeypatch):
+    # no command plots such points (probits are clipped), so the audit's
+    # first group is stretched to the float range
+    from shiftspec.svgplot import ScatterPlot
+    add_points = ScatterPlot.add_points
+
+    def stretched(self, xs, ys, color="#1f6fb2"):
+        xs = np.array(xs, dtype=np.float64)
+        if len(xs) > 1 and not len(self.points):
+            xs[:2] = -1e308, 1e308
+        add_points(self, xs, ys, color)
+
+    monkeypatch.setattr(ScatterPlot, "add_points", stretched)
+    out = tmp_path / "out"
+    assert main(["audit", "--table", str(identity_table), "--ood-env",
+                 "env_ood", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plot extent x [") and err.count("\n") == 1
+    assert not list(out.glob("*.svg"))
+
+
 class TestMincount:
     def test_stable_stream(self, tmp_path):
         rng = np.random.default_rng(0)

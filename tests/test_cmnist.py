@@ -99,6 +99,38 @@ class TestLinearRuleAccuracy:
         analytic = linear_rule_accuracy(w_c, w_e, noise, p_e, sigma)
         assert analytic == pytest.approx(mc, abs=0.003)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"noise_sigma": -1.0}, "noise_sigma"),
+        ({"noise_sigma": math.nan}, "noise_sigma"),
+        ({"noise_sigma": np.array([-0.0, -1e-300])}, "noise_sigma"),
+        ({"noise_sigma": math.inf}, "noise_sigma"),
+        ({"p_e": 1.5}, "p_e"),
+        ({"p_e": -1e-300}, "p_e"),
+        ({"p_e": math.nan}, "p_e"),
+        ({"p_e": np.array([0.1, math.nan])}, "p_e"),
+        ({"label_noise": math.nan}, "label_noise"),
+        ({"label_noise": 1.0 + 2.0 ** -52}, "label_noise"),
+        ({"label_noise": -0.5}, "label_noise"),
+    ], ids=["sigma_negative", "sigma_nan", "sigma_array", "sigma_inf",
+            "pe_above", "pe_below", "pe_nan", "pe_array_nan", "noise_nan",
+            "noise_above", "noise_below"])
+    def test_invalid_input_raises(self, kwargs, match):
+        # each of these once scored silently: the hard threshold for a
+        # negative or nan sigma, nan for an infinite sigma on a zero rule,
+        # 0.883 for p_e = 1.5, nan for a nan probability
+        args = {"w_c": np.array([1.0, 0.3]), "w_e": np.array([0.2, 0.9]),
+                "label_noise": 0.25, "p_e": 0.9, "noise_sigma": 0.5} | kwargs
+        with pytest.raises(ValueError, match=match):
+            linear_rule_accuracy(**args)
+
+    def test_boundary_inputs_are_valid(self):
+        # the closed interval's ends, -0.0, and a huge finite sigma
+        rows = linear_rule_accuracy(np.array([1.0, 0.3]), np.array([0.2, 0.9]),
+                                    1.0, np.array([0.0, -0.0, 1.0]),
+                                    np.array([-0.0, 1e300]))
+        assert rows.shape == (2, 3) and not np.isnan(rows).any()
+        assert linear_rule_accuracy(1.0, 0.2, 0.0, 1.0) == 1.0
+
 
 class TestTrainedClassifiers:
     def test_digit_restricted_fit_reproduces_oracle(self):

@@ -45,3 +45,32 @@ def test_the_guard_sees_relative_and_absolute_private_imports():
     assert _private_imports(tree) == [".rng: _rekey",
                                       "shiftspec.analytic: _horner",
                                       ".: _private"]
+
+
+def _normal_cdf_uses(tree: ast.Module) -> list[int]:
+    """Lines that read normal_cdf, by bare name or as an attribute."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == "normal_cdf"
+                   or isinstance(node, ast.Attribute)
+                   and node.attr == "normal_cdf"})
+
+
+def test_only_analytic_calls_normal_cdf():
+    # a closed-form accuracy goes through analytic.gaussian_margin_cdf, the
+    # one owner of the weighted sum and its s = 0 step; __init__ only
+    # re-exports the name
+    callers = {path.name: _normal_cdf_uses(ast.parse(
+                   path.read_text(encoding="utf-8")))
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name not in ("analytic.py", "__init__.py")}
+    assert "cmnist.py" in callers and "conditions.py" in callers
+    assert {name: lines for name, lines in callers.items() if lines} == {}
+
+
+def test_the_normal_cdf_guard_sees_names_and_attributes():
+    tree = ast.parse("from .analytic import normal_cdf\n"
+                     "x = normal_cdf(1.0)\n"
+                     "y = analytic.normal_cdf(2.0)\n"
+                     "f = normal_cdf\n"
+                     "z = normal_quantile(0.5)\n")
+    assert _normal_cdf_uses(tree) == [2, 3, 4]

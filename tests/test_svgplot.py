@@ -192,3 +192,47 @@ def test_non_finite_point_is_rejected_before_it_is_kept(xs, ys):
         plot.add_points(xs, ys)
     assert len(plot.points) == 1
     assert _digest(plot.render()) == _digest(_one_point_plot().render())
+
+
+# finite points whose padded span overflows float64: no map to the frame
+# survives it, so every use of the frame is a ValueError
+_OVERFLOWING = [([-1e308, 1e308], [0.0, 1.0]),
+                ([0.0, 1.0], [-1.7e308, 1.7e308]),
+                ([1.6e308, 1.79e308], [0.0, 1.0])]
+
+
+@pytest.mark.parametrize("xs, ys", _OVERFLOWING,
+                         ids=["x_span", "y_span", "x_pad"])
+def test_overflowing_extent_fails_render(xs, ys):
+    plot = ScatterPlot(title="t", xlabel="x", ylabel="y")
+    plot.add_points(xs, ys)
+    with pytest.raises(ValueError, match="overflows float64"):
+        plot.render()
+
+
+@pytest.mark.parametrize("xs, ys", _OVERFLOWING[:2], ids=["x_span", "y_span"])
+def test_overflowing_extent_fails_probit_render(xs, ys):
+    # without the check this wrote nan coordinates under a RuntimeWarning
+    plot = ScatterPlot(title="t", xlabel="x", ylabel="y", probit_axes=True)
+    plot.add_points(xs, ys)
+    with pytest.raises(ValueError, match="overflows float64"):
+        plot.render()
+
+
+def test_overflowing_extent_fails_line_over_x():
+    plot = ScatterPlot(title="t", xlabel="x", ylabel="y")
+    plot.add_points(*_OVERFLOWING[0])
+    with pytest.raises(ValueError, match="overflows float64"):
+        plot.line_over_x(1.0, 0.0)
+    assert plot.lines == []
+
+
+def test_widest_finite_extent_still_renders():
+    # a span just inside the range pads to a finite frame
+    plot = ScatterPlot(title="t", xlabel="x", ylabel="y")
+    plot.add_points([-7e307, 7e307], [-7e307, 7e307])
+    plot.line_over_x(1.0, 0.0)
+    svg = plot.render()
+    assert "nan" not in svg and "inf" not in svg
+    minidom.parseString(svg)
+
