@@ -32,6 +32,7 @@ from .report import write_json_report
 from .svgplot import ScatterPlot
 from .synthgen import interpolation_mixture, random_shifts, sample_domain
 from .trainer import OptimizerSettings, fit_logistic
+from .util import parallel_map
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,41 +87,38 @@ def cmd_simulate(args) -> int:
         shifts = ShiftStack.linear(random_shifts(spec.l, sweep.shift_scale,
                                                  shift_seeds))
     with np.errstate(over="ignore", invalid="ignore"):
-        reports = condition_reports(full, spec, shifts, cfg.delta)
-        acc = accuracies_under_shifts([dg, full], spec, shifts).T
-    for name, values in (("theorem1_margin", [r.theorem1_margin for r in reports]),
-                         ("snr_ood", [r.snr_ood for r in reports]),
-                         ("acc_ood_domain_general", acc[0]),
-                         ("acc_ood_full", acc[1])):
+        record = condition_reports(full, spec, shifts, cfg.delta)
+        acc_dg, acc_full = accuracies_under_shifts([dg, full], spec, shifts).T
+    for name, values in (("theorem1_margin", record.theorem1_margin),
+                         ("snr_ood", record.snr_ood),
+                         ("acc_ood_domain_general", acc_dg),
+                         ("acc_ood_full", acc_full)):
         require_finite(name, values)
-    acc_dg, acc_full = acc.tolist()
-    gaps = [a - b for a, b in zip(acc_dg, acc_full)]
+    gaps = acc_dg - acc_full
+    negative = record.theorem1_well_specified
     out = _out_dir(args.out)
 
     header = ["shift_index", "reversal_term", "theorem1_margin",
               "theorem1_well_specified", "snr_id", "snr_ood",
               "theorem2_well_specified", "acc_ood_domain_general",
               "acc_ood_full", "acc_gap"]
-    lines = [",".join(header)]
-    for i, rep in enumerate(reports):
-        lines.append(_fmt_row([i, rep.reversal_term, rep.theorem1_margin,
-                               rep.theorem1_well_specified, rep.snr_id,
-                               rep.snr_ood, rep.theorem2_well_specified,
-                               acc_dg[i], acc_full[i], gaps[i]]))
+    columns = (record.reversal_term, record.theorem1_margin,
+               record.theorem1_well_specified, record.snr_id, record.snr_ood,
+               record.theorem2_well_specified, acc_dg, acc_full, gaps)
+    rows = zip(range(len(shifts)), *(c.tolist() for c in columns))
+    lines = [",".join(header)] + parallel_map(_fmt_row, list(rows))
     (out / "simulate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    negative = [i for i, rep in enumerate(reports) if rep.theorem1_margin < 0.0]
     payload = {
         "seed": seed,
         "n_shifts": sweep.n_shifts,
         "ood_mode": sweep.ood_mode,
         "delta": cfg.delta,
-        "mean_abs_gap": float(np.mean([abs(g) for g in gaps])),
-        "margin_negative_count": len(negative),
-        "dg_wins_given_margin_negative": sum(1 for i in negative
-                                             if acc_dg[i] > acc_full[i]),
-        "theorem2_agreement_count": sum(1 for i in negative
-                                        if reports[i].theorem2_well_specified),
+        "mean_abs_gap": float(np.mean(np.abs(gaps))),
+        "margin_negative_count": int(negative.sum()),
+        "dg_wins_given_margin_negative": int(np.sum(negative & (acc_dg > acc_full))),
+        "theorem2_agreement_count": int(np.sum(negative
+                                               & record.theorem2_well_specified)),
     }
     write_json_report(payload, out / "simulate_report.json",
                       "simulate_report.schema.json")
@@ -128,16 +126,14 @@ def cmd_simulate(args) -> int:
     plot = ScatterPlot(title="OOD accuracy gap vs. spurious reversal term",
                        xlabel="w_e . M mu_e (dark points: reversal margin < 0)",
                        ylabel="OOD accuracy: domain-general minus full")
-    x_vals = [rep.reversal_term for rep in reports]
-    rest = [i for i, rep in enumerate(reports) if rep.theorem1_margin >= 0.0]
-    plot.add_points([x_vals[i] for i in rest], [gaps[i] for i in rest])
-    plot.add_points([x_vals[i] for i in negative], [gaps[i] for i in negative],
-                    color="#7d2181")
+    x = record.reversal_term
+    plot.add_points(x[~negative], gaps[~negative])
+    plot.add_points(x[negative], gaps[negative], color="#7d2181")
     plot.add_line(0.0, -1.0, 0.0, 1.0, color="#888888", dash="4,3")
-    plot.add_line(min(x_vals), 0.0, max(x_vals), 0.0, color="#888888", dash="4,3")
+    plot.add_line(x.min(), 0.0, x.max(), 0.0, color="#888888", dash="4,3")
     (out / "simulate.svg").write_text(plot.render(), encoding="utf-8")
     print(f"simulate: wrote {out / 'simulate.csv'} "
-          f"({len(reports)} shifts, {len(negative)} with negative margin)")
+          f"({len(shifts)} shifts, {int(negative.sum())} with negative margin)")
     return EXIT_OK
 
 
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm = sub.add_parser("cmnist", help="ColoredMNIST sweep and audit")
     cm.add_argument("--train-pe", type=float, default=0.9)
     cm.add_argument("--test-grid", default="0.8,0.85,0.9,0.95,0.99")
-    cm.add_argument("--label-noise", type=float, default=0.25)
+    cm.add_argument("--label-noise", type=float, default=CmnistSpec.label_noise)
     cm.add_argument("--n-train", type=int, default=4000)
     cm.add_argument("--seeds-per-sigma", type=int, default=2)
     cm.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)

@@ -4,7 +4,7 @@ Two layers live here: condition checks (reversal margin, SNR comparison)
 over a stack of shifts in one vector pass, and the zero-measure experiment
 that measures how often a random shift is well-specified yet on the line.
 Every evaluator takes the theorem constants kappa (_id_kappa) and M,
-Sigma_phi, L_phi (_stacked_margins) from the (spec, shift) it is given.
+Sigma_phi, L_phi (condition_reports) from the (spec, shift) it is given.
 The paper's deviation bounds are not evaluated.
 
 Theorem 2's verdict (theorem2_well_specified) is the SNR comparison: the
@@ -25,12 +25,14 @@ components, and simulate and the zero-measure experiment pass all of their
 shifts at once (a ShiftStack, through accuracies_under_shifts). It builds
 each rule's Gaussian margin table and reduces it with
 analytic.gaussian_margin_cdf, the package's one sum of weighted normal
-CDFs, which cmnist's closed form calls too. The shift
-constants M, Sigma_phi and L_phi of a whole stack, and the theorem-1
-margins they give, come from one pass as well (_stacked_margins, with one
-batched SVD): condition_reports and the zero-measure experiment both call
-it. condition_report, accuracy_under_shift and shift_moments are the
-one-shift case of these stacked helpers.
+CDFs, which cmnist's closed form calls too. Every condition of a whole
+stack comes from one pass as well: condition_reports returns one
+ConditionReport record whose fields are (S,) arrays (the shift constants M,
+Sigma_phi and L_phi from _stacked_moments and one batched SVD, the
+theorem-1 margins, reversals, SNRs and both verdicts), and simulate and
+the zero-measure experiment both read it. condition_report (row 0 of that
+record, as Python scalars), accuracy_under_shift and shift_moments are
+the one-shift case of these stacked helpers.
 
 The classifier family of the zero-measure experiment (classifier_sweep,
 plus the reference fit as one more member) is sampled and fit as one stack
@@ -55,19 +57,20 @@ from .core import (DomainSpec, LinearClassifier, LinearShift, Mask,
 from .synthgen import random_shifts, sample_domains
 from .trainer import (DEFAULT_L2, OptimizerSettings, fit_logistic_stack,
                       ridge_penalty)
-from .util import parallel_map
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Evaluated shift conditions for one (classifier, shift) instance."""
+    """Evaluated shift conditions of one classifier: an (S,) array per field,
+    entry s for shift s of a stack (condition_reports), or one shift's
+    Python scalars (condition_report)."""
 
-    reversal_term: float
-    theorem1_margin: float
-    theorem1_well_specified: bool
-    snr_id: float
-    snr_ood: float
-    theorem2_well_specified: bool
+    reversal_term: np.ndarray | float
+    theorem1_margin: np.ndarray | float
+    theorem1_well_specified: np.ndarray | bool
+    snr_id: np.ndarray | float
+    snr_ood: np.ndarray | float
+    theorem2_well_specified: np.ndarray | bool
 
 
 def _log_inv(delta: float) -> float:
@@ -224,12 +227,20 @@ def require_finite(name: str, values) -> None:
                          f"the shifted moments overflow float64")
 
 
-def _stacked_margins(w_e: np.ndarray, spec: DomainSpec, stack: ShiftStack,
-                     delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, l) M mu_e, (S, l, l) Sigma_phi and the (S,) theorem-1 margins of
-    w_e under every shift of the stack, with L_phi from one batched SVD and
-    the margins from one theorem1_margin call. A Sigma_phi that overflows is
-    a numeric error, raised without a warning."""
+def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
+                      stack: ShiftStack, delta: float) -> ConditionReport:
+    """Both shift conditions of a full classifier under every shift of the
+    stack, in one vector pass: one record of (S,) arrays.
+
+    M mu_e and Sigma_phi come from _stacked_moments, L_phi from one batched
+    SVD and the margins from one theorem1_margin call; theorem 2's SNRs come
+    from the (S,) reversals w_e' M mu_e and var_e = w_e' Sigma_phi w_e
+    through row_dot, each rounded as the one-shift float. A Sigma_phi that
+    overflows, then the first shift whose var_e is not finite or whose SNR
+    denominator is not positive, raises a numeric error, without a warning.
+    """
+    w_c = np.asarray(classifier.w_c, dtype=np.float64)
+    w_e = np.asarray(classifier.w_e, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         m_mean, sigma_phi = _stacked_moments(stack, spec.mu_e, spec.sigma_e)
     norms = np.linalg.svd(stack.mats, compute_uv=False)[:, 0]
@@ -237,20 +248,6 @@ def _stacked_margins(w_e: np.ndarray, spec: DomainSpec, stack: ShiftStack,
     require_finite("Sigma_phi", sigma_phi)
     m_mu_e = m_mean @ spec.mu_e
     margins = theorem1_margin(w_e, m_mu_e, l_phi, _id_kappa(spec), delta)
-    return m_mu_e, sigma_phi, margins
-
-
-def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
-                      stack: ShiftStack, delta: float) -> list[ConditionReport]:
-    """condition_report for every shift of the stack in one vector pass:
-    the margins from _stacked_margins, then theorem 2's SNRs from (S,)
-    reversals w_e' M mu_e and var_e = w_e' Sigma_phi w_e through row_dot,
-    each rounded as the one-shift float. The first shift whose var_e is not
-    finite or whose SNR denominator is not positive raises, without a
-    warning."""
-    w_c = np.asarray(classifier.w_c, dtype=np.float64)
-    w_e = np.asarray(classifier.w_e, dtype=np.float64)
-    m_mu_e, sigma_phi, margins = _stacked_margins(w_e, spec, stack, delta)
     var_c = float(w_c @ spec.sigma_c @ w_c)
     signal_id = float(w_c @ spec.mu_c)
     reversal = row_dot(w_e, m_mu_e)
@@ -263,24 +260,25 @@ def condition_reports(classifier: LinearClassifier, spec: DomainSpec,
             raise ValueError("w_e' Sigma_phi w_e is not finite: the shifted "
                              "moments overflow float64")
         raise ValueError("degenerate denominators in SNR comparison")
-    snr_id = signal_id / math.sqrt(var_c)
+    snr_id = np.full(len(stack), signal_id / math.sqrt(var_c))
     snr_ood = (signal_id + reversal) / np.sqrt(var_c + var_e)
-    rows = zip(reversal.tolist(), margins.tolist(), (margins < 0.0).tolist(),
-               [snr_id] * len(stack), snr_ood.tolist(),
-               (snr_ood < snr_id).tolist())
-    return parallel_map(lambda fields: ConditionReport(*fields), list(rows))
+    return ConditionReport(reversal_term=reversal, theorem1_margin=margins,
+                           theorem1_well_specified=margins < 0.0,
+                           snr_id=snr_id, snr_ood=snr_ood,
+                           theorem2_well_specified=snr_ood < snr_id)
 
 
 def condition_report(classifier: LinearClassifier, spec: DomainSpec,
                      shift: ShiftSpec | np.ndarray, delta: float) -> ConditionReport:
     """Evaluate both shift conditions for a full classifier under a shift.
 
-    A bare l x l matrix is taken as a LinearShift; kappa comes from
-    _id_kappa and M, Sigma_phi, L_phi from _stacked_margins. The one-shift
-    case of condition_reports.
+    A bare l x l matrix is taken as a LinearShift. The one-shift case of
+    condition_reports: its record's row 0, as Python scalars.
     """
-    return condition_reports(classifier, spec, ShiftStack.of([shift], spec.l),
-                             delta)[0]
+    record = condition_reports(classifier, spec,
+                               ShiftStack.of([shift], spec.l), delta)
+    return ConditionReport(**{name: column[0].item()
+                              for name, column in vars(record).items()})
 
 
 def _stacked_weights(models: Sequence[LinearClassifier], spec: DomainSpec
@@ -300,11 +298,13 @@ def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
     Row t is the closed form for the linear shift mats[t]: the margin of a
     rule is a two-component Gaussian mixture, the classes y = +1 and -1
     with weights (label_prior, 1 - label_prior), means signal + bias and
-    signal - bias, and sd sqrt(var), reduced by gaussian_margin_cdf. A zero
-    variance raises before the reduction, so its s = 0 step is never
-    taken here. The stacked matmul and einsum forms below round exactly as
-    one matrix at a time does; other spellings (``m_mu @ w_e.T``,
-    ``(w_e @ cov * w_e).sum(-1)``) move the last bits.
+    signal - bias, and sd sqrt(var), reduced by gaussian_margin_cdf. A
+    variance that overflowed to inf or nan, then a zero one, raises before
+    the reduction: einsum and matmul overflow without a warning, and
+    Phi(a / inf) = Phi(0) would score the rule as a coin flip; the s = 0
+    step is never taken here. The stacked matmul and einsum forms below
+    round exactly as one matrix at a time does; other spellings
+    (``m_mu @ w_e.T``, ``(w_e @ cov * w_e).sum(-1)``) move the last bits.
     """
     prior = float(spec.label_prior)
     signal_c = w_c @ spec.mu_c
@@ -312,6 +312,9 @@ def _accuracy_kernel(w_c: np.ndarray, w_e: np.ndarray, bias: np.ndarray,
     signal = signal_c + (w_e @ (mats @ spec.mu_e)[..., None])[..., 0]
     cov = mats @ spec.sigma_e @ np.swapaxes(mats, -1, -2)
     var = var_c + np.einsum("ij,tjk,ik->ti", w_e, cov, w_e)
+    if not np.isfinite(var).all():
+        raise ValueError("score variance is not finite: the shifted moments "
+                         "overflow float64")
     if np.any(var <= 0.0):
         raise ValueError("degenerate projection: zero score variance")
     # a bias breaks the ±mu symmetry: weight the two class-conditional
@@ -427,13 +430,15 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
     smallest eps the shift supports.
     Fractions are nondecreasing in eps by construction because every trial
     shares one (margin, residual) pair.
-    Each margin equals condition_report's for the reference fit and that
-    trial's shift: both come from _stacked_margins, so a shift_scale whose
-    Sigma_phi overflows float64 is the same numeric error.
+    The margins are the theorem1_margin column of one condition_reports
+    record for the reference fit over every trial's shift, so each equals
+    condition_report's for that fit and shift, and a shift_scale whose
+    Sigma_phi or w_e' Sigma_phi w_e overflows float64 is the same numeric
+    error; one whose family's score variances overflow is the kernel's.
 
     All trials run in one pass: one random_shifts draw (trial t with seed
     seed * 7919 + t, through one re-keyed generator) is one ShiftStack for
-    accuracies_under_shifts and _stacked_margins, and their OOD probits are
+    condition_reports and accuracies_under_shifts, and their OOD probits are
     one correlation_epsilon call.
     """
     if trials < 100:
@@ -456,7 +461,7 @@ def zero_measure_experiment(spec: DomainSpec, eps_grid: Sequence[float],
         raise ValueError("degenerate sweep: all accuracies equal")
     probit_id = normal_quantile(np.clip(acc_id, 1e-12, 1.0 - 1e-12))
 
-    margins = _stacked_margins(reference.w_e, spec, stack, delta)[2]
+    margins = condition_reports(reference, spec, stack, delta).theorem1_margin
     acc_ood = accuracies_under_shifts(models, spec, stack)
     probit_ood = normal_quantile(np.clip(acc_ood, 1e-12, 1.0 - 1e-12))
     residuals = correlation_epsilon(probit_ood, probit_id)[1]

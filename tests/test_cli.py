@@ -904,6 +904,16 @@ class TestCmnist:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_defaults_come_from_their_owners(self, monkeypatch):
+        # one source of defaults: a new CmnistSpec.label_noise or
+        # DEFAULT_THRESHOLD moves the flag's default with it
+        from shiftspec import cli
+        from shiftspec.cmnist import CmnistSpec
+        monkeypatch.setattr(CmnistSpec, "label_noise", 0.125)
+        monkeypatch.setattr(cli, "DEFAULT_THRESHOLD", 0.375)
+        args = cli.build_parser.__wrapped__().parse_args(["cmnist"])
+        assert (args.label_noise, args.threshold) == (0.125, 0.375)
+
     def test_default_outputs_pinned(self, tmp_path):
         out = tmp_path / "out"
         assert main(["cmnist", "--out", str(out)]) == 0

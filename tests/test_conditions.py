@@ -194,8 +194,7 @@ def test_snr_verdict_agrees_with_exact_comparison_on_linear_shifts_only():
         shifts.append(MixtureShift(tuple(
             (float(w), rng.uniform(-2.0, 2.0, (2, 2))) for w in weights)))
     stack = ShiftStack.of(shifts, 2)
-    snr = np.array([r.theorem2_well_specified
-                    for r in condition_reports(full, spec, stack, 0.5)])
+    snr = condition_reports(full, spec, stack, 0.5).theorem2_well_specified
     acc = accuracies_under_shifts([full, no_e], spec, stack)
     differ = snr != (acc[:, 0] < acc[:, 1])
     gaps = np.abs(acc[:, 0] - acc[:, 1])[differ]
@@ -407,6 +406,40 @@ class TestZeroMeasure:
                                         reliance_grid=(1e-3, 1.0, 1e3),
                                         n_seeds=1)
 
+    # seed 3, 100 trials, 200 rows per domain: a family member's score
+    # variance overflows from shift_scale 1.625e153 and the reference fit's
+    # w_e' Sigma_phi w_e from 3.467e153, well before Sigma_phi (9.87e153)
+    OVERFLOW = dict(eps_grid=[0.0, 0.5, 1.0], trials=100, n_per_domain=200,
+                    seed=3, delta=0.5)
+
+    def test_overflowing_score_variance_is_one_numeric_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="score variance is not finite"):
+                zero_measure_experiment(default_spec(), shift_scale=2e153,
+                                        **self.OVERFLOW)
+
+    def test_overflowing_snr_variance_is_condition_reports_error(self):
+        # the margins come from condition_reports, so the experiment raises
+        # the error condition_report raises on one of its trial shifts
+        message = "w_e' Sigma_phi w_e is not finite"
+        spec = default_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                zero_measure_experiment(spec, shift_scale=4e153,
+                                        **self.OVERFLOW)
+        reference = fit_logistic(sample_domain(spec, 200, 3 ^ 0x5EED),
+                                 Mask.FULL, 1e-3)
+        raised = []
+        for t in range(100):
+            try:
+                condition_report(reference, spec,
+                                 random_shift(2, 4e153, 3 * 7_919 + t), 0.5)
+            except ValueError as exc:
+                raised.append(str(exc))
+        assert raised and all(message in e for e in raised)
+
 
 def test_classifier_sweep_spans_reliance():
     spec = default_spec()
@@ -587,6 +620,18 @@ def test_stacked_accuracy_matches_per_classifier_calls(shift):
     assert isinstance(stacked, np.ndarray) and stacked.shape == (40,)
     assert all(isinstance(a, float) for a in single)
     assert np.max(np.abs(stacked - single)) <= 1e-15
+
+
+def test_stacked_accuracy_rejects_an_overflowing_variance():
+    # w_e' M sigma_e M' w_e = 1e306 * 1e4 * sigma_e[0, 0] overflows to inf
+    # inside einsum, which warns of nothing; Phi(a / inf) would score 0.5
+    rule = LinearClassifier(w_c=np.ones(2), w_e=np.array([1e153, 0.0]),
+                            trained_on=Mask.FULL)
+    stack = ShiftStack.linear(np.diag([100.0, 1.0])[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="score variance is not finite"):
+            accuracies_under_shifts([rule], default_spec(), stack)
 
 
 def test_stacked_accuracy_rejects_zero_variance():
@@ -809,6 +854,15 @@ def _loop_report(classifier, spec, shift, delta):
                            theorem2_well_specified=snr_ood < snr_id)
 
 
+def _record_row(record, s):
+    """Row s of a condition_reports record as a one-shift ConditionReport;
+    every column is an (S,) array of float64 or bool."""
+    columns = vars(record)
+    assert all(isinstance(c, np.ndarray) and c.shape == record.snr_id.shape
+               and c.dtype in (np.float64, np.bool_) for c in columns.values())
+    return ConditionReport(**{name: c[s].item() for name, c in columns.items()})
+
+
 def _loop_snr_fault(classifier, spec, mats):
     """The error a loop over the linear shifts mats raises first: at each
     shift in order, a w_e' Sigma_phi w_e that is not finite, then an SNR
@@ -869,10 +923,11 @@ def test_stacked_helpers_equal_per_shift_calls(k, l, id_shift, sizes, seed):
               for c in sizes]
     stack = conditions.ShiftStack.of(shifts, l)
     delta = float(rng.uniform(0.05, 0.95))
-    reports = conditions.condition_reports(models[0], spec, stack, delta)
+    record = conditions.condition_reports(models[0], spec, stack, delta)
     accs = conditions.accuracies_under_shifts(models, spec, stack)
     assert accs.shape == (len(shifts), len(models))
-    for shift, rep, acc in zip(shifts, reports, accs):
+    for s, (shift, acc) in enumerate(zip(shifts, accs)):
+        rep = _record_row(record, s)
         assert rep == condition_report(models[0], spec, shift, delta)
         assert rep == _loop_report(models[0], spec, shift, delta)
         assert np.array_equal(acc, accuracy_under_shift(models, spec, shift))
@@ -884,7 +939,8 @@ def test_stacked_helpers_equal_per_shift_calls(k, l, id_shift, sizes, seed):
     # an (S, l, l) array of linear shifts stacks like the LinearShifts
     mats = rng.uniform(-2.0, 2.0, (len(sizes), l, l))
     linear = conditions.ShiftStack.linear(mats)
-    assert conditions.condition_reports(models[0], spec, linear, delta) == \
+    record = conditions.condition_reports(models[0], spec, linear, delta)
+    assert [_record_row(record, s) for s in range(len(mats))] == \
         [_loop_report(models[0], spec, LinearShift(m), delta) for m in mats]
     assert np.array_equal(
         conditions.accuracies_under_shifts(models, spec, linear),

@@ -74,3 +74,62 @@ def test_the_normal_cdf_guard_sees_names_and_attributes():
                      "f = normal_cdf\n"
                      "z = normal_quantile(0.5)\n")
     assert _normal_cdf_uses(tree) == [2, 3, 4]
+
+
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """The function, by dotted path, or '<module>' around every read of name
+    as a bare name and every call of it as an attribute. Imports and
+    definitions are not reads, nor is an attribute that is not called: a
+    ConditionReport's theorem1_margin field shares the function's name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(func, ast.Attribute) and func.attr == name):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def _package_readers(name: str) -> set[str]:
+    """'module: function' for every read of name in src/shiftspec."""
+    return {f"{path.name}: {scope}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _readers(ast.parse(path.read_text(encoding="utf-8")),
+                                  name)}
+
+
+def test_one_pass_evaluates_the_theorem_conditions_of_a_stack():
+    # condition_reports is the one record of a shift stack's conditions:
+    # simulate and the zero-measure experiment read its columns, and no
+    # second path computes the margins or the shifted moments
+    assert _package_readers("theorem1_margin") == {
+        "conditions.py: condition_reports"}
+    assert _package_readers("_stacked_moments") == {
+        "conditions.py: condition_reports", "conditions.py: shift_moments"}
+
+
+def test_the_reader_guard_sees_scopes_names_and_attributes():
+    tree = ast.parse("from .conditions import theorem1_margin\n"
+                     "def theorem1_margin(): pass\n"
+                     "f = theorem1_margin\n"
+                     "def outer():\n"
+                     "    def inner():\n"
+                     "        return conditions.theorem1_margin(1)\n"
+                     "    return theorem1_margin(2)\n"
+                     "margin = report.theorem1_margin\n"
+                     "class Stack:\n"
+                     "    def of(self):\n"
+                     "        theorem1_margin = 3\n"
+                     "        return theorem1_margin\n")
+    assert _readers(tree, "theorem1_margin") == [
+        "<module>", "outer.inner", "outer", "Stack.of"]
