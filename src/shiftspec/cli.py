@@ -5,6 +5,13 @@ tables, configs or environments, or an OSError reading input or writing
 --out), 3 numeric or degeneracy error (any other ValueError: degenerate
 sweeps, a shifted covariance that is not PSD, fits that do not converge).
 main() alone maps exceptions to these codes.
+
+Each cmd_* function does its command's numeric work and renders its texts,
+plots included, then returns (payload, files, summary): the report dict,
+each output file's name mapped to its text, and the stdout line. main()
+alone writes them: it creates --out, writes <command>_report.json checked
+against <command>_report.schema.json, writes each file as UTF-8 and prints
+the summary. So no file is written until a command has succeeded.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import sys
 from pathlib import Path
 
@@ -39,12 +47,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _out_dir(path_text: str) -> Path:
-    out = Path(path_text)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fmt_row(values) -> str:
     cells = []
     for v in values:
@@ -57,7 +59,7 @@ def _fmt_row(values) -> str:
     return ",".join(cells)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, dict[str, str], str]:
     cfg = load_config(args.config) if args.config else default_config()
     seed = args.seed
 
@@ -96,7 +98,6 @@ def cmd_simulate(args) -> int:
         require_finite(name, values)
     gaps = acc_dg - acc_full
     negative = record.theorem1_well_specified
-    out = _out_dir(args.out)
 
     header = ["shift_index", "reversal_term", "theorem1_margin",
               "theorem1_well_specified", "snr_id", "snr_ood",
@@ -107,7 +108,6 @@ def cmd_simulate(args) -> int:
                record.theorem2_well_specified, acc_dg, acc_full, gaps)
     rows = zip(range(len(shifts)), *(c.tolist() for c in columns))
     lines = [",".join(header)] + parallel_map(_fmt_row, list(rows))
-    (out / "simulate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     payload = {
         "seed": seed,
@@ -120,8 +120,6 @@ def cmd_simulate(args) -> int:
         "theorem2_agreement_count": int(np.sum(negative
                                                & record.theorem2_well_specified)),
     }
-    write_json_report(payload, out / "simulate_report.json",
-                      "simulate_report.schema.json")
 
     plot = ScatterPlot(title="OOD accuracy gap vs. spurious reversal term",
                        xlabel="w_e . M mu_e (dark points: reversal margin < 0)",
@@ -131,10 +129,11 @@ def cmd_simulate(args) -> int:
     plot.add_points(x[negative], gaps[negative], color="#7d2181")
     plot.add_line(0.0, -1.0, 0.0, 1.0, color="#888888", dash="4,3")
     plot.add_line(x.min(), 0.0, x.max(), 0.0, color="#888888", dash="4,3")
-    (out / "simulate.svg").write_text(plot.render(), encoding="utf-8")
-    print(f"simulate: wrote {out / 'simulate.csv'} "
-          f"({len(shifts)} shifts, {int(negative.sum())} with negative margin)")
-    return EXIT_OK
+    files = {"simulate.csv": "\n".join(lines) + "\n",
+             "simulate.svg": plot.render()}
+    return payload, files, (f"simulate: wrote {Path(args.out) / 'simulate.csv'} "
+                            f"({len(shifts)} shifts, "
+                            f"{int(negative.sum())} with negative margin)")
 
 
 def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
@@ -148,7 +147,7 @@ def _audit_pairs(args) -> tuple[np.ndarray, np.ndarray, str | None]:
     return *pairwise_pairs(table, args.id_env, args.ood_env), args.id_env
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple[dict, dict[str, str], str]:
     """Probit fit, verdict and Definition 6 of one split; definition6 is
     correlation_epsilon in the direction probit(ID) ≈ a·probit(OOD)."""
     check_clip_alpha(args.clip_alpha)
@@ -158,7 +157,6 @@ def cmd_audit(args) -> int:
     fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
     verdict = classify_split(fit, threshold=args.threshold)
     a6, eps6 = (float(v[0]) for v in correlation_epsilon(x, y))
-    out = _out_dir(args.out)
 
     payload = {
         "mode": args.mode,
@@ -171,13 +169,11 @@ def cmd_audit(args) -> int:
     }
     if id_env is not None:
         payload["id_env"] = id_env
-    write_json_report(payload, out / "audit_report.json", "audit_report.schema.json")
 
     # Table-1 column order: slope, offset, R, p-value, std error
     csv = ("slope,offset,R,p-value,std error\n"
            + _fmt_row([fit.slope, fit.intercept, fit.pearson_r,
                        fit.p_value, fit.std_err]) + "\n")
-    (out / "audit_row.csv").write_text(csv, encoding="utf-8")
 
     plot = ScatterPlot(title=f"ID vs OOD accuracy (probit scale), OOD={args.ood_env}",
                        xlabel="ID accuracy (probit)",
@@ -187,13 +183,11 @@ def cmd_audit(args) -> int:
     lo = float(min(x.min(), y.min()))
     hi = float(max(x.max(), y.max()))
     plot.add_line(lo, lo, hi, hi, color="#888888", dash="4,3")
-    (out / "audit_scatter.svg").write_text(plot.render(), encoding="utf-8")
-    print(f"audit: R={fit.pearson_r:.4f} verdict={verdict.value} "
-          f"({len(x)} models)")
-    return EXIT_OK
+    return payload, {"audit_row.csv": csv, "audit_scatter.svg": plot.render()}, (
+        f"audit: R={fit.pearson_r:.4f} verdict={verdict.value} ({len(x)} models)")
 
 
-def cmd_mincount(args) -> int:
+def cmd_mincount(args) -> tuple[dict, dict[str, str], str]:
     check_mincount_args(args.rel_tol, args.resamples, args.confidence,
                         args.start, args.step, args.clip_alpha)
     id_acc, ood_acc = leave_one_out_pairs(load_accuracy_table(args.table),
@@ -203,7 +197,6 @@ def cmd_mincount(args) -> int:
                               confidence=args.confidence,
                               start=args.start, step=args.step,
                               clip_alpha=args.clip_alpha, seed=args.seed)
-    out = _out_dir(args.out)
 
     payload = {
         "ood_env": args.ood_env,
@@ -215,15 +208,10 @@ def cmd_mincount(args) -> int:
     }
     if minimum is not None:
         payload["minimum_models"] = minimum
-    write_json_report(payload, out / "mincount_report.json",
-                      "mincount_report.schema.json")
-
     min_text = str(minimum) if minimum is not None else "not_reached"
-    (out / "mincount.csv").write_text(
-        "minimum_models,total_models\n" + f"{min_text},{len(id_acc)}\n",
-        encoding="utf-8")
-    print(f"mincount: minimum={min_text} total={len(id_acc)}")
-    return EXIT_OK
+    csv = f"minimum_models,total_models\n{min_text},{len(id_acc)}\n"
+    return payload, {"mincount.csv": csv}, (
+        f"mincount: minimum={min_text} total={len(id_acc)}")
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -233,7 +221,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise InputError(f"--test-grid {text!r} is not a list of numbers") from None
 
 
-def cmd_cmnist(args) -> int:
+def cmd_cmnist(args) -> tuple[dict, dict[str, str], str]:
     check_clip_alpha(args.clip_alpha)
     check_threshold(args.threshold)
     spec = CmnistSpec(label_noise=args.label_noise, p_e=(args.train_pe,))
@@ -243,10 +231,6 @@ def cmd_cmnist(args) -> int:
                                noise_sigmas=DEFAULT_NOISE_SIGMAS,
                                seeds_per_sigma=args.seeds_per_sigma,
                                seed=args.seed)
-    out = _out_dir(args.out)
-    (out / "cmnist_table.csv").write_text(dump_accuracy_table(table),
-                                          encoding="utf-8")
-
     splits = [pairwise_pairs(table, "env_id", env) for env in table.env_names[1:]]
     # pooled split: the per-env arrays (one entry per model each) concatenated
     # in env order; each env is fit on its own slice of the pooled probits
@@ -277,18 +261,17 @@ def cmd_cmnist(args) -> int:
             "verdict": classify_split(pooled_fit, args.threshold).value,
         },
     }
-    write_json_report(payload, out / "cmnist_report.json",
-                      "cmnist_report.schema.json")
 
     plot = ScatterPlot(title=f"ColoredMNIST sweep: train p_e={args.train_pe:g}",
                        xlabel="ID accuracy (probit)",
                        ylabel="OOD accuracy (probit)", probit_axes=True)
     plot.add_points(x, y)
     plot.line_over_x(pooled_fit.slope, pooled_fit.intercept)
-    (out / "cmnist_scatter.svg").write_text(plot.render(), encoding="utf-8")
+    files = {"cmnist_table.csv": dump_accuracy_table(table),
+             "cmnist_scatter.svg": plot.render()}
     rs = ", ".join(f"{e['env']}:{e['pearson_r']:.2f}" for e in per_env)
-    print(f"cmnist: pooled R={pooled_fit.pearson_r:.4f}; per-env [{rs}]")
-    return EXIT_OK
+    return payload, files, (
+        f"cmnist: pooled R={pooled_fit.pearson_r:.4f}; per-env [{rs}]")
 
 
 @functools.cache
@@ -319,15 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mincount", help="minimum models for a stable R")
     mc.add_argument("--table", required=True)
     mc.add_argument("--ood-env", required=True)
-    mc.add_argument("--rel-tol", type=float, default=0.01)
-    mc.add_argument("--resamples", type=int, default=1000)
-    mc.add_argument("--confidence", type=float, default=0.95)
-    mc.add_argument("--start", type=int, default=10)
-    mc.add_argument("--step", type=int, default=100)
-    mc.add_argument("--clip-alpha", type=float, default=DEFAULT_CLIP_ALPHA)
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--rel-tol", type=float)
+    mc.add_argument("--resamples", type=int)
+    mc.add_argument("--confidence", type=float)
+    mc.add_argument("--start", type=int)
+    mc.add_argument("--step", type=int)
+    mc.add_argument("--clip-alpha", type=float)
+    mc.add_argument("--seed", type=int)
     mc.add_argument("--out", default="out_mincount")
-    mc.set_defaults(func=cmd_mincount)
+    # each flag's dest is min_model_count's parameter of the same name
+    mc.set_defaults(func=cmd_mincount, **{
+        name: param.default for name, param
+        in inspect.signature(min_model_count).parameters.items()
+        if param.default is not param.empty})
 
     cm = sub.add_parser("cmnist", help="ColoredMNIST sweep and audit")
     cm.add_argument("--train-pe", type=float, default=0.9)
@@ -346,7 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, files, summary = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json_report(payload, out / f"{args.command}_report.json",
+                          f"{args.command}_report.schema.json")
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+        print(summary)
+        return EXIT_OK
     except (OSError, ValueError, MemoryError) as exc:
         # one line, whatever the message holds
         message = " ".join(str(exc).split())

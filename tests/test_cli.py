@@ -617,7 +617,7 @@ def test_non_finite_plot_point_is_numeric_error(command, identity_table,
     err = capsys.readouterr().err
     assert err.startswith("error: plot point 0 is not finite: (nan, ")
     assert err.count("\n") == 1
-    assert not list(out.glob("*.svg"))
+    assert not out.exists()  # main writes nothing before the plot renders
 
 
 def test_overflowing_extent_is_numeric_error(identity_table, tmp_path, capsys,
@@ -639,7 +639,7 @@ def test_overflowing_extent_is_numeric_error(identity_table, tmp_path, capsys,
                  "env_ood", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: plot extent x [") and err.count("\n") == 1
-    assert not list(out.glob("*.svg"))
+    assert not out.exists()
 
 
 class TestMincount:
@@ -914,6 +914,18 @@ class TestCmnist:
         args = cli.build_parser.__wrapped__().parse_args(["cmnist"])
         assert (args.label_noise, args.threshold) == (0.125, 0.375)
 
+        # mincount's flags default to min_model_count's own parameters
+        def scan(id_acc, ood_acc, rel_tol=0.5, resamples=7, confidence=0.75,
+                 start=3, step=4, clip_alpha=0.01, seed=9):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(cli, "min_model_count", scan)
+        args = cli.build_parser.__wrapped__().parse_args(
+            ["mincount", "--table", "t.csv", "--ood-env", "e"])
+        assert (args.rel_tol, args.resamples, args.confidence, args.start,
+                args.step, args.clip_alpha, args.seed) == (
+            0.5, 7, 0.75, 3, 4, 0.01, 9)
+
     def test_default_outputs_pinned(self, tmp_path):
         out = tmp_path / "out"
         assert main(["cmnist", "--out", str(out)]) == 0
@@ -947,3 +959,15 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_every_command_has_a_report_schema():
+    # main names each report and its schema after the command
+    from argparse import _SubParsersAction
+    from shiftspec.cli import build_parser
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, _SubParsersAction))
+    assert sorted(sub.choices) == ["audit", "cmnist", "mincount", "simulate"]
+    for command in sub.choices:
+        schema = load_schema(f"{command}_report.schema.json")
+        assert schema["type"] == "object" and schema["required"]

@@ -133,3 +133,34 @@ def test_the_reader_guard_sees_scopes_names_and_attributes():
                      "        return theorem1_margin\n")
     assert _readers(tree, "theorem1_margin") == [
         "<module>", "outer.inner", "outer", "Stack.of"]
+
+
+_OUTPUT_WRITERS = ("write_json_report", "write_text", "mkdir")
+
+
+def _output_writers(tree: ast.Module) -> dict[str, set[str]]:
+    """Every scope that reads a name that writes a command's outputs."""
+    return {name: set(_readers(tree, name)) for name in _OUTPUT_WRITERS}
+
+
+def test_only_main_writes_a_commands_outputs():
+    # a cmd_* function returns (payload, files, summary) and main writes
+    # them, so no --out directory appears before a command has succeeded
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _output_writers(tree) == {name: {"main"}
+                                     for name in _OUTPUT_WRITERS}
+
+
+def test_the_writer_guard_sees_every_writer_and_its_scope():
+    tree = ast.parse("from .report import write_json_report\n"
+                     "def cmd_run(args):\n"
+                     "    out.mkdir(parents=True)\n"
+                     "    write_json_report({}, out / 'r.json', 's')\n"
+                     "    (out / 'a.csv').write_text('')\n"
+                     "def main():\n"
+                     "    Path(args.out).mkdir()\n"
+                     "    save = write_json_report\n"
+                     "    [(out / n).write_text(t) for n, t in files]\n")
+    assert _output_writers(tree) == {"write_json_report": {"cmd_run", "main"},
+                                     "write_text": {"cmd_run", "main"},
+                                     "mkdir": {"cmd_run", "main"}}
