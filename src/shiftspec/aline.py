@@ -5,7 +5,9 @@ per model. Accuracies are range-checked, clamped away from {0, 1},
 probit-transformed, and OOD is regressed on ID by ordinary least squares. A
 split is flagged well-specified when the Pearson correlation of the
 transformed pairs falls below the configured threshold (0.3 by default),
-which also captures inverse-line behavior.
+which also captures inverse-line behavior. fit_probit_rows is the one probit
+fit and row_pearson the one Pearson R, each over many splits at once:
+audit, cmnist and mincount read them.
 """
 
 from __future__ import annotations
@@ -81,35 +83,50 @@ def probit_points(id_acc: ArrayLike, ood_acc: ArrayLike,
 def fit_probit_line(id_acc: ArrayLike, ood_acc: ArrayLike,
                     clip_alpha: float = DEFAULT_CLIP_ALPHA) -> AlineFit:
     """OLS of probit(ood) on probit(id) with Pearson R and its p-value."""
-    return fit_probit_points(*probit_points(id_acc, ood_acc, clip_alpha), clip_alpha)
+    return fit_probit_rows(*probit_points(id_acc, ood_acc, clip_alpha), clip_alpha)[0]
 
 
-def fit_probit_points(x: np.ndarray, y: np.ndarray, clip_alpha: float) -> AlineFit:
-    """fit_probit_line on pairs already through probit_points."""
-    n = len(x)
+def fit_probit_rows(x: ArrayLike, y: ArrayLike, clip_alpha: float) -> list[AlineFit]:
+    """fit_probit_line of each row pair of (T, n) or (n,) probits from
+    probit_points, row t's fit equal bit for bit to the fit of that row alone.
+
+    R is row_pearson's, clamped to [-1, 1]. A row whose x has zero variance
+    is a degenerate sweep (ValueError) and fails the whole call.
+    """
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    n = x.shape[1]
     if n < 3:
         raise InputError("need at least 3 accuracy pairs")
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    sxx = float(np.sum((x - x_mean) ** 2))
-    syy = float(np.sum((y - y_mean) ** 2))
-    sxy = float(np.sum((x - x_mean) * (y - y_mean)))
-    if sxx <= 0.0:
+    x_mean = x.mean(axis=1)
+    y_mean = y.mean(axis=1)
+    xc = x - x_mean[:, None]
+    sxx = np.sum(xc * xc, axis=1)
+    # a constant row whose mean rounds leaves sxx a few ulps above 0
+    if np.any((sxx <= 0.0) | (np.ptp(x, axis=1) == 0.0)):
         raise ValueError("degenerate sweep: ID accuracies have zero variance")
 
-    slope = sxy / sxx
+    slope = np.sum(xc * (y - y_mean[:, None]), axis=1) / sxx
     intercept = y_mean - slope * x_mean
-    if syy <= 0.0:
-        r = 0.0
-    else:
-        r = sxy / math.sqrt(sxx * syy)
-        r = max(-1.0, min(1.0, r))
-    p = pearson_p_value(r, n)
+    r = np.clip(row_pearson(x, y), -1.0, 1.0)
+    resid = y - (intercept[:, None] + slope[:, None] * x)
+    std_err = np.sqrt(np.sum(resid * resid, axis=1) / (n - 2) / sxx)
+    return [AlineFit(slope=b, intercept=a, pearson_r=rt,
+                     p_value=pearson_p_value(rt, n), std_err=se, n=n,
+                     clip_alpha=clip_alpha)
+            for b, a, rt, se in zip(slope.tolist(), intercept.tolist(),
+                                    r.tolist(), std_err.tolist())]
 
-    resid = y - (intercept + slope * x)
-    std_err = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / sxx)
-    return AlineFit(slope=slope, intercept=intercept, pearson_r=r, p_value=p,
-                    std_err=std_err, n=n, clip_alpha=clip_alpha)
+
+def row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair of (T, n) arrays; 0 where either row has
+    zero variance. The package's one Pearson R: audit, cmnist and mincount
+    all read it."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    den = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
+    return np.divide(np.sum(xc * yc, axis=1), den,
+                     out=np.zeros_like(den), where=den != 0.0)
 
 
 def classify_split(fit: AlineFit, threshold: float = DEFAULT_THRESHOLD) -> Verdict:
@@ -131,15 +148,6 @@ def correlation_epsilon(x: ArrayLike, y: ArrayLike) -> tuple[np.ndarray, np.ndar
     syy = float(y @ y)
     a = row_dot(x, y) / syy if syy > 0.0 else np.zeros(len(x))
     return a, np.max(np.abs(x - a[:, None] * y), axis=1)
-
-
-def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pearson r of each row pair; 0 where either row has zero variance."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    den = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
-    return np.divide(np.sum(xc * yc, axis=1), den,
-                     out=np.zeros_like(den), where=den != 0.0)
 
 
 def check_mincount_args(rel_tol: float, resamples: int, confidence: float,
@@ -203,8 +211,8 @@ def min_model_count(id_acc: ArrayLike, ood_acc: ArrayLike,
                 range(lo, hi)))
             idx = uniform_to_integers(u, bounds) + offsets
             gx, gy = x[idx], y[idx]
-            r_base = _row_pearson(gx[:, :size], gy[:, :size])
-            np.divide(np.abs(_row_pearson(gx, gy) - r_base), np.abs(r_base),
+            r_base = row_pearson(gx[:, :size], gy[:, :size])
+            np.divide(np.abs(row_pearson(gx, gy) - r_base), np.abs(r_base),
                       out=deltas[lo:hi], where=r_base != 0.0)
             above += int(np.count_nonzero(deltas[lo:hi] >= rel_tol))
             lo = hi

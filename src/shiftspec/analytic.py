@@ -22,28 +22,20 @@ up only when present.
 
 The package's per-row kernels (these, the samplers in rng and synthgen and
 the trainer's loss) follow one rule: no masked select over a data-dependent
-mask. On randomly ordered samples a mask defeats branch prediction: at 20k
-elements on a 2-vCPU Xeon with numpy 2.4, np.negative(..., where=mask)
-takes 8.4 ns per element and np.where 4.1 ns, against 2.2 ns for the same
-negation through flatnonzero, take and a scatter, and 0.2 ns for a
+mask. On randomly ordered samples a mask defeats branch prediction, so
+np.negative(..., where=mask) and np.where cost more per element than the
+same negation through flatnonzero, take and a scatter, and far more than a
 multiply. A region is gathered through integer indices, or the select is
 spelled as exact arithmetic. Nor does a kernel broadcast over a short last
-axis, which runs numpy's inner loop a few elements at a time: the
-Newton loop's curv[..., None] * x over (24, 4000, 2) took 0.92 ms against
-0.52 ms filled column by column.
+axis, which runs numpy's inner loop a few elements at a time: the Newton
+loop fills curv[..., None] * x column by column instead.
 
 normal_quantile transforms an array of more than _QUANTILE_BLOCK (8,192)
 entries in equal blocks of at most that many, each through the same
 kernel, so every element gets the same operations and the bits do not
-depend on the blocking. A block's temporaries then stay in cache: on the
-same machine one call over 54k uniforms (the zero-measure family's noise)
-took 72 ns per element unblocked and 57 ns in blocks, and 85 against
-54 ns at 192k. At 20k (lemma 1's samples) the three blocks cost about 3%
-more than one pass in a loop of quantile calls alone, yet a whole lemma-1
-seed (two 10,000-row samples and two fits) took 12.1 ms with them against
-13.1 ms without. Below the constant nothing changes (45 ns per element at
-8k, 77 ns at 2k, where the call's fixed cost shows). Blocks of 16,384
-gained nothing at 54k.
+depend on the blocking. A block's temporaries then stay in cache, which
+pays on large calls such as the zero-measure family's 54k noise uniforms;
+below the constant nothing changes, and larger blocks gained nothing.
 """
 
 from __future__ import annotations
@@ -221,9 +213,8 @@ def gaussian_margin_cdf(weights, a: np.ndarray, s) -> np.ndarray:
     Every a / s is divided and transformed; the s = 0 entries are then
     looked up through integer indices and overwritten, only when np.all(s)
     shows there are any. On a table of the zero-measure experiment's size
-    (2 x 500 x 27, no s = 0; same machine as above) this took 1.13 ms a
-    call, against 1.51 ms for a boolean gather of the s > 0 entries and
-    2.15 ms for a ``.flat`` gather.
+    that is cheaper than a boolean gather of the s > 0 entries or a
+    ``.flat`` gather.
     """
     # a / s is +-inf past the float range (Phi's limit) and nan at 0 / 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

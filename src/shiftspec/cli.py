@@ -27,7 +27,7 @@ import numpy as np
 
 from .aline import (DEFAULT_CLIP_ALPHA, DEFAULT_THRESHOLD, check_clip_alpha,
                     check_mincount_args, check_threshold, classify_split,
-                    correlation_epsilon, fit_probit_points, min_model_count,
+                    correlation_epsilon, fit_probit_rows, min_model_count,
                     probit_points)
 from .cmnist import CmnistSpec, DEFAULT_NOISE_SIGMAS, cmnist_model_table
 from .conditions import (ShiftStack, accuracies_under_shifts, condition_reports,
@@ -154,7 +154,7 @@ def cmd_audit(args) -> tuple[dict, dict[str, str], str]:
     check_threshold(args.threshold)
     id_acc, ood_acc, id_env = _audit_pairs(args)
     x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
-    fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
+    (fit,) = fit_probit_rows(x, y, args.clip_alpha)
     verdict = classify_split(fit, threshold=args.threshold)
     a6, eps6 = (float(v[0]) for v in correlation_epsilon(x, y))
 
@@ -231,24 +231,18 @@ def cmd_cmnist(args) -> tuple[dict, dict[str, str], str]:
                                noise_sigmas=DEFAULT_NOISE_SIGMAS,
                                seeds_per_sigma=args.seeds_per_sigma,
                                seed=args.seed)
-    splits = [pairwise_pairs(table, "env_id", env) for env in table.env_names[1:]]
-    # pooled split: the per-env arrays (one entry per model each) concatenated
-    # in env order; each env is fit on its own slice of the pooled probits
-    id_acc, ood_acc = map(np.concatenate, zip(*splits))
-    x, y = probit_points(id_acc, ood_acc, args.clip_alpha)
-    per_env = []
-    for env, p_test, env_x, env_y in zip(table.env_names[1:], grid,
-                                         np.split(x, len(splits)),
-                                         np.split(y, len(splits))):
-        fit = fit_probit_points(env_x, env_y, clip_alpha=args.clip_alpha)
-        per_env.append({
-            "env": env,
-            "test_p_e": p_test,
-            "pearson_r": fit.pearson_r,
-            "slope": fit.slope,
-            "verdict": classify_split(fit, args.threshold).value,
-        })
-    pooled_fit = fit_probit_points(x, y, clip_alpha=args.clip_alpha)
+    # pooled split: env_id against each grid env in turn, in env order;
+    # each env is fit on its own row of the pooled probits
+    acc = table.columns
+    x, y = probit_points(np.tile(acc[0], len(grid)), acc[1:].ravel(),
+                         args.clip_alpha)
+    fits = fit_probit_rows(x.reshape(len(grid), -1), y.reshape(len(grid), -1),
+                           args.clip_alpha)
+    per_env = [{"env": env, "test_p_e": p_test, "pearson_r": fit.pearson_r,
+                "slope": fit.slope,
+                "verdict": classify_split(fit, args.threshold).value}
+               for env, p_test, fit in zip(table.env_names[1:], grid, fits)]
+    (pooled_fit,) = fit_probit_rows(x, y, args.clip_alpha)
 
     payload = {
         "train_p_e": args.train_pe,

@@ -102,9 +102,8 @@ def digit_classifier_accuracy(spec: CmnistSpec) -> float:
 
 def linear_rule_accuracy(w_c: float | np.ndarray, w_e: float | np.ndarray,
                          label_noise: float, p_e,
-                         noise_sigma: float | np.ndarray = 0.0,
-                         bias: float = 0.0) -> float | np.ndarray:
-    """Exact accuracy of sign(w_c z_c + w_e z_e + noise + bias) on an environment.
+                         noise_sigma: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """Exact accuracy of sign(w_c z_c + w_e z_e + noise) on an environment.
 
     The four (digit-agrees, color-agrees) outcomes have known probabilities;
     noise_sigma > 0 models a feature-extraction pipeline that jitters both
@@ -129,7 +128,7 @@ def linear_rule_accuracy(w_c: float | np.ndarray, w_e: float | np.ndarray,
     p_digit = 1.0 - label_noise
     probs = (p_digit * p, p_digit * (1.0 - p),
              (1.0 - p_digit) * p, (1.0 - p_digit) * (1.0 - p))
-    scores = np.array([w_c + w_e, w_c - w_e, -w_c + w_e, -w_c - w_e]) + bias
+    scores = np.array([w_c + w_e, w_c - w_e, -w_c + w_e, -w_c - w_e])
     # math.hypot per rule: np.hypot rounds differently on some pairs
     norms = np.array([math.hypot(c, e) for c, e in zip(w_c.flat, w_e.flat)])
     scale = sigma * norms.reshape(w_c.shape)

@@ -19,9 +19,8 @@ loop), as the sigmoid's already come from np.tanh. Only the Armijo test
 and evaluate_risk read the loss; the gradient, the Hessian and the stop
 rule read the sigmoid. As in every per-row kernel of the package (see
 analytic), no masked select runs over a data-dependent mask: max(-m, 0)
-is subtracted as min(m, 0) (see _logistic_losses), 1.2 ns per element
-where the select over m < 0 took 7.0 ns (20k elements, 2-vCPU Xeon,
-numpy 2.4).
+is subtracted as min(m, 0) (see _logistic_losses), not selected over
+m < 0.
 
 There is one Newton loop, over a stack of B problems of one shape
 (fit_logistic_stack): each member has its own step size and stop, a

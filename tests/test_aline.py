@@ -8,7 +8,8 @@ from scipy import stats
 
 from shiftspec import aline
 from shiftspec.aline import (Verdict, classify_split, correlation_epsilon,
-                             fit_probit_line, min_model_count, probit_points)
+                             fit_probit_line, fit_probit_rows, min_model_count,
+                             probit_points, row_pearson)
 from shiftspec.analytic import normal_cdf
 from shiftspec.core import InputError
 from shiftspec.rng import RandomStream
@@ -94,6 +95,50 @@ class TestFitProbitLine:
         fit = fit_probit_line([0.0, 0.5, 1.0, 0.8], [0.0, 0.4, 1.0, 0.7])
         assert np.isfinite(fit.slope) and np.isfinite(fit.pearson_r)
         assert abs(fit.pearson_r) <= 1.0
+
+
+def _fit_bits(fit):
+    return [float.hex(v) for v in (fit.slope, fit.intercept, fit.pearson_r,
+                                   fit.p_value, fit.std_err)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 6), n=st.integers(3, 400),
+       flat_row=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_fit_probit_rows_is_each_rows_own_fit(rows, n, flat_row, seed):
+    # a flat y row holds one multiple of 1/8, whose mean over n <= 400
+    # entries is exact, so its centred values are exactly 0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(0.0, 2.0, (rows, 1)), rng.uniform(0.1, 3.0, (rows, 1)),
+                   (rows, n))
+    y = (rng.uniform(-2.0, 2.0, (rows, 1)) * x
+         + rng.normal(0.0, 1.0, (rows, n)) * rng.uniform(0.01, 2.0, (rows, 1)))
+    if flat_row < rows:
+        y[flat_row] = rng.integers(-16, 17) / 8
+    fits = fit_probit_rows(x, y, 1e-4)
+    assert len(fits) == rows
+    assert row_pearson(x, y).tolist() == [f.pearson_r for f in fits]
+    for t, fit in enumerate(fits):
+        assert (fit.n, fit.clip_alpha) == (n, 1e-4)
+        assert _fit_bits(fit) == _fit_bits(fit_probit_rows(x[t], y[t], 1e-4)[0])
+        if t == flat_row:
+            assert fit.pearson_r == 0.0
+            continue
+        ref = stats.linregress(x[t], y[t])
+        assert abs(fit.pearson_r - stats.pearsonr(x[t], y[t]).statistic) <= 1e-12
+        assert abs(fit.slope - ref.slope) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 6), n=st.integers(3, 400), seed=st.integers(0, 2**32 - 1),
+       value=st.floats(-8.0, 8.0))
+def test_fit_probit_rows_rejects_a_constant_x_row(rows, n, seed, value):
+    # any constant: the mean of n copies may round away from it
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n))
+    x[int(rng.integers(rows))] = value
+    with pytest.raises(ValueError, match="degenerate sweep"):
+        fit_probit_rows(x, rng.standard_normal((rows, n)), 1e-4)
 
 
 class TestProbitPointsInputs:

@@ -562,6 +562,21 @@ class TestAudit:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_constant_id_column_whose_mean_rounds_is_numeric_error(
+            self, tmp_path, capsys):
+        # the mean of 7 copies of probit(0.61) is not probit(0.61), so the
+        # centred sum of squares is a few ulps, not 0
+        rows = tuple(TableRow(f"m{i}", (0.61, float(a)))
+                     for i, a in enumerate(np.linspace(0.4, 0.9, 7)))
+        path = tmp_path / "flat.csv"
+        save_accuracy_table(AccuracyTable(("env_id", "env_ood"), rows), path)
+        out = tmp_path / "out"
+        rc = main(["audit", "--table", str(path), "--mode", "pairwise",
+                   "--id-env", "env_id", "--ood-env", "env_ood", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: degenerate sweep")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, ood, shown", [
     pytest.param("audit", 'R&D <v2> "b"', 'R&D <v2> "b"', id="audit"),
@@ -865,6 +880,23 @@ class TestCmnist:
         payload = json.loads((out / "cmnist_report.json").read_text())
         assert all(e["pearson_r"] < -0.9 for e in payload["per_env"])
         assert all(e["verdict"] == "well_specified" for e in payload["per_env"])
+
+    def test_per_env_fit_is_the_pairwise_audit_of_its_table(self, tmp_path):
+        # each per-env entry is what audit prints on the written table
+        out = tmp_path / "cmnist"
+        assert main(["cmnist", "--n-train", "800", "--seeds-per-sigma", "1",
+                     "--test-grid", "0.1,0.5,0.9", "--out", str(out)]) == 0
+        per_env = json.loads((out / "cmnist_report.json").read_text())["per_env"]
+        assert [e["env"] for e in per_env] == ["p_0.1", "p_0.5", "p_0.9"]
+        assert {e["verdict"] for e in per_env} == {"well_specified", "misspecified"}
+        for entry in per_env:
+            audit_out = tmp_path / entry["env"]
+            assert main(["audit", "--table", str(out / "cmnist_table.csv"),
+                         "--mode", "pairwise", "--id-env", "env_id",
+                         "--ood-env", entry["env"], "--out", str(audit_out)]) == 0
+            audit = json.loads((audit_out / "audit_report.json").read_text())
+            assert (entry["pearson_r"], entry["slope"], entry["verdict"]) == (
+                audit["fit"]["pearson_r"], audit["fit"]["slope"], audit["verdict"])
 
     def test_degenerate_grid(self, tmp_path):
         rc = main(["cmnist", "--test-grid", "0.5",

@@ -187,10 +187,9 @@ def test_linear_rule_accuracy_array_matches_scalar_calls():
         w_c, w_e = rng.standard_normal(2)
         noise = float(rng.uniform(0.0, 0.5))
         sigma = float(rng.choice([0.0, rng.uniform(0.1, 8.0)]))
-        bias = float(rng.choice([0.0, rng.standard_normal()]))
-        stacked = linear_rule_accuracy(w_c, w_e, noise, p_e, sigma, bias)
+        stacked = linear_rule_accuracy(w_c, w_e, noise, p_e, sigma)
         single = np.array([linear_rule_accuracy(w_c, w_e, noise, float(p),
-                                                sigma, bias) for p in p_e])
+                                                sigma) for p in p_e])
         assert np.array_equal(stacked, single)
 
 
