@@ -120,13 +120,35 @@ def fit_probit_rows(x: ArrayLike, y: ArrayLike, clip_alpha: float) -> list[Aline
 
 def row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson r of each row pair of (T, n) arrays; 0 where either row has
-    zero variance. The package's one Pearson R: audit, cmnist and mincount
-    all read it."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    den = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
-    return np.divide(np.sum(xc * yc, axis=1), den,
-                     out=np.zeros_like(den), where=den != 0.0)
+    zero range. The package's one Pearson R: audit, cmnist and mincount
+    all read it.
+
+    A constant row whose mean rounds centres to one ulp-sized constant (at
+    most n eps / 2 times the mean), which would make r +-1 or about 0. So
+    the rows whose centred root mean square is under 2 n eps times their
+    mean have their range checked; rows with real spread are not. The sums
+    call np.add.reduce directly, as np.sum and mean do with more overhead,
+    which pays for that check on the bootstrap's many small calls.
+    """
+    n = x.shape[1]
+    x_mean = np.add.reduce(x, axis=1, keepdims=True) / n
+    y_mean = np.add.reduce(y, axis=1, keepdims=True) / n
+    xc = x - x_mean
+    yc = y - y_mean
+    sxx = np.add.reduce(xc * xc, axis=1)
+    syy = np.add.reduce(yc * yc, axis=1)
+    den = np.sqrt(sxx * syy)
+    r = np.divide(np.add.reduce(xc * yc, axis=1), den,
+                  out=np.zeros_like(den), where=den != 0.0)
+    tol = 2.0 * n * np.finfo(np.float64).eps
+    flat = np.flatnonzero(
+        (np.sqrt(sxx / n) <= tol * np.abs(x_mean[:, 0]))
+        | (np.sqrt(syy / n) <= tol * np.abs(y_mean[:, 0])))
+    if flat.size:
+        constant = ((np.ptp(x[flat], axis=1) == 0.0)
+                    | (np.ptp(y[flat], axis=1) == 0.0))
+        r[flat[constant]] = 0.0
+    return r
 
 
 def classify_split(fit: AlineFit, threshold: float = DEFAULT_THRESHOLD) -> Verdict:

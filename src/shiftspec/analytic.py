@@ -5,20 +5,18 @@ results are identical across platforms and carry no numerics dependency:
 
 * erfc follows W. J. Cody's rational Chebyshev approximations
   (Math. Comp. 23, 1969; the CALERF scheme), relative error < 1e-15.
-* The quantile uses P. J. Acklam's rational approximation (relative error
-  < 1.2e-9) on the lower-tail probability min(p, 1 - p), polished with one
-  Halley step against the CDF above and reflected for p > 0.5. Halley's
-  step is cubic, so one step already reaches the CDF's own precision:
-  relative error <= 4.4e-16 in both tails, absolute error <= 1.8e-15 on
-  uniform samples.
+* The quantile is M. J. Wichura's Algorithm AS 241, PPND16 (Applied
+  Statistics 37(3), 1988), the quantile behind R's qnorm: one degree-7/7
+  rational per region, with no refinement step, so it calls neither erfc
+  nor normal_cdf. normal_quantile states its accuracy against scipy.
 
 The array kernels gather each region's entries through integer indices and
 update their polynomial accumulators in place (Horner's rule with `+=`,
 `*=` and `out=`), so a call makes few passes and few new arrays. Each
 element still gets the same operations in the same order as the plain
 expressions, so the results are the same bit for bit. Regions that samples
-rarely reach (erfc's tail and underflow, p outside (0, 1), nan) are looked
-up only when present.
+rarely reach (erfc's tail and underflow, the quantile's far tail, p outside
+(0, 1)) are looked up only when present.
 
 The package's per-row kernels (these, the samplers in rng and synthgen and
 the trainer's loss) follow one rule: no masked select over a data-dependent
@@ -45,8 +43,6 @@ import math
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-_TINY = 2.0 ** -1022  # smallest normal double
 _INV_SQRT_PI = 0.5641895835477562869  # 1/sqrt(pi)
 
 # Cody interval 1: erf(x) for |x| <= 0.46875, z = x^2.
@@ -75,19 +71,35 @@ _ERFC_Q = (2.56852019228982242e00, 1.87295284992346047e00,
            5.27905102951428412e-1, 6.05183413124413191e-2,
            2.33520497626869185e-3)
 
-# Acklam quantile coefficients.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-_ACK_LOW = 0.02425
+# AS 241 (PPND16) coefficients, highest power first; each denominator ends
+# in its constant term 1. Central region |p - 0.5| <= 0.425, in
+# r = 0.180625 - (p - 0.5)^2:
+_AS241_A = (2509.0809287301226727, 33430.575583588128105,
+            67265.770927008700853, 45921.953931549871457,
+            13731.693765509461125, 1971.5909503065514427,
+            133.14166789178437745, 3.387132872796366608)
+_AS241_B = (5226.495278852545925, 28729.085735721942674,
+            39307.89580009271061, 21213.794301586595867,
+            5394.1960214247511077, 687.1870074920579083,
+            42.313330701600911252, 1.0)
+# Tails, in s = sqrt(-log(min(p, 1 - p))): s - 1.6 for s <= 5 ...
+_AS241_C = (7.7454501427834140764e-4, 2.27238449892691845833e-2,
+            2.4178072517745061177e-1, 1.27045825245236838258,
+            3.64784832476320460504, 5.7694972214606914055,
+            4.6303378461565452959, 1.42343711074968357734)
+_AS241_D = (1.05075007164441684324e-9, 5.475938084995344946e-4,
+            1.51986665636164571966e-2, 1.4810397642748007459e-1,
+            6.8976733498510000455e-1, 1.6763848301838038494,
+            2.05319162663775882187, 1.0)
+# ... and s - 5 for s > 5.
+_AS241_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+            1.2426609473880784386e-3, 2.6532189526576123093e-2,
+            2.9656057182850489123e-1, 1.7848265399172913358,
+            5.4637849111641143699, 6.6579046435011037772)
+_AS241_F = (2.04426310338993978564e-15, 1.4215117583164458887e-7,
+            1.8463183175100546818e-5, 7.868691311456132591e-4,
+            1.48753612908506148525e-2, 1.3692988092273580531e-1,
+            5.9983220655588793769e-1, 1.0)
 
 _QUANTILE_BLOCK = 8192  # largest array normal_quantile transforms in one pass
 
@@ -225,91 +237,80 @@ def gaussian_margin_cdf(weights, a: np.ndarray, s) -> np.ndarray:
     return sum((weight * term for weight, term in zip(weights, cdf)), 0.0)
 
 
-def _acklam(p: np.ndarray) -> np.ndarray:
-    """Acklam's quantile start on (0, 0.5]; normal_quantile reflects p > 0.5.
+def _quantile_tail(p: np.ndarray) -> np.ndarray:
+    """AS 241's tails, for 1-d p with |p - 0.5| > 0.425.
 
-    The central formula is evaluated on every entry (it is finite on all of
-    [0, 1]); the lower tail p < 0.02425 then overwrites its entries.
+    The s <= 5 rational runs on every entry; the far tail s > 5 (min(p, 1 - p)
+    below about 1.4e-11) overwrites its entries, looked up only when present.
+    p outside (0, 1) is evaluated at 0.5 and overwritten with inf, which the
+    sign of p - 0.5 turns into -inf for p <= 0.
     """
-    pf = p.ravel()
-    q = pf - 0.5
-    r = q * q
-    out = _horner(_ACK_A, r)
-    out *= q
-    out /= _horner(_ACK_B + (1.0,), r)
-
-    lo = np.flatnonzero(pf < _ACK_LOW)
-    if lo.size:
-        q = np.log(pf.take(lo))
-        q *= -2.0
-        np.sqrt(q, out=q)
-        v = _horner(_ACK_C, q)
-        v /= _horner(_ACK_D + (1.0,), q)
-        out[lo] = v
-    return out.reshape(p.shape)
+    t = 1.0 - p
+    np.minimum(p, t, out=t)
+    outside = None
+    if not t.min() > 0.0:
+        outside = np.flatnonzero(~(t > 0.0))
+        t[outside] = 0.5
+    s = np.log(t, out=t)
+    np.negative(s, out=s)
+    np.sqrt(s, out=s)
+    z = s - 1.6
+    x = _horner(_AS241_C, z)
+    x /= _horner(_AS241_D, z)
+    if s.max() > 5.0:
+        far = np.flatnonzero(s > 5.0)
+        z = s.take(far)
+        z -= 5.0
+        v = _horner(_AS241_E, z)
+        v /= _horner(_AS241_F, z)
+        x[far] = v
+    if outside is not None:
+        x[outside] = np.inf
+    return np.copysign(x, p - 0.5, out=x)
 
 
 def _quantile_block(pf: np.ndarray) -> np.ndarray:
-    """normal_quantile of a 1-d array, in one pass."""
-    t = 1.0 - pf
-    np.minimum(pf, t, out=t)  # t > 0 exactly where 0 < p < 1
-    t_min = t.min(initial=1.0)
-    outside = None
-    if not t_min > 0.0:
-        outside = np.flatnonzero(~(t > 0.0))
-        t[outside] = 0.5
-        t_min = t.min()
+    """normal_quantile of a 1-d array, in one pass.
 
-    x = _acklam(t)
-    # Below the smallest normal double, normal_cdf(x) - t keeps no
-    # precision and exp(0.5 x^2) overflows: keep Acklam's start there.
-    step = None if t_min >= _TINY else np.flatnonzero(t >= _TINY)
-    xs, ts = (x, t) if step is None else (x.take(step), t.take(step))
-    u = normal_cdf(xs)
-    u -= ts
-    u *= _SQRT2PI
-    w = 0.5 * xs
-    w *= xs
-    u *= np.exp(w, out=w)
-    np.multiply(0.5, xs, out=w)
-    w *= u
-    w += 1.0
-    u /= w
-    xs -= u
-    if step is not None:
-        x[step] = xs
-
-    upper = np.flatnonzero(pf > 0.5)
-    if upper.size:
-        v = x.take(upper)
-        x[upper] = np.negative(v, out=v)
-    if outside is not None:
-        po = pf.take(outside)
-        x[outside] = np.where(po <= 0.0, -np.inf,
-                              np.where(po >= 1.0, np.inf, np.nan))
+    The tail entries (p outside (0, 1) among them) are gathered, transformed
+    and their q zeroed; the central rational then runs on every entry, nan
+    included, and the tail values overwrite theirs.
+    """
+    q = pf - 0.5
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        x_tail = _quantile_tail(pf.take(tail))
+        q[tail] = 0.0
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _horner(_AS241_A, r)
+    x *= q
+    x /= _horner(_AS241_B, r)
+    if tail.size:
+        x[tail] = x_tail
     return x
 
 
 def normal_quantile(p) -> np.ndarray | float:
     """Standard normal quantile; p outside (0,1) maps to +-inf, nan to nan.
 
-    Acklam's approximation and one Halley step against normal_cdf refine
-    the lower-tail probability t = min(p, 1 - p), which is exact for
-    p >= 0.5; the result is negated where p > 0.5. Refining p itself would
-    leave the upper tail at Acklam's 1e-9, since normal_cdf(x) - p cannot
-    be resolved where normal_cdf(x) is near 1. Against scipy's ndtri the
-    relative error is at most 4.4e-16 at p = 1 - 10^-k (k = 1..15) and
-    p = 1 - 2^-j (j = 2..53), and the absolute error at most 1.8e-15 over
-    1M uniforms; a second Halley step does not lower it. q(1 - p) == -q(p)
-    holds exactly for p >= 0.5. For subnormal t (below 2^-1022) the step
-    is skipped and Acklam's start, within 1.8e-9 relative, is returned.
+    Wichura's AS 241 (PPND16; Applied Statistics 37(3), 1988). With
+    q = p - 0.5, an entry with |q| <= 0.425 is q A(r) / B(r) with
+    r = 0.180625 - q^2. Any other entry is C(s - 1.6) / D(s - 1.6) for
+    s = sqrt(-log(min(p, 1 - p))) <= 5, else E(s - 5) / F(s - 5), with the
+    sign of q; A to F are degree-7 polynomials. Each element gets exactly
+    these operations, so q(1 - p) == -q(p) holds exactly for p >= 0.5 (where
+    1 - p is exact), and the bits do not depend on the blocking or on
+    scalar versus array input.
+
+    Against scipy's ndtri the error is at most 8 ulp, 2e-15 relative and
+    1e-14 absolute over 1M uniforms (floored at 2^-53); 1e-14 absolute on
+    a grid of p in [1e-7, 1 - 1e-7]; 2e-15 relative at p = 1 - 10^-k
+    (k = 1..15) and p = 1 - 2^-j (j = 2..53) and at their complements; and
+    1e-15 relative at subnormal p.
 
     An array of more than _QUANTILE_BLOCK entries runs in equal blocks of
-    at most that many (see the module docstring), with the same bits. In
-    each block the step runs in place, and the entries with p > 0.5 are
-    negated through their indices. Entries with p outside (0, 1) or nan
-    are looked up only when the block's smallest t shows one; they are
-    refined as t = 0.5 and overwritten at the end.
+    at most that many (see the module docstring), with the same bits.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     pf = p_arr.ravel()

@@ -97,6 +97,24 @@ class TestFitProbitLine:
         assert abs(fit.pearson_r) <= 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 199), seed=st.integers(0, 2**32 - 1))
+def test_row_pearson_of_a_constant_row_is_zero(n, seed):
+    # a constant row whose mean rounds centres to one ulp-sized constant;
+    # its r is decided by range, whatever the other row holds
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=2)
+    flat = np.full(n, a)
+    others = np.stack([np.full(n, b), np.linspace(0.0, 1.0, n),
+                       1e6 + 1e-6 * rng.normal(size=n), rng.normal(size=n)])
+    assert row_pearson(np.tile(flat, (4, 1)), others).tolist() == [0.0] * 4
+    assert row_pearson(others, np.tile(flat, (4, 1))).tolist() == [0.0] * 4
+    # a varied row pair keeps its r beside flat rows
+    x = np.stack([flat, others[3]])
+    y = np.stack([others[2], others[1]])
+    assert row_pearson(x, y)[1] == row_pearson(x[1:], y[1:])[0] != 0.0
+
+
 def _fit_bits(fit):
     return [float.hex(v) for v in (fit.slope, fit.intercept, fit.pearson_r,
                                    fit.p_value, fit.std_err)]
@@ -311,7 +329,7 @@ def _scalar_pearson(x, y):
     xc = x - x.mean()
     yc = y - y.mean()
     den = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-    if den == 0.0:
+    if den == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return 0.0
     return float(np.sum(xc * yc)) / den
 

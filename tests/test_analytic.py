@@ -28,7 +28,7 @@ class TestProbit:
     def test_matches_scipy_quantile(self):
         p = np.linspace(1e-7, 1 - 1e-7, 20001)
         err = np.abs(analytic.normal_quantile(p) - stats.norm.ppf(p))
-        assert float(err.max()) < 1e-8
+        assert float(err.max()) < 1e-14
 
     def test_matches_scipy_cdf(self):
         x = np.linspace(-8.0, 8.0, 20001)
@@ -75,9 +75,13 @@ class TestQuantileAccuracy:
         assert float(rel.max()) <= 2e-15
 
     def test_uniform_sample(self):
-        u = np.maximum(np.random.default_rng(12).random(100_000), 2.0**-53)
-        err = np.abs(analytic.normal_quantile(u) - special.ndtri(u))
+        u = np.maximum(np.random.default_rng(12).random(1_000_000), 2.0**-53)
+        ref = special.ndtri(u)
+        err = np.abs(analytic.normal_quantile(u) - ref)
         assert float(err.max()) < 1e-14
+        assert float((err / np.spacing(np.abs(ref))).max()) <= 8.0
+        nonzero = ref != 0.0  # u = 0.5, where both are 0
+        assert float((err[nonzero] / np.abs(ref[nonzero])).max()) <= 2e-15
 
     def test_exact_odd_symmetry(self):
         # for p >= 0.5 the complement 1 - p is exact, so the two quantiles
@@ -95,17 +99,27 @@ class TestQuantileAccuracy:
             scalars = [analytic.normal_quantile(float(v)) for v in p]
         assert np.all(np.isfinite(q)) and np.array_equal(q, scalars)
         ref = special.ndtri(p)
-        assert float((np.abs(q - ref) / np.abs(ref)).max()) <= 2e-9
+        assert float((np.abs(q - ref) / np.abs(ref)).max()) <= 1e-15
 
-    def test_smallest_normal_p_still_takes_the_step(self):
-        t = np.array([2.0**-1022, np.nextafter(2.0**-1022, 1.0), 1e-300])
-        x = analytic._acklam(t)
-        u = (analytic.normal_cdf(x) - t) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
-        one_step = x - u / (1.0 + 0.5 * x * u)
-        assert np.array_equal(analytic.normal_quantile(t), one_step)
-        # a subnormal entry in the same array leaves the others untouched
-        mixed = analytic.normal_quantile(np.concatenate([[1e-320], t]))
-        assert np.array_equal(mixed[1:], one_step)
+    def test_calls_neither_cdf_nor_erfc(self, monkeypatch):
+        # AS 241 needs no refinement against the CDF; a polish step would
+        # show up here
+        calls = {"normal_cdf": 0, "erfc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analytic, name, counted(name, getattr(analytic, name)))
+        u = np.random.default_rng(17).random(1_000_000)
+        analytic.normal_quantile(np.concatenate([u, _QUANTILE_EDGES]))
+        analytic.normal_quantile(0.3)
+        assert calls == {"normal_cdf": 0, "erfc": 0}
+        analytic.normal_cdf(0.0)  # the counters see a call through the module
+        assert calls == {"normal_cdf": 1, "erfc": 1}
 
     def test_bounds_nan_and_shape(self):
         p = np.array([[0.0, 1.0, -0.5], [1.5, np.nan, 0.5]])
@@ -190,45 +204,39 @@ def _reference_normal_cdf(x):
     return float(res) if np.ndim(x) == 0 else res
 
 
-def _reference_acklam(p):
-    c, d = analytic._ACK_C, analytic._ACK_D
-    a, b = analytic._ACK_A, analytic._ACK_B
-    out = np.empty_like(p)
-    lo = p < analytic._ACK_LOW
-    mid = ~lo
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        out[lo] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4])
-                    * q + c[5])
-                   / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4])
-                     * r + a[5]) * q
-                    / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4])
-                       * r + 1.0))
-    return out
+def _frozen_poly(coeffs, z):
+    """((c0 z + c1) z + ...) z + c_n, out of place."""
+    acc = coeffs[0] * z
+    for c in coeffs[1:-1]:
+        acc = (acc + c) * z
+    return acc + coeffs[-1]
 
 
 def _reference_normal_quantile(p):
-    """normal_quantile with out-of-place arithmetic on the gathered interior."""
+    """AS 241 with boolean-mask gathers and out-of-place arithmetic."""
     p_arr = np.asarray(p, dtype=np.float64)
     pf = p_arr.ravel()
     out = np.full_like(pf, np.nan)
     out[pf <= 0.0] = -np.inf
     out[pf >= 1.0] = np.inf
-    interior = np.flatnonzero((pf > 0.0) & (pf < 1.0))
-    if interior.size:
-        p_in = pf.take(interior)
-        t = np.minimum(p_in, 1.0 - p_in)
-        x = _reference_acklam(t)
-        step = t >= 2.0 ** -1022
-        xs, ts = x[step], t[step]
-        u = ((_reference_normal_cdf(xs) - ts) * math.sqrt(2.0 * math.pi)
-             * np.exp(0.5 * xs * xs))
-        x[step] = xs - u / (1.0 + 0.5 * xs * u)
-        out[interior] = np.where(p_in > 0.5, -x, x)
+    q = pf - 0.5
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    out[central] = (qc * _frozen_poly(analytic._AS241_A, r)
+                    / _frozen_poly(analytic._AS241_B, r))
+    tail = (np.abs(q) > 0.425) & (pf > 0.0) & (pf < 1.0)
+    pt = pf[tail]
+    s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    x = np.empty_like(s)
+    near = s <= 5.0
+    z = s[near] - 1.6
+    x[near] = (_frozen_poly(analytic._AS241_C, z)
+               / _frozen_poly(analytic._AS241_D, z))
+    z = s[~near] - 5.0
+    x[~near] = (_frozen_poly(analytic._AS241_E, z)
+                / _frozen_poly(analytic._AS241_F, z))
+    out[tail] = np.copysign(x, q[tail])
     return float(out[0]) if np.ndim(p) == 0 else out.reshape(p_arr.shape)
 
 
@@ -277,29 +285,34 @@ class TestKernelsPinnedToReference:
             assert ours == reference(v)
         assert math.isnan(getattr(analytic, name)(math.nan))
 
-    # normal_quantile calls _acklam on t = min(p, 1 - p) only
+
+# AS 241's region boundaries: |p - 0.5| = 0.425 and s = 5, where
+# min(p, 1 - p) = exp(-25)
+_REGION_EDGES = _around([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+
+
+class TestQuantileTailPinnedToReference:
+    """The tail kernel, on the entries normal_quantile gathers for it,
+    reproduces the out-of-place reference bit for bit."""
+
     @pytest.mark.parametrize("p", [
-        np.append(_around([analytic._ACK_LOW]), [0.5, np.nextafter(0.5, 0.0)]),
-        np.linspace(0.0, 0.5, 100_001)[1:],
-        0.5 * np.random.default_rng(15).random(20_000),
-        np.array([np.nan, 2.0**-53, 2.0**-1074]),
-        np.linspace(0.0, 0.5, 60_001)[1:].reshape(200, 300),
-        np.array(0.3),
-    ], ids=["edges", "grid", "sampled", "special", "2d", "0d"])
-    def test_acklam(self, p):
-        ours = analytic._acklam(p)
-        assert ours.shape == p.shape
-        assert np.array_equal(ours, _reference_acklam(p), equal_nan=True)
+        _REGION_EDGES[np.abs(_REGION_EDGES - 0.5) > 0.425],
+        np.concatenate([np.linspace(0.0, 0.07, 50_001)[1:],
+                        np.linspace(0.93, 1.0, 50_001)[:-1]]),
+        np.concatenate([0.075 * np.random.default_rng(15).random(20_000),
+                        1.0 - 0.075 * np.random.default_rng(25).random(20_000)]),
+        10.0 ** -np.random.default_rng(35).uniform(11.0, 323.0, 5_000),
+        np.array([2.0**-1074, 2.0**-1022, 2.0**-53, 1.0 - 2.0**-53, 0.0, -0.0,
+                  1.0, -0.25, 7.5, np.inf, -np.inf]),
+    ], ids=["edges", "grid", "sampled", "far", "special"])
+    def test_arrays(self, p):
+        _assert_same_bits(analytic._quantile_tail(p), _reference_normal_quantile(p))
 
 
-_TINY = 2.0 ** -1022
-_QUANTILE_EDGES = np.array([
+_QUANTILE_EDGES = np.concatenate([[
     0.0, 1.0, -0.0, -0.25, -1e-300, 1.0 + 2.0 ** -52, 7.5, np.inf, -np.inf,
-    np.nan, 2.0 ** -1074, _TINY, np.nextafter(_TINY, 0.0),
-    np.nextafter(_TINY, 1.0), analytic._ACK_LOW,
-    np.nextafter(analytic._ACK_LOW, 0.0), np.nextafter(analytic._ACK_LOW, 1.0),
-    1.0 - analytic._ACK_LOW, 0.5, np.nextafter(0.5, 0.0),
-    np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 2.0 ** -53])
+    np.nan, 2.0 ** -1074, 2.0 ** -1022, 0.5, np.nextafter(0.5, 0.0),
+    np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 2.0 ** -53], _REGION_EDGES])
 _UNIFORMS = np.random.default_rng(16).random(100_000)
 
 
@@ -343,50 +356,13 @@ def test_normal_quantile_matches_reference(p):
     _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
 
 
-def _masked_normal_quantile(p):
-    """normal_quantile as it was spelled with a masked negation of the upper
-    half (np.negative(..., where=p > 0.5)) in place of an index scatter."""
-    p_arr = np.asarray(p, dtype=np.float64)
-    pf = p_arr.ravel()
-    t = 1.0 - pf
-    np.minimum(pf, t, out=t)
-    t_min = t.min(initial=1.0)
-    outside = None
-    if not t_min > 0.0:
-        outside = np.flatnonzero(~(t > 0.0))
-        t[outside] = 0.5
-        t_min = t.min()
-    x = analytic._acklam(t)
-    step = None if t_min >= _TINY else np.flatnonzero(t >= _TINY)
-    xs, ts = (x, t) if step is None else (x.take(step), t.take(step))
-    u = analytic.normal_cdf(xs)
-    u -= ts
-    u *= analytic._SQRT2PI
-    w = 0.5 * xs
-    w *= xs
-    u *= np.exp(w, out=w)
-    np.multiply(0.5, xs, out=w)
-    w *= u
-    w += 1.0
-    u /= w
-    xs -= u
-    if step is not None:
-        x[step] = xs
-    np.negative(x, out=x, where=pf > 0.5)
-    if outside is not None:
-        po = pf.take(outside)
-        x[outside] = np.where(po <= 0.0, -np.inf,
-                              np.where(po >= 1.0, np.inf, np.nan))
-    return float(x[0]) if p_arr.ndim == 0 else x.reshape(p_arr.shape)
-
-
 _MASKED_EDGES = np.array([0.0, 1.0, 0.5, np.nan, 2.0 ** -1074, 1.0 - 2.0 ** -53,
-                          analytic._ACK_LOW])
+                          0.075, math.exp(-25.0)])
 
 
 class TestQuantilePinnedToMaskedSpelling:
-    """The index-scatter negation of the upper half gives the bits of the
-    masked one."""
+    """The index gathers and scatters give the bits of the reference's
+    boolean masks, on a million uniforms too."""
 
     @pytest.mark.parametrize("p", [
         np.random.default_rng(28).random(1_000_000),
@@ -397,7 +373,7 @@ class TestQuantilePinnedToMaskedSpelling:
     ], ids=["1M_uniforms", "edges", "mixed", "2d", "0d", "0d_half", "0d_nan"])
     def test_arrays(self, p):
         ours = analytic.normal_quantile(p)
-        want = _masked_normal_quantile(p)
+        want = _reference_normal_quantile(p)
         if p.ndim == 0:
             assert type(ours) is float and type(want) is float
         _assert_same_bits(ours, want)
@@ -409,7 +385,7 @@ class TestQuantilePinnedToMaskedSpelling:
                             _ANY_FLOAT), max_size=40))
 def test_normal_quantile_matches_masked_spelling(p):
     p = np.array(p, dtype=np.float64)
-    _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+    _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
 
 
 _BLOCK = analytic._QUANTILE_BLOCK
@@ -419,13 +395,13 @@ _SPECIALS = np.array([np.nan, 0.0, 1.0, 2.0 ** -1074, 1.0 - 2.0 ** -53])
 class TestQuantileBlocks:
     """An array of more than _QUANTILE_BLOCK entries is transformed in equal
     blocks of at most that many, with the bits of one unblocked call: the
-    masked spelling above runs as one block."""
+    reference above runs as one block."""
 
     @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
                                       4 * _BLOCK + 1])
     def test_block_boundaries(self, size):
         p = _UNIFORMS[:size]
-        _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+        _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
 
     @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK + 1, 4 * _BLOCK + 1])
     @pytest.mark.parametrize("at", ["first", "middle", "last"])
@@ -434,7 +410,7 @@ class TestQuantileBlocks:
         start = {"first": 0, "middle": size // 2,
                  "last": size - len(_SPECIALS)}[at]
         p[start:start + len(_SPECIALS)] = _SPECIALS
-        _assert_same_bits(analytic.normal_quantile(p), _masked_normal_quantile(p))
+        _assert_same_bits(analytic.normal_quantile(p), _reference_normal_quantile(p))
 
     @pytest.mark.parametrize("p", [
         np.array(0.3), np.array(np.nan),
@@ -443,7 +419,7 @@ class TestQuantileBlocks:
     ], ids=["0d", "0d_nan", "2d", "2d_strided"])
     def test_shapes(self, p):
         ours = analytic.normal_quantile(p)
-        want = _masked_normal_quantile(p)
+        want = _reference_normal_quantile(p)
         if p.ndim == 0:
             assert type(ours) is float and type(want) is float
         _assert_same_bits(ours, want)
@@ -476,7 +452,7 @@ def test_normal_quantile_in_small_blocks_matches_one_block(p, block):
     p = np.array(p, dtype=np.float64)
     with mock.patch.object(analytic, "_QUANTILE_BLOCK", block):
         ours = analytic.normal_quantile(p)
-    _assert_same_bits(ours, _masked_normal_quantile(p))
+    _assert_same_bits(ours, _reference_normal_quantile(p))
 
 
 @pytest.mark.parametrize("name, reference", [

@@ -109,9 +109,9 @@ class TestSimulate:
     @pytest.mark.parametrize("id_shift, digest", [
         (MixtureShift(((0.3, np.diag([1.5, 0.5])),
                        (0.7, np.array([[-1.0, 0.4], [0.2, -2.0]])))),
-         "af7ddbe525f8d865ae4eb6ffc20cc0b35f9f610f59b020da8e543352408de117"),
+         "e1063a86257a640c4fbd5f7b64ad3f3dd5093e5141c52ea076553c5cf95e1c59"),
         (LinearShift(np.array([[1.0, 0.2], [0.0, -0.5]])),
-         "3a10dcbf05bfc74ab09600c0c70d8122d653213aebafab6a30fc1a6c0683a553"),
+         "0a3d16e58bd6a71bdc92f716960475658d6a87abb4c826d7574d85affbc6adfc"),
     ], ids=["mixture_id", "linear_id"])
     def test_interpolation_csv_bytes_pinned(self, id_shift, digest, tmp_path):
         # the ID mixture's own components, or the default ones for a linear ID
@@ -129,12 +129,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_shifts, n_per_domain, digests", [
         (None, None,
-         {"simulate.csv": "d40e6d3fdd90af744a519b74e60d958cfbffd2fab2f8401a458c74442206fb75",
+         {"simulate.csv": "eab5cf019888fbcbe39e58648ba84f47bebd1aed52b7599c2d6ee98f9bce0ffb",
           "simulate_report.json": "66d4f3c1101ba076a135cda580a25971bdc57b8baceaab3ceb067205c63ebd96",
           "simulate.svg": "3fc7e73ecd69d1e1fa2b3b3a527d43fbd933f29430283d8635ff57f001d65605"}),
         (200, 5000,
-         {"simulate.csv": "72bee502e93e9d7f5b3a3987257af80253993df04afc354e5a4d55687893ce8b",
-          "simulate_report.json": "33c99d0458ae25f8fbec4a6a2bb33e7a2dd9697c6bb59f37f56a779cba59e258",
+         {"simulate.csv": "6347e2a5e2d853f2af291ec8362b5c7222e5b75bc55c1c500682ef2447bb3c9d",
+          "simulate_report.json": "b7c581235ed27a73740d542ef9f64f4c5d31b5cb4e3c8fcb056af29bf3fbb5cf",
           "simulate.svg": "1acb991d44f7434d563b4dacb6e148715e1926e6b95b4a73dfc90fcfd3a7f750"}),
     ], ids=["readme_example", "200_shifts"])
     def test_random_mode_bytes_pinned(self, n_shifts, n_per_domain, digests,
@@ -465,6 +465,24 @@ class TestAudit:
         assert payload["fit"]["pearson_r"] == pytest.approx(1.0, abs=1e-9)
         csv = (out / "audit_row.csv").read_text().splitlines()
         assert csv[0] == "slope,offset,R,p-value,std error"
+
+    def test_constant_ood_column_has_zero_r(self, tmp_path, capsys):
+        # the OOD probits' mean rounds, so their centred values are one
+        # ulp-sized constant; R is still 0
+        rows = tuple(TableRow(f"m{i}", (float(a), 0.6))
+                     for i, a in enumerate(np.linspace(0.55, 0.95, 12)))
+        path = tmp_path / "flat.csv"
+        save_accuracy_table(AccuracyTable(("env_id", "env_ood"), rows), path)
+        out = tmp_path / "out"
+        assert main(["audit", "--table", str(path), "--mode", "pairwise",
+                     "--id-env", "env_id", "--ood-env", "env_ood",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "audit: R=0.0000 verdict=well_specified")
+        payload = json.loads((out / "audit_report.json").read_text())
+        assert payload["fit"]["pearson_r"] == 0.0
+        csv = (out / "audit_row.csv").read_text().splitlines()
+        assert csv[1].split(",")[2] == "0"
 
     def test_inverse_line_is_well_specified(self, inverse_table, tmp_path):
         out = tmp_path / "out"
@@ -965,9 +983,9 @@ class TestCmnist:
                    for name in ("cmnist_table.csv", "cmnist_report.json")}
         assert digests == {
             "cmnist_table.csv":
-                "05f226fdbea4d1d15325a4e33ac3ec382a0761c0f4c8d2f0b64e023bed9e06db",
+                "e2cc371d1d193ab6254872294db1ac2c77b620c3047c7b6a8ea77e60c56d80aa",
             "cmnist_report.json":
-                "2d68ef4f7d6b8662a28053d9cb938a2dddc3d796624cf39e94560d5bf7190161",
+                "9d844201db0cdf3acaa454da5b1611262a1bf20c5a7e7cae2dbc177c21ef7d9e",
         }
 
 
